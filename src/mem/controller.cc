@@ -46,6 +46,8 @@ MemoryController::enqueueRead(Request req, Cycle now)
     req.enqueueCycle = now;
     readQ.push(req);
     invalidateScan(true, req.flatBank);
+    wakeAt_ = now;
+    wakeDirty_ = false;
 }
 
 void
@@ -58,6 +60,8 @@ MemoryController::enqueueWrite(Request req, Cycle now)
     req.enqueueCycle = now;
     writeQ.push(req);
     invalidateScan(false, req.flatBank);
+    wakeAt_ = now;
+    wakeDirty_ = false;
 }
 
 // --- Scan-cache maintenance -------------------------------------------
@@ -542,6 +546,7 @@ MemoryController::beginFastForward()
     completions = decltype(completions)();
     std::fill(hitStreak.begin(), hitStreak.end(), 0u);
     invalidateAllRowState();
+    wakeDirty_ = true;
 }
 
 void
@@ -566,6 +571,7 @@ MemoryController::fastForwardTo(Cycle to)
     if (mitigation != nullptr)
         mitigation->advanceTo(to);
     lastSeenCycle = to;
+    wakeDirty_ = true;
 }
 
 bool
@@ -588,6 +594,7 @@ void
 MemoryController::tick(Cycle now)
 {
     lastSeenCycle = now;
+    wakeDirty_ = true;
     // Roll time-based mitigation state (epoch boundaries) before any
     // scheduling decision — and before the command-slot gate, exactly as
     // a dense per-cycle loop would reach this point every cycle. The
@@ -828,12 +835,14 @@ MemoryController::loadState(StateReader &r)
     readsServed_ = r.u64();
     writesServed_ = r.u64();
 
-    // The scan caches are pure accelerations of scanOf(); recompute
-    // lazily rather than serializing them.
+    // The scan caches and the wake memo are pure accelerations of
+    // scanOf() and nextEventCycle(); recompute lazily rather than
+    // serializing them.
     for (BankScan &scan : readScan)
         scan.valid = false;
     for (BankScan &scan : writeScan)
         scan.valid = false;
+    wakeDirty_ = true;
 }
 
 // --- Skip-ahead support ------------------------------------------------
@@ -961,6 +970,19 @@ MemoryController::nextEventCycle(Cycle now) const
         at = std::min(at, mitigation->nextTimedEventCycle(now));
 
     return std::max(at, now + 1);
+}
+
+Cycle
+MemoryController::wakeAt() const
+{
+    // Anchored at the last tick, not at the (possibly later) cycle of the
+    // recompute: the bound covers every cycle since the state was last
+    // mutated, and its value does not depend on when it is recomputed.
+    if (wakeDirty_) {
+        wakeAt_ = nextEventCycle(lastSeenCycle);
+        wakeDirty_ = false;
+    }
+    return wakeAt_;
 }
 
 } // namespace bh

@@ -29,7 +29,8 @@
  *
  * nextEventCycle() exposes a conservative lower bound on the next cycle
  * tick() can do anything, which System::run's skip-ahead loop uses to jump
- * over dead cycles.
+ * over dead cycles. wakeAt() memoizes it between the controller's own
+ * ticks, so System ticks each controller only at its own wake.
  */
 #pragma once
 
@@ -190,6 +191,17 @@ class MemoryController : public IMitigationHost
      * exactly as a dense tick would be); waking later never happens.
      */
     Cycle nextEventCycle(Cycle now) const;
+
+    /**
+     * The next cycle this controller must be ticked: a memoized
+     * nextEventCycle(lastSeenCycle), recomputed lazily after tick(),
+     * loadState(), beginFastForward() or fastForwardTo(), and forced to
+     * the enqueue cycle by enqueueRead()/enqueueWrite(). Until then every
+     * tick is a no-op apart from the drain-hysteresis step that
+     * accountSkippedCycles() replays. Mitigation host actions arrive only
+     * from inside tick() or fastForwardTo(), so they need no reset.
+     */
+    Cycle wakeAt() const;
 
     /**
      * Replay the tick-granular bookkeeping of the dead cycles
@@ -381,6 +393,12 @@ class MemoryController : public IMitigationHost
 
     Cycle nextCommandAt = 0;
     Cycle lastSeenCycle = 0;
+
+    /** wakeAt()'s memo; wakeDirty_ forces a recompute. */
+    // bh-audit: skip(wakeDirty_) -- lazy cache, reset in loadState
+    mutable bool wakeDirty_ = true;
+    // bh-audit: skip(wakeAt_) -- lazy cache, reset in loadState
+    mutable Cycle wakeAt_ = 0;
 
     std::uint64_t preventiveActions_ = 0;
     std::uint64_t demandActs_ = 0;

@@ -373,11 +373,16 @@ System::fillRejectSnapshot(RejectSnapshot *snap) const
 Cycle
 System::nextWakeCycle() const
 {
-    Cycle wake = mcs[0]->nextEventCycle(now);
-    for (std::size_t ch = 1; ch < mcs.size(); ++ch)
-        wake = std::min(wake, mcs[ch]->nextEventCycle(now));
-    for (const auto &core : cores)
+    // Cores first: most wakes come from a core with issue work at now+1,
+    // and then no controller wake needs recomputing.
+    Cycle wake = kNeverCycle;
+    for (const auto &core : cores) {
         wake = std::min(wake, core->nextEventCycle(now));
+        if (wake <= now + 1)
+            return now + 1;
+    }
+    for (const auto &mc : mcs)
+        wake = std::min(wake, mc->wakeAt());
     if (bh) {
         // The dense loop only calls rollWindows at roll-grid marks, so
         // the next effective boundary is the first such mark at or after
@@ -532,8 +537,14 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             if (core->benign() && !core->reachedTarget())
                 all_done = false;
         }
-        for (auto &mc : mcs)
-            mc->tick(now);
+        // A controller before its own wake would run a no-op tick apart
+        // from the drain-hysteresis step, so only that step is replayed.
+        for (auto &mc : mcs) {
+            if (dense || now >= mc->wakeAt())
+                mc->tick(now);
+            else
+                mc->accountSkippedCycles(now, now);
+        }
         if (bh && isRollCycle(now))
             bh->rollWindows(now);
         if (all_done)

@@ -1,14 +1,19 @@
 /**
  * @file
- * Unit tests for src/mem: scheduling, refresh, maintenance operations, and
- * the mitigation/observer hook points.
+ * Unit tests for src/mem: scheduling, refresh, maintenance operations, the
+ * mitigation/observer hook points, and the memoized controller wake.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "dram/address.h"
 #include "mem/controller.h"
+#include "mitigation/factory.h"
 
 namespace bh {
 namespace {
@@ -285,6 +290,202 @@ TEST_F(ControllerFixture, QueueCapacityChecks)
     small.enqueueRead(readReq(addrOf(1)), 0);
     small.enqueueRead(readReq(addrOf(2)), 0);
     EXPECT_FALSE(small.canEnqueueRead());
+}
+
+TEST_F(ControllerFixture, WakeMemoIsForcedByEnqueueAndRecomputedAfterTick)
+{
+    runUntil(100);
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(now - 1));
+
+    mc.enqueueRead(readReq(addrOf(5)), now);
+    EXPECT_EQ(mc.wakeAt(), now);
+    mc.tick(now);
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(now));
+    EXPECT_GT(mc.wakeAt(), now);
+
+    ++now;
+    Request w;
+    w.type = Request::Type::kWrite;
+    w.addr = addrOf(9);
+    mc.enqueueWrite(w, now);
+    EXPECT_EQ(mc.wakeAt(), now);
+    mc.tick(now);
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(now));
+}
+
+TEST_F(ControllerFixture, WakeMemoResetsOnRestoreAndFastForward)
+{
+    // An idle controller's wake is its first refresh deadline, far past
+    // the enqueue cycle a stale forced wake would still report.
+    runUntil(50);
+    const Cycle last = now - 1;
+    StateWriter saved;
+    mc.saveState(saved);
+
+    mc.enqueueRead(readReq(addrOf(5)), now);
+    ASSERT_EQ(mc.wakeAt(), now);
+    StateReader r(saved.take());
+    mc.loadState(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
+    EXPECT_GT(mc.wakeAt(), now);
+
+    mc.enqueueRead(readReq(addrOf(5)), now);
+    ASSERT_EQ(mc.wakeAt(), now);
+    mc.beginFastForward();
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
+    EXPECT_GT(mc.wakeAt(), now);
+
+    // Fast-forward retires refreshes the memo computed before it named.
+    const Cycle to = 3 * spec.timing.tREFI;
+    ASSERT_LT(mc.wakeAt(), to);
+    mc.fastForwardTo(to);
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(to));
+    EXPECT_GT(mc.wakeAt(), to);
+}
+
+/** One scripted request arrival of the wake-memo equivalence test. */
+struct Arrival
+{
+    Cycle at;
+    bool write;
+    Addr addr;
+};
+
+/**
+ * Phases of 3000 cycles: write bursts with no reads (the write queue
+ * crosses the high watermark, then drains with an empty read queue, the
+ * drain hysteresis's period-2 regime), mixed traffic, and near-idle gaps
+ * the wake memo skips. Four rows per bank in four banks per rank make
+ * row conflicts, so mitigations see repeated activations.
+ */
+std::vector<Arrival>
+scriptedArrivals(const AddressMap &map, Cycle horizon)
+{
+    Rng rng(77);
+    std::vector<Arrival> out;
+    for (Cycle t = 0; t < horizon; ++t) {
+        unsigned phase = static_cast<unsigned>(t / 3000) % 3;
+        double p_write = phase == 0 ? 0.08 : (phase == 1 ? 0.01 : 0.0);
+        double p_read = phase == 0 ? 0.0 : (phase == 1 ? 0.03 : 0.002);
+        for (bool write : {true, false}) {
+            if (!rng.nextBool(write ? p_write : p_read))
+                continue;
+            DramAddress da;
+            da.rank = static_cast<unsigned>(rng.nextBounded(2));
+            da.bankGroup = static_cast<unsigned>(rng.nextBounded(4));
+            da.row = 100 + static_cast<unsigned>(rng.nextBounded(4));
+            da.column = static_cast<unsigned>(rng.nextBounded(8));
+            out.push_back({t, write, map.encode(da)});
+        }
+    }
+    return out;
+}
+
+std::string
+controllerState(const MemoryController &mc, const IMitigation *mitigation)
+{
+    StateWriter w;
+    mc.saveState(w);
+    if (mitigation != nullptr)
+        mitigation->saveState(w);
+    return w.take();
+}
+
+TEST(ControllerWakeMemoTest, TickingOnlyAtWakeMatchesTickingEveryCycle)
+{
+    constexpr Cycle kHorizon = 27000;
+    constexpr Cycle kStateCheckEvery = 997;
+    for (MitigationType type :
+         {MitigationType::kNone, MitigationType::kGraphene,
+          MitigationType::kAqua, MitigationType::kPrac,
+          MitigationType::kBlockHammer}) {
+        SCOPED_TRACE(mitigationName(type));
+        const unsigned n_rh = 64;
+        DramSpec spec = DramSpec::ddr5();
+        applyTimingSideEffects(type, n_rh, &spec);
+        AddressMap map(spec.org);
+
+        MemoryController dense(spec, map, McConfig{});
+        MemoryController event(spec, map, McConfig{});
+        std::unique_ptr<IMitigation> dense_m =
+            createMitigation(type, n_rh, spec, 1);
+        std::unique_ptr<IMitigation> event_m =
+            createMitigation(type, n_rh, spec, 1);
+        dense.setMitigation(dense_m.get());
+        event.setMitigation(event_m.get());
+        std::vector<Completion> dense_done, event_done;
+        dense.onReadComplete = [&](const Request &r, Cycle c) {
+            dense_done.push_back({r, c});
+        };
+        event.onReadComplete = [&](const Request &r, Cycle c) {
+            event_done.push_back({r, c});
+        };
+
+        std::vector<Arrival> arrivals = scriptedArrivals(map, kHorizon);
+        std::size_t next = 0;
+        std::uint64_t token = 0;
+        std::size_t max_write_depth = 0;
+        Cycle event_ticks = 0;
+        for (Cycle t = 0; t < kHorizon; ++t) {
+            for (; next < arrivals.size() && arrivals[next].at == t; ++next) {
+                Request req;
+                req.addr = arrivals[next].addr;
+                if (arrivals[next].write) {
+                    req.type = Request::Type::kWrite;
+                    ASSERT_EQ(dense.canEnqueueWrite(),
+                              event.canEnqueueWrite());
+                    if (dense.canEnqueueWrite()) {
+                        dense.enqueueWrite(req, t);
+                        event.enqueueWrite(req, t);
+                    }
+                } else {
+                    req.type = Request::Type::kRead;
+                    req.token = token++;
+                    ASSERT_EQ(dense.canEnqueueRead(), event.canEnqueueRead());
+                    if (dense.canEnqueueRead()) {
+                        dense.enqueueRead(req, t);
+                        event.enqueueRead(req, t);
+                    }
+                }
+            }
+            dense.tick(t);
+            // A periodic unconditional tick lets the full serialized
+            // state (drain flag, hit streaks, bank timing) be compared.
+            bool check_state = t % kStateCheckEvery == 0;
+            if (check_state || t >= event.wakeAt()) {
+                event.tick(t);
+                ++event_ticks;
+            } else {
+                event.accountSkippedCycles(t, t);
+            }
+            ASSERT_EQ(dense.readsServed(), event.readsServed()) << t;
+            ASSERT_EQ(dense.writesServed(), event.writesServed()) << t;
+            ASSERT_EQ(dense.readQueueDepth(), event.readQueueDepth()) << t;
+            ASSERT_EQ(dense.writeQueueDepth(), event.writeQueueDepth())
+                << t;
+            max_write_depth = std::max(max_write_depth,
+                                       dense.writeQueueDepth());
+            if (check_state) {
+                ASSERT_EQ(controllerState(dense, dense_m.get()),
+                          controllerState(event, event_m.get()))
+                    << t;
+            }
+        }
+
+        ASSERT_EQ(dense_done.size(), event_done.size());
+        for (std::size_t i = 0; i < dense_done.size(); ++i) {
+            EXPECT_EQ(dense_done[i].req.token, event_done[i].req.token);
+            EXPECT_EQ(dense_done[i].at, event_done[i].at);
+        }
+        EXPECT_EQ(dense.preventiveActions(), event.preventiveActions());
+        EXPECT_EQ(dense.demandActs(), event.demandActs());
+        // The script must exercise what it claims: served reads, a write
+        // queue past the drain watermark, and cycles the memo skipped.
+        EXPECT_GT(dense_done.size(), 100u);
+        EXPECT_GE(max_write_depth, McConfig{}.wqHighWatermark);
+        EXPECT_LT(event_ticks, kHorizon / 2);
+    }
 }
 
 } // namespace

@@ -390,6 +390,99 @@ TEST_F(TimingEngineTest, EnergyCountsCommands)
     EXPECT_GT(engine.energy().dynamicNj(), 0.0);
 }
 
+/**
+ * The controller's wake memo trusts earliestIssue() and quiescedAt() as
+ * exact bounds across long frozen spans. After each random command or
+ * blackout, every (command, bank) pair must be illegal on every cycle
+ * before earliestIssue() and legal at it (illegal over a long probe span
+ * when it reports kNeverCycle); likewise rankQuiesced() vs quiescedAt().
+ */
+TEST(TimingEnginePropertyTest, EarliestIssueAndQuiescedAtAreExact)
+{
+    constexpr Cycle kNeverProbeSpan = 3000;
+    constexpr DramCommand kCommands[] = {DramCommand::kAct,
+                                         DramCommand::kPre,
+                                         DramCommand::kRead,
+                                         DramCommand::kWrite};
+    const DramSpec spec = DramSpec::ddr5();
+    const unsigned banks = spec.org.totalBanks();
+    Rng rng(2024);
+    for (int trial = 0; trial < 3; ++trial) {
+        TimingEngine engine(spec);
+        Cycle now = 0;
+        for (int step = 0; step < 120; ++step) {
+            unsigned fb = static_cast<unsigned>(rng.nextBounded(banks));
+            unsigned rank = engine.rankOf(fb);
+            unsigned op = static_cast<unsigned>(rng.nextBounded(7));
+            if (op < 4) {
+                // Issue the command at its earliest legal cycle.
+                DramCommand cmd = kCommands[op];
+                Cycle at = engine.earliestIssue(cmd, fb, now);
+                if (at != kNeverCycle) {
+                    now = at;
+                    switch (cmd) {
+                      case DramCommand::kAct:
+                        engine.issueAct(fb, static_cast<unsigned>(
+                                                rng.nextBounded(64)),
+                                        now);
+                        break;
+                      case DramCommand::kPre:
+                        engine.issuePre(fb, now);
+                        break;
+                      case DramCommand::kRead:
+                        engine.issueRead(fb, now);
+                        break;
+                      case DramCommand::kWrite:
+                        engine.issueWrite(fb, now);
+                        break;
+                    }
+                }
+            } else if (op == 4) {
+                Cycle at = engine.quiescedAt(rank, now);
+                if (at != kNeverCycle) {
+                    now = at;
+                    engine.issueRefresh(rank, now);
+                }
+            } else if (op == 5) {
+                engine.blockBank(fb, now, 1 + rng.nextBounded(400));
+            } else {
+                engine.blockRank(rank, now, 1 + rng.nextBounded(400));
+            }
+            now += rng.nextBounded(24);
+
+            for (DramCommand cmd : kCommands)
+                for (unsigned b = 0; b < banks; ++b) {
+                    Cycle at = engine.earliestIssue(cmd, b, now);
+                    Cycle end = at == kNeverCycle ? now + kNeverProbeSpan
+                                                  : at;
+                    ASSERT_GE(at, now);
+                    for (Cycle t = now; t < end; ++t) {
+                        ASSERT_FALSE(engine.canIssue(cmd, b, t))
+                            << "step " << step << " bank " << b << " t "
+                            << t << " earliest " << at;
+                    }
+                    if (at != kNeverCycle) {
+                        ASSERT_TRUE(engine.canIssue(cmd, b, at))
+                            << "step " << step << " bank " << b;
+                    }
+                }
+            for (unsigned r = 0; r < spec.org.ranks; ++r) {
+                Cycle at = engine.quiescedAt(r, now);
+                Cycle end = at == kNeverCycle ? now + kNeverProbeSpan : at;
+                ASSERT_GE(at, now);
+                for (Cycle t = now; t < end; ++t) {
+                    ASSERT_FALSE(engine.rankQuiesced(r, t))
+                        << "step " << step << " rank " << r;
+                }
+                if (at != kNeverCycle) {
+                    ASSERT_TRUE(engine.rankQuiesced(r, at))
+                        << "step " << step << " rank " << r;
+                }
+            }
+        }
+    }
+}
+
 TEST(EnergyTest, TotalsAddUp)
 {
     DramEnergy params;

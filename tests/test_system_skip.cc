@@ -49,7 +49,7 @@ mixConfig(const char *pattern, MitigationType mech, unsigned n_rh,
     return cfg;
 }
 
-/** Five mixes spanning the interesting regimes: a benign mix under a
+/** Eight mixes spanning the interesting regimes: a benign mix under a
  *  maintenance-heavy mechanism, an attack mix with BreakHammer throttling
  *  (reject-blocked attacker, batched stall accounting), an attack mix
  *  whose mechanism issues rank-wide blackouts (PRAC alert back-off), and
@@ -60,13 +60,20 @@ mixConfig(const char *pattern, MitigationType mech, unsigned n_rh,
  *  window. A sixth regime runs the adversarial engine: a red-team probe
  *  whose rotating adaptive attackers observe their own throttling —
  *  adaptation decisions are counted in emitted records, so the decision
- *  sequence (and thus every result byte) must survive the reordering. */
+ *  sequence (and thus every result byte) must survive the reordering.
+ *  The Graphene + BreakHammer attack mix on four channels leaves idle
+ *  controllers to the per-controller wake skip while busy ones tick, and
+ *  an AQUA attack mix puts long migration blackouts on the maintenance
+ *  wake path. */
 std::vector<ExperimentConfig>
 skipGrid()
 {
     ExperimentConfig redteam =
         mixConfig("MMAA", MitigationType::kPara, 512, true);
     redteam.redteam = "pat=double,obs=32,bub=64,grp=2,ho=256";
+    ExperimentConfig four_channels =
+        mixConfig("HHMA", MitigationType::kGraphene, 512, true);
+    four_channels.channels = 4;
     return {
         mixConfig("HHMM", MitigationType::kHydra, 512, false),
         mixConfig("HHMA", MitigationType::kGraphene, 512, true),
@@ -74,6 +81,8 @@ skipGrid()
         mixConfig("HHMA", MitigationType::kBlockHammer, 512, false),
         mixConfig("LLLA", MitigationType::kBlockHammer, 128, false),
         redteam,
+        four_channels,
+        mixConfig("MMLA", MitigationType::kAqua, 256, true),
     };
 }
 
