@@ -22,6 +22,7 @@
  */
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -224,14 +225,16 @@ main(int argc, char **argv)
     using Clock = std::chrono::steady_clock;
 
     // Validate the scale knobs up front: a negative or malformed BH_INSTS
-    // would otherwise wrap to a huge unsigned and hang the whole run.
-    if (const char *insts = std::getenv("BH_INSTS");
-        insts != nullptr && *insts != '\0') {
+    // would otherwise wrap to a huge unsigned and hang the whole run, and
+    // BH_MIXES=0 would render every figure from zero points.
+    for (const char *knob : {"BH_INSTS", "BH_MIXES"}) {
+        const char *text = std::getenv(knob);
         std::uint64_t parsed = 0;
-        if (!parsePositiveU64(insts, &parsed)) {
+        if (text != nullptr && *text != '\0' &&
+            !parsePositiveU64(text, &parsed)) {
             std::fprintf(stderr,
-                         "error: BH_INSTS=%s is not a positive integer\n",
-                         insts);
+                         "error: %s=%s is not a positive integer\n", knob,
+                         text);
             return 2;
         }
     }
@@ -241,8 +244,7 @@ main(int argc, char **argv)
     std::string store_dir;
     std::uint64_t checkpoint_insts = 0;
     std::uint64_t checkpoint_cycles = 0;
-    SamplingSpec sample;
-    ChannelSpec channel_spec;
+    ConfigDefaults defaults;
     unsigned shard_index = 0, shard_count = 0;
     std::uint16_t serve_port = 0;
     std::string worker_host;
@@ -322,7 +324,7 @@ main(int argc, char **argv)
             else
                 checkpoint_insts = parsed;
         } else if (flag_value(arg, "--sample", &i, &value)) {
-            if (!parseSampleSpec(value, &sample)) {
+            if (!parseSampleSpec(value, &defaults.sample)) {
                 std::fprintf(stderr,
                              "error: --sample wants W/M/F with three "
                              "positive instruction counts (e.g. "
@@ -331,7 +333,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (flag_value(arg, "--channels", &i, &value)) {
-            if (!parseOrgCount(value, 64, &channel_spec.channels)) {
+            if (!parseOrgCount(value, 64, &defaults.channels)) {
                 std::fprintf(stderr,
                              "error: --channels wants a power-of-two "
                              "channel count (1..64), got \"%s\"\n",
@@ -339,7 +341,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (flag_value(arg, "--ranks", &i, &value)) {
-            if (!parseOrgCount(value, 16, &channel_spec.ranks)) {
+            if (!parseOrgCount(value, 16, &defaults.ranks)) {
                 std::fprintf(stderr,
                              "error: --ranks wants a power-of-two rank "
                              "count (1..16), got \"%s\"\n",
@@ -424,8 +426,8 @@ main(int argc, char **argv)
     }
     if (worker_mode &&
         (!store_dir.empty() || shard_count != 0 || !json_path.empty() ||
-         sample.enabled() || channel_spec.channels != 0 ||
-         channel_spec.ranks != 0 || run_all || !names.empty())) {
+         defaults.sample.enabled() || defaults.channels != 0 ||
+         defaults.ranks != 0 || run_all || !names.empty())) {
         std::fprintf(stderr,
                      "error: a worker takes its work (and every "
                      "simulation parameter) from the coordinator's "
@@ -456,7 +458,7 @@ main(int argc, char **argv)
     }
     if (redteam_mode &&
         (serve_mode || worker_mode || shard_count != 0 ||
-         sample.enabled() || run_all || !names.empty())) {
+         defaults.sample.enabled() || run_all || !names.empty())) {
         std::fprintf(stderr,
                      "error: --redteam is its own mode: it drives the "
                      "search grid itself (exact runs only); drop "
@@ -473,11 +475,12 @@ main(int argc, char **argv)
     }
 
     if (worker_mode) {
+        svc::WorkerOptions wopts;
         if (checkpoint_insts || checkpoint_cycles) {
             // Workers have no --store; snapshots live in a local
             // directory so a re-leased unit resumes instead of
             // restarting (same bit-exact resume as a local run).
-            CheckpointSpec spec;
+            CheckpointSpec &spec = wopts.checkpoint;
             spec.dir = "bh-worker-snapshots";
             spec.everyInsts = checkpoint_insts;
             spec.everyCycles = checkpoint_cycles;
@@ -490,9 +493,7 @@ main(int argc, char **argv)
                              spec.dir.c_str(), ec.message().c_str());
                 return 2;
             }
-            setCheckpointSpec(spec);
         }
-        svc::WorkerOptions wopts;
         wopts.host = worker_host;
         wopts.port = worker_port;
         wopts.jobs = jobs;
@@ -573,21 +574,11 @@ main(int argc, char **argv)
                          spec.dir.c_str(), ec.message().c_str());
             return 2;
         }
-        setCheckpointSpec(spec);
+        store.setCheckpoint(spec);
     }
-    if (sample.enabled()) {
-        // Fold the spec into every experiment point (oracle configs
-        // ignore it and run exact) and let each sampled point fan its
-        // windows across the same worker budget the grid uses.
-        setSamplingSpec(sample);
-        setSamplingJobs(jobs);
-    }
-    if (channel_spec.channels || channel_spec.ranks) {
-        // Fold the organization into every experiment point; solo-IPC
-        // baselines stay single-channel so weighted speedup keeps the
-        // same denominator across the channel-count axis.
-        setChannelSpec(channel_spec);
-    }
+    // --sample, --channels and --ranks fold into every point the store
+    // resolves (oracle configs ignore the sampling spec and run exact).
+    store.setDefaults(defaults);
     if (shard_count) {
         store.setShard(shard_index, shard_count);
         if (store_dir.empty() && json_path.empty())
@@ -595,7 +586,7 @@ main(int argc, char **argv)
                          "note: --shard without --store or --json "
                          "discards the computed points\n");
     }
-    bench::Context ctx{&store, jobs};
+    bench::Context ctx{&store};
 
     auto total_start = Clock::now();
     if (redteam_mode) {
@@ -704,15 +695,20 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         JsonValue doc = JsonValue::object();
         doc.set("experiments", store.toJson());
+        std::string text = doc.dump(2) + "\n";
         std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        // A full disk surfaces at fwrite, fflush or fclose; check all.
+        bool ok = f != nullptr &&
+                  std::fwrite(text.data(), 1, text.size(), f) ==
+                      text.size() &&
+                  std::fflush(f) == 0;
+        if (f != nullptr && std::fclose(f) != 0)
+            ok = false;
+        if (!ok) {
+            std::fprintf(stderr, "error: cannot write %s: %s\n",
+                         json_path.c_str(), std::strerror(errno));
             return 1;
         }
-        std::string text = doc.dump(2);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
         std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;

@@ -31,8 +31,6 @@ struct Context
 {
     /** Content-addressed result cache shared across figures. */
     ResultStore *store = nullptr;
-    /** Worker threads for grid prefetches. */
-    unsigned jobs = 1;
 };
 
 using SweepFn = SweepSpec (*)();

@@ -6,13 +6,12 @@
  * want.
  *
  * Demonstrates: declaring a whole experiment grid up front, running it
- * through the parallel ExperimentScheduler with a streaming progress
- * callback, and exporting every point as JSON via a ResultLog.
+ * in parallel through a ResultStore, and exporting every point as JSON.
  */
 #include <cstdio>
+#include <string>
 
-#include "sim/scheduler.h"
-#include "stats/result_log.h"
+#include "sim/result_store.h"
 
 int
 main(int argc, char **argv)
@@ -39,21 +38,10 @@ main(int argc, char **argv)
         }
     }
 
-    // ...and run it in parallel. The streaming callback fires as points
-    // complete (any order); the result vector is in grid order and
-    // identical no matter how many threads ran.
-    ResultLog log;
-    SchedulerOptions options;
-    options.log = &log;
-    options.onResult = [&](std::size_t index, const ExperimentConfig &,
-                           const ExperimentResult &) {
-        std::fprintf(stderr, "  [%zu/%zu done]\r", log.size(),
-                     grid.size());
-        (void)index;
-    };
-    ExperimentScheduler scheduler(options);
-    std::vector<ExperimentResult> results = scheduler.run(grid);
-    std::fprintf(stderr, "\n");
+    // ...and run it in parallel. Every result is a pure function of its
+    // config, identical no matter how many threads ran.
+    ResultStore store(0); // One thread per hardware thread.
+    store.prefetch(grid);
 
     std::size_t i = 0;
     for (unsigned n_rh : nrh_points) {
@@ -63,7 +51,7 @@ main(int argc, char **argv)
                     "suspects");
         for (MitigationType mech : pairedMitigations()) {
             for (bool bh_on : {false, true}) {
-                const ExperimentResult &r = results[i++];
+                const ExperimentResult &r = store.get(grid[i++]);
                 std::printf("%-12s %5s %8.3f %8.2f %10.1f %12llu %8llu\n",
                             mitigationName(mech), bh_on ? "on" : "off",
                             r.weightedSpeedup, r.maxSlowdown,
@@ -80,8 +68,19 @@ main(int argc, char **argv)
                 "max slowdown (unfairness).\n");
 
     if (argc > 1) {
-        log.writeFile(argv[1]);
-        std::printf("wrote %s (%zu records)\n", argv[1], log.size());
+        // The export is sorted by experiment key, so its bytes do not
+        // depend on the thread count either.
+        std::string text = store.toJson().dump(2) + "\n";
+        std::FILE *f = std::fopen(argv[1], "w");
+        bool ok = f != nullptr &&
+                  std::fwrite(text.data(), 1, text.size(), f) == text.size();
+        if (f != nullptr && std::fclose(f) != 0)
+            ok = false;
+        if (!ok) {
+            std::fprintf(stderr, "cannot write %s\n", argv[1]);
+            return 1;
+        }
+        std::printf("wrote %s (%zu records)\n", argv[1], store.size());
     }
     return 0;
 }

@@ -5,13 +5,13 @@
  * baseline.
  *
  * Demonstrates the core public API: mixes, experiment configs, the
- * parallel ExperimentScheduler (both runs execute concurrently), and the
+ * ResultStore (its prefetch runs both points concurrently), and the
  * metrics the paper reports (weighted speedup of benign applications,
  * unfairness, preventive-action counts).
  */
 #include <cstdio>
 
-#include "sim/scheduler.h"
+#include "sim/result_store.h"
 
 int
 main()
@@ -39,12 +39,12 @@ main()
     ExperimentConfig paired = base;
     paired.breakHammer = true;
 
-    // Both points are independent simulations; the scheduler runs them on
-    // parallel workers and returns results in grid order.
-    ExperimentScheduler scheduler({.threads = 2});
-    std::vector<ExperimentResult> results = scheduler.run({base, paired});
-    const ExperimentResult &baseline = results[0];
-    const ExperimentResult &with_bh = results[1];
+    // Both points are independent simulations; the store runs them on
+    // parallel workers, then serves each by its config.
+    ResultStore store(2);
+    store.prefetch({base, paired});
+    const ExperimentResult &baseline = store.get(base);
+    const ExperimentResult &with_bh = store.get(paired);
 
     std::printf("%-22s %12s %12s\n", "metric", "Graphene", "Graphene+BH");
     std::printf("%-22s %12.3f %12.3f\n", "weighted speedup (benign)",

@@ -25,6 +25,7 @@ using SoloKey = std::pair<std::string, std::uint64_t>;
 std::mutex &
 soloMutex()
 {
+    // bh-audit: skip(global-state) -- guards the solo-IPC memo below
     static std::mutex mutex;
     return mutex;
 }
@@ -32,72 +33,9 @@ soloMutex()
 std::map<SoloKey, double> &
 soloCache()
 {
+    // bh-audit: skip(global-state) -- memo of a pure function of (app, insts)
     static std::map<SoloKey, double> cache;
     return cache;
-}
-
-std::function<void(const std::string &, std::uint64_t, double)> &
-soloSink()
-{
-    static std::function<void(const std::string &, std::uint64_t, double)>
-        sink;
-    return sink;
-}
-
-const void *&
-soloSinkOwner()
-{
-    static const void *owner = nullptr;
-    return owner;
-}
-
-std::mutex &
-checkpointMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-CheckpointSpec &
-checkpointSpecStorage()
-{
-    static CheckpointSpec spec;
-    return spec;
-}
-
-std::mutex &
-samplingMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-SamplingSpec &
-samplingSpecStorage()
-{
-    static SamplingSpec spec;
-    return spec;
-}
-
-unsigned &
-samplingJobsStorage()
-{
-    static unsigned jobs = 1;
-    return jobs;
-}
-
-std::mutex &
-channelMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-ChannelSpec &
-channelSpecStorage()
-{
-    static ChannelSpec spec;
-    return spec;
 }
 
 } // namespace
@@ -144,7 +82,8 @@ scaledBreakHammerConfig(std::uint64_t instructions)
 }
 
 double
-soloIpc(const std::string &app_name, std::uint64_t instructions)
+soloIpc(const std::string &app_name, std::uint64_t instructions,
+        const RunContext &ctx)
 {
     {
         std::lock_guard<std::mutex> lock(soloMutex());
@@ -164,13 +103,18 @@ soloIpc(const std::string &app_name, std::uint64_t instructions)
     RunResult result = system.run(instructions, instructions * 150);
     double ipc = result.cores[0].ipc;
 
-    std::lock_guard<std::mutex> lock(soloMutex());
-    // Only the first computation fires the sink: if another worker won
+    // Only the first computation reaches the sink: if another worker won
     // the race, its value is already cached (identical — the run is a
-    // pure function of (app, insts)) and already persisted.
-    if (soloCache().emplace(SoloKey{app_name, instructions}, ipc).second &&
-        soloSink())
-        soloSink()(app_name, instructions, ipc);
+    // pure function of (app, insts)) and already reported.
+    bool first = false;
+    {
+        std::lock_guard<std::mutex> lock(soloMutex());
+        first = soloCache()
+                    .emplace(SoloKey{app_name, instructions}, ipc)
+                    .second;
+    }
+    if (first && ctx.soloSink)
+        ctx.soloSink(app_name, instructions, ipc);
     return ipc;
 }
 
@@ -182,27 +126,6 @@ primeSoloIpc(const std::string &app_name, std::uint64_t instructions,
     soloCache().emplace(SoloKey{app_name, instructions}, ipc);
 }
 
-void
-setSoloIpcSink(std::function<void(const std::string &, std::uint64_t,
-                                  double)>
-                   sink,
-               const void *owner)
-{
-    std::lock_guard<std::mutex> lock(soloMutex());
-    soloSink() = std::move(sink);
-    soloSinkOwner() = owner;
-}
-
-void
-clearSoloIpcSink(const void *owner)
-{
-    std::lock_guard<std::mutex> lock(soloMutex());
-    if (soloSinkOwner() != owner)
-        return; // A later-opened store took over; leave its sink alone.
-    soloSink() = nullptr;
-    soloSinkOwner() = nullptr;
-}
-
 ExperimentConfig
 resolveExperimentConfig(const ExperimentConfig &config)
 {
@@ -212,94 +135,12 @@ resolveExperimentConfig(const ExperimentConfig &config)
     if (resolved.bh.window == 0)
         resolved.bh = scaledBreakHammerConfig(resolved.instructions);
     if (!resolved.sample.enabled())
-        resolved.sample = samplingSpec();
-    ChannelSpec ch = channelSpec();
+        resolved.sample = SamplingSpec{}; // Partial specs mean "exact".
     if (resolved.channels == 0)
-        resolved.channels = ch.channels ? ch.channels : 1;
+        resolved.channels = 1;
     if (resolved.ranks == 0)
-        resolved.ranks = ch.ranks ? ch.ranks : 2;
+        resolved.ranks = 2;
     return resolved;
-}
-
-void
-setChannelSpec(const ChannelSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(channelMutex());
-    channelSpecStorage() = spec;
-}
-
-ChannelSpec
-channelSpec()
-{
-    std::lock_guard<std::mutex> lock(channelMutex());
-    return channelSpecStorage();
-}
-
-void
-setSamplingSpec(const SamplingSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    samplingSpecStorage() = spec;
-}
-
-SamplingSpec
-samplingSpec()
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    return samplingSpecStorage();
-}
-
-void
-setSamplingJobs(unsigned jobs)
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    samplingJobsStorage() = jobs ? jobs : 1;
-}
-
-unsigned
-samplingJobs()
-{
-    std::lock_guard<std::mutex> lock(samplingMutex());
-    return samplingJobsStorage();
-}
-
-void
-setCheckpointSpec(const CheckpointSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    checkpointSpecStorage() = spec;
-}
-
-CheckpointSpec
-checkpointSpec()
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    return checkpointSpecStorage();
-}
-
-namespace {
-
-ProgressHook &
-progressHookStorage()
-{
-    static ProgressHook hook;
-    return hook;
-}
-
-} // namespace
-
-void
-setProgressHook(const ProgressHook &hook)
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    progressHookStorage() = hook;
-}
-
-ProgressHook
-progressHook()
-{
-    std::lock_guard<std::mutex> lock(checkpointMutex());
-    return progressHookStorage();
 }
 
 std::string
@@ -391,7 +232,7 @@ summarizeWindows(const std::vector<double> &xs)
  * window's warm-start — total fast-forward work is O(horizon), where
  * re-fast-forwarding every window from the shared warm-up snapshot
  * would be O(nwin * horizon). The blobs then fan out to nwin
- * independent detailed windows (optionally across samplingJobs()
+ * independent detailed windows (optionally across ctx.samplingJobs
  * worker threads); window k's work — restore blob k, detailed re-warm
  * W, detailed measure M — is a pure function of k, so results are
  * byte-identical for every job count. Headline metrics anchor on the
@@ -399,7 +240,7 @@ summarizeWindows(const std::vector<double> &xs)
  * rates; window spread becomes the 95% CIs in `sampling`.
  */
 ExperimentResult
-runSampledExperiment(const ExperimentConfig &cfg)
+runSampledExperiment(const ExperimentConfig &cfg, const RunContext &ctx)
 {
     const SamplingSpec &sp = cfg.sample;
     const std::uint64_t insts = cfg.instructions;
@@ -429,7 +270,7 @@ runSampledExperiment(const ExperimentConfig &cfg)
     // workers only ever read the cache.
     std::vector<double> alone;
     for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts));
+        alone.push_back(soloIpc(app, insts, ctx));
 
     struct WindowOutcome
     {
@@ -551,7 +392,7 @@ runSampledExperiment(const ExperimentConfig &cfg)
     // System without any queue bookkeeping. Worker 0 recycles the
     // ancestor (its FF chain is done; the restore overwrites all state),
     // sparing one System construction on every sampled point.
-    const unsigned jobs = std::max(1u, samplingJobs());
+    const unsigned jobs = std::max(1u, ctx.samplingJobs);
     const unsigned workers = static_cast<unsigned>(
         std::min<std::uint64_t>(jobs, nwin));
     parallelFor(workers, workers, [&](std::size_t wk) {
@@ -713,7 +554,7 @@ runSampledExperiment(const ExperimentConfig &cfg)
 } // namespace
 
 ExperimentResult
-runExperiment(const ExperimentConfig &config)
+runExperiment(const ExperimentConfig &config, const RunContext &ctx)
 {
     ExperimentConfig cfg = resolveExperimentConfig(config);
     std::uint64_t insts = cfg.instructions;
@@ -748,7 +589,7 @@ runExperiment(const ExperimentConfig &config)
                    static_cast<unsigned long long>(cfg.sample.fastForward),
                    static_cast<unsigned long long>(insts));
         } else {
-            return runSampledExperiment(cfg);
+            return runSampledExperiment(cfg, ctx);
         }
     }
 
@@ -759,8 +600,8 @@ runExperiment(const ExperimentConfig &config)
     // measure for a workload that cannot finish.
     auto system = std::make_unique<System>(sys, cfg.mix.slots);
 
-    CheckpointSpec ckpt = checkpointSpec();
-    ProgressHook hook = progressHook();
+    const CheckpointSpec &ckpt = ctx.checkpoint;
+    const ProgressHook &hook = ctx.progress;
     System::CheckpointConfig cc;
     std::string snap_path;
     if (ckpt.enabled()) {
@@ -811,7 +652,7 @@ runExperiment(const ExperimentConfig &config)
     std::vector<double> shared = out.raw.benignIpcs();
     std::vector<double> alone;
     for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts));
+        alone.push_back(soloIpc(app, insts, ctx));
 
     out.weightedSpeedup = weightedSpeedup(shared, alone);
     out.maxSlowdown = maxSlowdown(shared, alone);

@@ -10,6 +10,13 @@
  * action counts, DRAM energy, and latency percentiles. Scale knobs come
  * from the environment: BH_INSTS (instructions per benign core), BH_MIXES
  * (mixes per class), BH_FULL (full N_RH sweep).
+ *
+ * How a point runs — checkpointing, a progress callback, where freshly
+ * simulated solo IPCs go, and how many threads a sampled point may use —
+ * is a RunContext the caller passes to runExperiment() and soloIpc().
+ * None of it changes a result. The ResultStore owns the context its
+ * figures, shards and coordinator run under; the sweep worker builds one
+ * per lease.
  */
 #pragma once
 
@@ -61,19 +68,19 @@ struct ExperimentConfig
     bool bluntThrottle = false;
     std::uint64_t seed = 1;
     /**
-     * DRAM scale-out overrides (power-of-two each). 0 = unset:
-     * resolveExperimentConfig() folds in the process-wide
-     * setChannelSpec() values, then the DDR5 defaults (1 channel,
-     * 2 ranks). Part of experimentKey() only away from the defaults, so
-     * legacy single-channel records keep their content addresses.
+     * DRAM scale-out overrides (power-of-two each). 0 = unset: a
+     * ResultStore folds in its ConfigDefaults, then
+     * resolveExperimentConfig() the DDR5 defaults (1 channel, 2 ranks).
+     * Part of experimentKey() only away from the defaults, so legacy
+     * single-channel records keep their content addresses.
      */
     unsigned channels = 0;
     unsigned ranks = 0;
     /**
      * Interval sampling; disabled (exact simulation) by default. When
-     * disabled here, resolveExperimentConfig() folds in the process-wide
-     * spec from setSamplingSpec(). Part of experimentKey(), so sampled
-     * and exact results never alias in the ResultStore.
+     * disabled here, a ResultStore folds in its ConfigDefaults' spec.
+     * Part of experimentKey(), so sampled and exact results never alias
+     * in the ResultStore.
      */
     SamplingSpec sample;
     /**
@@ -139,52 +146,6 @@ std::vector<unsigned> nrhSweep();
 /** Throttling window scaled to the simulated horizon (see .cc). */
 BreakHammerConfig scaledBreakHammerConfig(std::uint64_t instructions);
 
-/** Solo IPC of a catalog app (cached; no mitigation, core alone). */
-double soloIpc(const std::string &app_name, std::uint64_t instructions);
-
-/**
- * Seed the shared solo-IPC cache with a known value (e.g. loaded from a
- * persistent ResultStore) so soloIpc() returns it without simulating.
- * A value already cached for (app, insts) is left untouched.
- */
-void primeSoloIpc(const std::string &app_name, std::uint64_t instructions,
-                  double ipc);
-
-/**
- * Install a sink invoked once per solo IPC that soloIpc() actually
- * computes (primed and re-requested values never fire it). The
- * ResultStore uses this to persist solo runs alongside experiment
- * records. The sink may be called from any scheduler worker thread,
- * serialized by the solo-cache lock; it must not call back into
- * soloIpc(). There is one global sink: installing a new one replaces the
- * previous (the most recently opened store wins). @p owner tags the
- * installation so clearSoloIpcSink() can release it safely.
- */
-void setSoloIpcSink(
-    std::function<void(const std::string &app, std::uint64_t insts,
-                       double ipc)>
-        sink,
-    const void *owner);
-
-/**
- * Uninstall the solo-IPC sink, but only if @p owner still owns it — a
- * store being destroyed must not clear a sink that a later-opened store
- * has already replaced.
- */
-void clearSoloIpcSink(const void *owner);
-
-/**
- * @p config with its defaulted fields made explicit: instructions == 0
- * resolves to defaultInstructions() (the BH_INSTS environment knob) and
- * bh.window == 0 to scaledBreakHammerConfig() at that horizon — exactly
- * the defaults runExperiment() applies, so running the resolved config is
- * bit-identical to running the original. Persistent caching MUST key the
- * resolved config: the unresolved form aliases every BH_INSTS scale to
- * one content address, and a store consulted under a different
- * environment would silently serve results from the wrong horizon.
- */
-ExperimentConfig resolveExperimentConfig(const ExperimentConfig &config);
-
 /**
  * Mid-run checkpointing policy for runExperiment(). When enabled, every
  * experiment simulation periodically saves a full System snapshot under
@@ -210,23 +171,16 @@ struct CheckpointSpec
     }
 };
 
-/** Install the process-wide checkpoint policy (thread-safe). */
-void setCheckpointSpec(const CheckpointSpec &spec);
-
-/** The current process-wide checkpoint policy. */
-CheckpointSpec checkpointSpec();
-
 /**
- * Process-wide mid-simulation progress hook. When installed, every
- * exact runExperiment() simulation invokes @p fn from inside the run
- * loop each time the slowest benign core's retired-instruction count
- * crosses a multiple of everyInsts — observation only, results are
- * bit-identical with or without it. The sweep-service worker
- * (svc/worker.h) uses this to heartbeat its coordinator lease while a
- * long simulation blocks the thread; the fn must therefore be cheap,
- * thread-safe (experiments run on scheduler workers), and must not call
- * back into runExperiment(). Sampled runs do not fire it (their
- * window driver owns the loop); lease deadlines must cover them.
+ * Mid-simulation progress callback. When set, an exact runExperiment()
+ * simulation invokes @p fn from inside the run loop each time the
+ * slowest benign core's retired-instruction count crosses a multiple of
+ * everyInsts — observation only, results are bit-identical with or
+ * without it. The sweep-service worker (svc/worker.h) uses this to
+ * heartbeat its coordinator lease while a long simulation blocks the
+ * thread; the fn must therefore be cheap and must not call back into
+ * runExperiment(). Sampled runs do not fire it (their window loop owns
+ * the run); lease deadlines must cover them.
  */
 struct ProgressHook
 {
@@ -242,60 +196,70 @@ struct ProgressHook
     }
 };
 
-/** Install the process-wide progress hook (thread-safe). */
-void setProgressHook(const ProgressHook &hook);
-
-/** The current process-wide progress hook. */
-ProgressHook progressHook();
+/**
+ * Receives each solo IPC that soloIpc() actually simulates (primed and
+ * re-requested values never reach it). It may be called from any
+ * prefetch worker thread and must not call back into soloIpc().
+ */
+using SoloSink = std::function<void(const std::string &app,
+                                    std::uint64_t insts, double ipc)>;
 
 /**
- * Install the process-wide sampling spec (thread-safe). Folded into any
- * config whose own spec is disabled by resolveExperimentConfig() — the
- * bh_bench --sample flag routes through this, exactly like the BH_INSTS
- * environment default for instructions.
+ * How one runExperiment() / soloIpc() call runs, passed explicitly. The
+ * default context runs exact, uncheckpointed and unobserved, on one
+ * thread. No member changes a result.
  */
-void setSamplingSpec(const SamplingSpec &spec);
-
-/** The current process-wide sampling spec. */
-SamplingSpec samplingSpec();
-
-/**
- * Worker threads a sampled run may fan its measurement windows across
- * (intra-point parallelism; default 1). Window results are slotted by
- * window index and aggregated in that order, so sampled results are
- * byte-identical for every job count.
- */
-void setSamplingJobs(unsigned jobs);
-
-/** The current sampling worker-thread count. */
-unsigned samplingJobs();
-
-/**
- * Process-wide DRAM channel/rank overrides (the bh_bench --channels and
- * --ranks flags route through this, like --sample via setSamplingSpec).
- * Folded into any config whose own fields are 0 by
- * resolveExperimentConfig(). Solo-IPC baselines deliberately stay on the
- * default single-channel organization: weighted speedup compares against
- * the same denominator across the channel-count axis.
- */
-struct ChannelSpec
+struct RunContext
 {
-    unsigned channels = 0; ///< 0 = default (1 channel).
-    unsigned ranks = 0;    ///< 0 = default (2 ranks).
+    CheckpointSpec checkpoint;
+    ProgressHook progress;
+    SoloSink soloSink;
+    /**
+     * Worker threads a sampled run may fan its measurement windows
+     * across (intra-point parallelism). Window results are slotted by
+     * window index and aggregated in that order, so sampled results are
+     * byte-identical for every count.
+     */
+    unsigned samplingJobs = 1;
 };
 
-/** Install the process-wide channel spec (thread-safe). */
-void setChannelSpec(const ChannelSpec &spec);
+/**
+ * Solo IPC of a catalog app (no mitigation, core alone). Memoized per
+ * process — the run is a pure function of (app, insts) — so only the
+ * first request simulates; that one reports to @p ctx's soloSink.
+ */
+double soloIpc(const std::string &app_name, std::uint64_t instructions,
+               const RunContext &ctx = {});
 
-/** The current process-wide channel spec. */
-ChannelSpec channelSpec();
+/**
+ * Seed the shared solo-IPC cache with a known value (e.g. loaded from a
+ * persistent ResultStore) so soloIpc() returns it without simulating.
+ * A value already cached for (app, insts) is left untouched.
+ */
+void primeSoloIpc(const std::string &app_name, std::uint64_t instructions,
+                  double ipc);
+
+/**
+ * @p config with its defaulted fields made explicit: instructions == 0
+ * resolves to defaultInstructions() (the BH_INSTS environment knob),
+ * bh.window == 0 to scaledBreakHammerConfig() at that horizon, and
+ * channels/ranks == 0 to the DDR5 organization (1 channel, 2 ranks) —
+ * exactly the defaults runExperiment() applies, so running the resolved
+ * config is bit-identical to running the original. Persistent caching
+ * MUST key the resolved config: the unresolved form aliases every
+ * BH_INSTS scale to one content address, and a store consulted under a
+ * different environment would silently serve results from the wrong
+ * horizon.
+ */
+ExperimentConfig resolveExperimentConfig(const ExperimentConfig &config);
 
 /** Snapshot file of @p config (resolved) inside checkpoint dir @p dir. */
 std::string snapshotPath(const std::string &dir,
                          const ExperimentConfig &config);
 
-/** Run one experiment point and compute its metrics. */
-ExperimentResult runExperiment(const ExperimentConfig &config);
+/** Run one experiment point under @p ctx and compute its metrics. */
+ExperimentResult runExperiment(const ExperimentConfig &config,
+                               const RunContext &ctx = {});
 
 /**
  * Canonical identity of an experiment point: every field that influences

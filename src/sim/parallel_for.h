@@ -1,8 +1,8 @@
 /**
  * @file
- * Work-stealing parallelFor shared by the experiment scheduler (inter-
- * point parallelism across a grid) and the statistical-sampling driver
- * (intra-point parallelism across measurement windows).
+ * Work-stealing parallelFor, the one parallel primitive: ResultStore::
+ * prefetch runs grids on it (inter-point parallelism) and the
+ * interval sampler its measurement windows (intra-point).
  *
  * Tasks are simulation runs lasting milliseconds to seconds, so a
  * mutex-per-deque pool is plenty cheap relative to task granularity.

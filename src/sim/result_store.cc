@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "common/log.h"
-#include "sim/scheduler.h"
+#include "sim/parallel_for.h"
 
 namespace bh {
 
@@ -27,16 +27,14 @@ constexpr const char *kResultsFile = "results.jsonl";
 ResultStore::ResultStore(unsigned threads)
     : threads(threads ? threads
                       : std::max(1u, std::thread::hardware_concurrency()))
-{}
+{
+    context.samplingJobs = this->threads;
+}
 
 ResultStore::~ResultStore()
 {
-    if (fd >= 0) {
-        // Only releases the sink if this store still owns it — a store
-        // opened later has already replaced it.
-        clearSoloIpcSink(this);
+    if (fd >= 0)
         ::close(fd);
-    }
 }
 
 bool
@@ -84,20 +82,19 @@ ResultStore::open(const std::string &dir, std::string *error)
         return false;
     }
 
-    setSoloIpcSink(
-        [this](const std::string &app, std::uint64_t insts, double ipc) {
-            JsonValue rec = JsonValue::object();
-            rec.set("v", kSchemaVersion);
-            rec.set("kind", "solo");
-            rec.set("app", app);
-            rec.set("insts", insts);
-            rec.set("ipc", ipc);
-            appendLine(rec.dump());
-            std::lock_guard<std::mutex> lock(mutex);
-            soloIngested.emplace(std::make_pair(app, insts), true);
-            ++counters.soloComputed;
-        },
-        this);
+    context.soloSink = [this](const std::string &app, std::uint64_t insts,
+                              double ipc) {
+        JsonValue rec = JsonValue::object();
+        rec.set("v", kSchemaVersion);
+        rec.set("kind", "solo");
+        rec.set("app", app);
+        rec.set("insts", insts);
+        rec.set("ipc", ipc);
+        appendLine(rec.dump());
+        std::lock_guard<std::mutex> lock(mutex);
+        soloIngested.emplace(std::make_pair(app, insts), true);
+        ++counters.soloComputed;
+    };
     return true;
 }
 
@@ -277,6 +274,22 @@ ResultStore::resolveFromDisk(const std::string &key,
                 .first->second;
 }
 
+ExperimentConfig
+ResultStore::resolve(const ExperimentConfig &config) const
+{
+    // The defaults fill only the fields @p config leaves unset, and no
+    // other field's resolution reads them, so they can land after
+    // resolveExperimentConfig() without a second copy of the config.
+    ExperimentConfig resolved = resolveExperimentConfig(config);
+    if (!config.sample.enabled() && defaults.sample.enabled())
+        resolved.sample = defaults.sample;
+    if (config.channels == 0 && defaults.channels != 0)
+        resolved.channels = defaults.channels;
+    if (config.ranks == 0 && defaults.ranks != 0)
+        resolved.ranks = defaults.ranks;
+    return resolved;
+}
+
 void
 ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
 {
@@ -288,7 +301,7 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
             // Content addresses are always over the RESOLVED config:
             // keying a defaulted one would alias every BH_INSTS scale to
             // the same record and serve wrong-horizon results.
-            ExperimentConfig resolved = resolveExperimentConfig(config);
+            ExperimentConfig resolved = resolve(config);
             std::string key = experimentKey(resolved);
             if (cache.count(key) || !requested.insert(key).second)
                 continue;
@@ -309,28 +322,32 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
     BH_LOG("prefetch: %zu points, simulating %zu on %u thread(s)",
            configs.size(), missing.size(), threads);
 
-    SchedulerOptions options;
-    options.threads = threads;
-    // Stream every finished point to disk as workers complete it, so an
-    // interrupted sweep resumes where it stopped instead of restarting.
-    options.onResult = [this](std::size_t, const ExperimentConfig &config,
-                              const ExperimentResult &result) {
-        appendExperiment(config, result);
-    };
-    ExperimentScheduler scheduler(options);
-    std::vector<ExperimentResult> results = scheduler.run(missing);
+    // Warm the weighted-speedup denominators first: each unique
+    // (app, insts) solo run executes exactly once, where workers holding
+    // the same mix would otherwise race to duplicate it.
+    std::vector<std::pair<std::string, std::uint64_t>> deps =
+        soloDependencies(missing);
+    parallelFor(deps.size(), threads, [&](std::size_t i) {
+        soloIpc(deps[i].first, deps[i].second, context);
+    });
 
-    std::lock_guard<std::mutex> lock(mutex);
-    counters.computed += missing.size();
-    for (std::size_t i = 0; i < missing.size(); ++i)
+    // Every point is seeded from its config alone, so results do not
+    // depend on which worker runs it. Each finished point streams to
+    // disk at once: an interrupted sweep resumes where it stopped.
+    parallelFor(missing.size(), threads, [&](std::size_t i) {
+        ExperimentResult result = runExperiment(missing[i], context);
+        appendExperiment(missing[i], result);
+        std::lock_guard<std::mutex> lock(mutex);
+        ++counters.computed;
         cache.emplace(experimentKey(missing[i]),
-                      Entry{missing[i], results[i]});
+                      Entry{missing[i], std::move(result)});
+    });
 }
 
 const ExperimentResult &
 ResultStore::get(const ExperimentConfig &config)
 {
-    ExperimentConfig resolved = resolveExperimentConfig(config);
+    ExperimentConfig resolved = resolve(config);
     std::string key = experimentKey(resolved);
     {
         std::lock_guard<std::mutex> lock(mutex);
@@ -340,7 +357,7 @@ ResultStore::get(const ExperimentConfig &config)
         if (const Entry *entry = resolveFromDisk(key, resolved))
             return entry->result;
     }
-    ExperimentResult result = runExperiment(resolved);
+    ExperimentResult result = runExperiment(resolved, context);
     appendExperiment(resolved, result);
     std::lock_guard<std::mutex> lock(mutex);
     ++counters.computed;
@@ -351,7 +368,7 @@ ResultStore::get(const ExperimentConfig &config)
 const ExperimentResult *
 ResultStore::lookup(const ExperimentConfig &config)
 {
-    ExperimentConfig resolved = resolveExperimentConfig(config);
+    ExperimentConfig resolved = resolve(config);
     std::string key = experimentKey(resolved);
     std::lock_guard<std::mutex> lock(mutex);
     auto it = cache.find(key);
@@ -366,7 +383,7 @@ bool
 ResultStore::ingest(const ExperimentConfig &config,
                     const JsonValue &payload, std::string *error)
 {
-    ExperimentConfig resolved = resolveExperimentConfig(config);
+    ExperimentConfig resolved = resolve(config);
     std::string key = experimentKey(resolved);
     ExperimentResult parsed;
     if (!experimentResultFromJson(payload, &parsed)) {

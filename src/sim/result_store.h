@@ -30,12 +30,16 @@
  * whose content address hashes to shard i of n (1-based), so a grid can
  * be split across machines — each shard writes its own store, and the
  * shards' files are merged by concatenation. Because every run is seeded
- * from its config alone (the scheduler's deterministic per-index
- * seeding), a sharded grid is bit-identical to an unsharded one.
+ * from its config alone, a sharded grid is bit-identical to an unsharded
+ * one.
  *
- * Solo-IPC runs (the weighted-speedup denominators) persist through the
- * same file: open() primes the shared solo cache from "solo" records and
- * installs a sink that appends each freshly computed solo IPC.
+ * The store also owns how its points run: the ConfigDefaults it folds
+ * into every config it resolves (the CLI's --sample/--channels/--ranks)
+ * and the RunContext its simulations run under (checkpointing, sampled
+ * windows fanned over the store's threads). Solo-IPC runs (the
+ * weighted-speedup denominators) persist through the same file: open()
+ * primes the shared solo cache from "solo" records and points the
+ * context's solo sink at an append of each freshly computed solo IPC.
  */
 #pragma once
 
@@ -50,6 +54,20 @@
 #include "stats/json.h"
 
 namespace bh {
+
+/**
+ * Scale defaults a ResultStore folds into every config that leaves the
+ * field unset (the bh_bench --sample, --channels and --ranks flags).
+ * Solo-IPC baselines deliberately stay on the default single-channel
+ * organization: weighted speedup compares against the same denominator
+ * across the channel-count axis.
+ */
+struct ConfigDefaults
+{
+    SamplingSpec sample;   ///< Used where a config's own is disabled.
+    unsigned channels = 0; ///< 0 = the DDR5 default (1 channel).
+    unsigned ranks = 0;    ///< 0 = the DDR5 default (2 ranks).
+};
 
 /** Counters describing how a store session resolved its requests. */
 struct ResultStoreStats
@@ -82,7 +100,10 @@ class ResultStore
      */
     static constexpr std::uint64_t kSchemaVersion = 2;
 
-    /** @param threads Worker threads for prefetch() grids. */
+    /**
+     * @param threads Worker threads for prefetch() grids and for the
+     *        measurement windows of each sampled point.
+     */
     explicit ResultStore(unsigned threads = 1);
     ~ResultStore();
 
@@ -105,6 +126,23 @@ class ResultStore
     /** Whether a directory is attached (misses persist). */
     bool persistent() const { return fd >= 0; }
 
+    /** Fold @p d into every config this store resolves from now on. */
+    void setDefaults(const ConfigDefaults &d) { defaults = d; }
+
+    /** Checkpoint every simulation this store runs per @p spec. */
+    void setCheckpoint(const CheckpointSpec &spec)
+    {
+        context.checkpoint = spec;
+    }
+
+    /**
+     * @p config with this store's ConfigDefaults folded into its unset
+     * fields, then resolveExperimentConfig(): the content address every
+     * store method keys by. The sweep coordinator expands its grid
+     * through this so leases carry the same configs a local run would.
+     */
+    ExperimentConfig resolve(const ExperimentConfig &config) const;
+
     /**
      * Restrict prefetch() to shard @p index of @p count (1-based): only
      * points with shardOf(key, count) == index are computed; the rest
@@ -118,8 +156,9 @@ class ResultStore
 
     /**
      * Resolve every config: disk hits are parsed into the cache, the
-     * rest (minus other shards' points) simulate in parallel on the
-     * ExperimentScheduler, streaming each finished record to disk.
+     * rest (minus other shards' points) simulate on the store's threads
+     * — their solo-IPC denominators first, so no two workers duplicate
+     * one, then the grid, streaming each finished record to disk.
      */
     void prefetch(const std::vector<ExperimentConfig> &configs);
 
@@ -172,8 +211,6 @@ class ResultStore
      */
     JsonValue toJson() const;
 
-    unsigned threadCount() const { return threads; }
-
   private:
     struct Entry
     {
@@ -208,6 +245,8 @@ class ResultStore
     int fd = -1;
     bool writeFailed = false;
     unsigned threads;
+    ConfigDefaults defaults;
+    RunContext context;
     unsigned shardIndex = 0; ///< 0 = unsharded.
     unsigned shardCount = 0;
 };

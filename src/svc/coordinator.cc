@@ -77,8 +77,12 @@ SweepCoordinator::SweepCoordinator(CoordinatorOptions opts,
 {
     // Content-address dedup happens here, once: two figures sweeping the
     // same point become one leasable unit, exactly as they become one
-    // record in the store.
-    for (ExperimentConfig &config : expandWorkUnits(grid)) {
+    // record in the store. The store's defaults (--sample, --channels)
+    // fold in first, so leases carry what a local run would simulate.
+    std::vector<ExperimentConfig> folded;
+    for (const ExperimentConfig &config : grid)
+        folded.push_back(store != nullptr ? store->resolve(config) : config);
+    for (ExperimentConfig &config : expandWorkUnits(folded)) {
         std::string key = experimentKey(config);
         unitByKey.emplace(key, units.size());
         units.push_back(Unit{std::move(config), std::move(key),

@@ -100,8 +100,9 @@ class SweepCoordinator
     /**
      * @param store Open (or at least constructed) store; all ingest goes
      *        through it. The coordinator does not own it.
-     * @param grid  The experiment points to serve; deduplicated and
-     *        resolved internally (expandWorkUnits).
+     * @param grid  The experiment points to serve; resolved through the
+     *        store's defaults (ResultStore::resolve) and deduplicated
+     *        internally (expandWorkUnits).
      */
     SweepCoordinator(CoordinatorOptions options, ResultStore *store,
                      const std::vector<ExperimentConfig> &grid);

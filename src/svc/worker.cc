@@ -31,23 +31,6 @@ nowMs()
             .count());
 }
 
-// The progress hook and solo sink are process-wide singletons shared by
-// every SweepWorker in the process (the loopback tests run two). The
-// installed callbacks are identical stateless trampolines that route
-// through these thread-locals, so whichever worker installed last is
-// irrelevant — each compute thread reaches its own worker and lease.
-thread_local SweepWorker *tlWorker = nullptr;
-thread_local const std::string *tlKey = nullptr;
-thread_local std::uint64_t tlLastHeartbeatMs = 0;
-
-/** Sink owner tag shared by all workers (last install wins; see above). */
-const void *
-workerSinkOwner()
-{
-    static int tag;
-    return &tag;
-}
-
 } // namespace
 
 SweepWorker::SweepWorker(WorkerOptions opts) : options(std::move(opts))
@@ -65,28 +48,30 @@ SweepWorker::queueFrame(const JsonValue &msg)
 }
 
 void
-SweepWorker::heartbeat(const std::string &key)
-{
-    std::uint64_t now = nowMs();
-    if (now - tlLastHeartbeatMs < options.heartbeatMinIntervalMs)
-        return;
-    tlLastHeartbeatMs = now;
-    queueFrame(makeHeartbeat(key));
-}
-
-void
-SweepWorker::forwardSolo(const std::string &app, std::uint64_t insts,
-                         double ipc)
-{
-    queueFrame(makeSolo(app, insts, ipc));
-}
-
-void
 SweepWorker::computeLoop()
 {
-    tlWorker = this;
+    // This thread's leases run under one context: its solo IPCs go to
+    // the coordinator, and its progress hook heartbeats the current
+    // lease (the hook only fires inside runExperiment(lease.config)).
+    Lease lease;
+    std::uint64_t lastHeartbeatMs = 0;
+    RunContext ctx;
+    ctx.checkpoint = options.checkpoint;
+    ctx.soloSink = [this](const std::string &app, std::uint64_t insts,
+                          double ipc) {
+        queueFrame(makeSolo(app, insts, ipc));
+    };
+    ctx.progress.everyInsts = options.heartbeatEveryInsts;
+    ctx.progress.fn = [this, &lease, &lastHeartbeatMs](
+                          const ExperimentConfig &, std::uint64_t,
+                          std::uint64_t) {
+        std::uint64_t now = nowMs();
+        if (now - lastHeartbeatMs < options.heartbeatMinIntervalMs)
+            return;
+        lastHeartbeatMs = now;
+        queueFrame(makeHeartbeat(lease.key));
+    };
     for (;;) {
-        Lease lease;
         {
             std::unique_lock<std::mutex> lock(workMutex);
             workCv.wait(lock, [this] {
@@ -97,9 +82,7 @@ SweepWorker::computeLoop()
             lease = std::move(workQueue.front());
             workQueue.pop_front();
         }
-        tlKey = &lease.key;
-        ExperimentResult result = runExperiment(lease.config);
-        tlKey = nullptr;
+        ExperimentResult result = runExperiment(lease.config, ctx);
         queueFrame(makeResult(
             lease.key, experimentResultToJson(lease.config, result)));
         completedCount.fetch_add(1);
@@ -281,23 +264,6 @@ SweepWorker::serveConnection(int fd, std::string *error)
 bool
 SweepWorker::run(std::string *error)
 {
-    // Route this worker's solo computes and mid-run progress to the
-    // coordinator. Both callbacks are stateless trampolines over the
-    // thread-locals (see top of file) — safe to reinstall per worker.
-    setSoloIpcSink(
-        [](const std::string &app, std::uint64_t insts, double ipc) {
-            if (tlWorker != nullptr)
-                tlWorker->forwardSolo(app, insts, ipc);
-        },
-        workerSinkOwner());
-    ProgressHook hook;
-    hook.everyInsts = options.heartbeatEveryInsts;
-    hook.fn = [](const ExperimentConfig &, std::uint64_t, std::uint64_t) {
-        if (tlWorker != nullptr && tlKey != nullptr)
-            tlWorker->heartbeat(*tlKey);
-    };
-    setProgressHook(hook);
-
     std::vector<std::thread> computeThreads;
     for (unsigned i = 0; i < options.jobs; ++i)
         computeThreads.emplace_back([this] { computeLoop(); });
@@ -346,7 +312,6 @@ SweepWorker::run(std::string *error)
     workCv.notify_all();
     for (std::thread &t : computeThreads)
         t.join();
-    clearSoloIpcSink(workerSinkOwner());
 
     if (!finished && error != nullptr)
         *error = fatalError.empty() ? "stopped before completion"

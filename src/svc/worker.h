@@ -6,18 +6,17 @@
  * exponential backoff — a worker may come up before its coordinator, or
  * outlive a coordinator restart), keeps up to `jobs` leases in flight
  * across that many compute threads, and for each lease runs the leased
- * ExperimentConfig through the ordinary runExperiment() path — so the
- * process-wide checkpoint policy (setCheckpointSpec) applies unchanged:
- * a worker started with --checkpoint-every snapshots mid-run, and a
- * re-leased unit landing back on the same worker resumes from its
+ * ExperimentConfig through the ordinary runExperiment() path under a
+ * RunContext of its own. The context carries the worker's checkpoint
+ * policy: a worker started with --checkpoint-every snapshots mid-run,
+ * and a re-leased unit landing back on the same worker resumes from its
  * snapshot instead of starting over.
  *
- * While a simulation runs, the process-wide progress hook
- * (setProgressHook) fires at an instruction cadence; the worker routes
- * it through thread-locals to the owning (worker, lease) pair and sends
- * a wall-clock-rate-limited heartbeat so the coordinator keeps the lease
- * alive. Solo-IPC denominators the worker computes are forwarded as
- * `solo` records through the same thread-local routing.
+ * While a simulation runs, the context's progress hook fires at an
+ * instruction cadence and sends a wall-clock-rate-limited heartbeat for
+ * the lease being computed, so the coordinator keeps the lease alive.
+ * Solo-IPC denominators the worker computes reach the context's solo
+ * sink and are forwarded as `solo` records.
  *
  * One I/O thread owns the socket (the compute threads only append
  * encoded frames to an outbox); frames still queued when the connection
@@ -51,6 +50,8 @@ struct WorkerOptions
     unsigned jobs = 1;
     /** Reported to the coordinator for the /metrics worker label. */
     std::string name;
+    /** Snapshot policy for every leased simulation; empty dir = off. */
+    CheckpointSpec checkpoint;
     /** Progress-hook cadence in retired instructions per benign core. */
     std::uint64_t heartbeatEveryInsts = 2000;
     /** Wall-clock floor between heartbeats of one compute thread. */
@@ -99,13 +100,6 @@ class SweepWorker
 
     /** Append one encoded frame to the outbox (any thread). */
     void queueFrame(const JsonValue &msg);
-
-    /** Rate-limited heartbeat for @p key (compute threads, via hook). */
-    void heartbeat(const std::string &key);
-
-    /** Forward a freshly computed solo IPC (compute threads, via sink). */
-    void forwardSolo(const std::string &app, std::uint64_t insts,
-                     double ipc);
 
     /** Connect to the coordinator; -1 on failure. */
     int connectOnce(std::string *error);

@@ -2,14 +2,13 @@
  * @file
  * Tests for the JSON layer (stats/json.h), histogram percentile edge
  * cases (stats/histogram.h), histogram JSON round-tripping
- * (stats/json_stats.h), and the ResultLog export format.
+ * (stats/json_stats.h).
  */
 #include <gtest/gtest.h>
 
 #include "stats/histogram.h"
 #include "stats/json.h"
 #include "stats/json_stats.h"
-#include "stats/result_log.h"
 
 namespace bh {
 namespace {
@@ -227,29 +226,6 @@ TEST(JsonStatsTest, SparseBinsEncodeCompactly)
     h.record(3.0);
     JsonValue v = histogramToJson(h);
     EXPECT_EQ(v.get("bins").size(), 1u); // one populated bin, not 4097
-}
-
-TEST(ResultLogTest, JsonRoundTripPreservesRecords)
-{
-    ResultLog log;
-    JsonValue payload = JsonValue::object();
-    payload.set("ws", 1.25);
-    log.append(2, "key-c", payload);
-    log.append(0, "key-a", JsonValue("hello"));
-    log.append(1, "key-b", JsonValue(7));
-
-    JsonValue doc = log.toJson();
-
-    ResultLog back;
-    back.loadJson(JsonValue::parseOrDie(doc.dump(2)));
-    EXPECT_EQ(back.size(), 3u);
-    EXPECT_TRUE(back.toJson() == doc);
-
-    std::vector<ResultRecord> sorted = back.sorted();
-    EXPECT_EQ(sorted[0].key, "key-a");
-    EXPECT_EQ(sorted[1].key, "key-b");
-    EXPECT_EQ(sorted[2].key, "key-c");
-    EXPECT_EQ(sorted[2].payload.get("ws").asDouble(), 1.25);
 }
 
 } // namespace

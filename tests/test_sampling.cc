@@ -79,11 +79,10 @@ TEST(SamplingTest, ResultsAreByteIdenticalAcrossJobCounts)
     ExperimentConfig cfg = samplePoint("HHMA");
     cfg.sample = SamplingSpec{1000, 1000, 3500};
 
-    setSamplingJobs(1);
+    RunContext two_jobs;
+    two_jobs.samplingJobs = 2;
     ExperimentResult one = runExperiment(cfg);
-    setSamplingJobs(2);
-    ExperimentResult two = runExperiment(cfg);
-    setSamplingJobs(1);
+    ExperimentResult two = runExperiment(cfg, two_jobs);
 
     ASSERT_TRUE(one.sampling.enabled);
     ASSERT_TRUE(two.sampling.enabled);
@@ -132,7 +131,6 @@ TEST(SamplingTest, HeadlineMetricsWithinBudgetOf20kExact)
         ExperimentResult exact = runExperiment(cfg);
 
         cfg.sample = SamplingSpec{1000, 1000, 3500};
-        setSamplingJobs(1);
         ExperimentResult sampled = runExperiment(cfg);
         ASSERT_TRUE(sampled.sampling.enabled);
         EXPECT_EQ(sampled.sampling.windows, 3u);
@@ -159,7 +157,6 @@ TEST(SamplingTest, ConfidenceIntervalsShrinkWithMoreWindows)
 {
     ExperimentConfig cfg = samplePoint("HHMA");
     cfg.sample = SamplingSpec{1000, 1000, 3500}; // stride 5500 -> 3 win
-    setSamplingJobs(1);
     ExperimentResult few = runExperiment(cfg);
 
     cfg.sample = SamplingSpec{1000, 1000, 800}; // stride 2800 -> 6 win
@@ -183,7 +180,6 @@ TEST(SamplingTest, SampledRecordJsonRoundTrips)
 {
     ExperimentConfig cfg = samplePoint("HHMA");
     cfg.sample = SamplingSpec{1000, 1000, 3500};
-    setSamplingJobs(1);
     ExperimentResult r = runExperiment(cfg);
     ASSERT_TRUE(r.sampling.enabled);
 

@@ -1,18 +1,19 @@
 /**
  * @file
- * Tests for the parallel experiment engine (sim/scheduler.h): scheduler
- * determinism across worker counts, per-run seed derivation, streaming,
- * and golden-value regressions for the paper's headline metrics on two
- * small fixed mixes. (The memoization layer that used to live here as
- * ExperimentPool is now the ResultStore — see test_result_store.cc.)
+ * Tests for parallel grid execution (ResultStore::prefetch over
+ * sim/parallel_for.h): determinism across worker counts, agreement with a
+ * direct runExperiment(), streaming every point to disk exactly once,
+ * key coverage, and golden-value regressions for the paper's headline
+ * metrics on two small fixed mixes. Memoization and persistence are
+ * covered by test_result_store.cc.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
-#include "sim/scheduler.h"
-#include "stats/result_log.h"
+#include "sim/result_store.h"
 
 namespace bh {
 namespace {
@@ -68,47 +69,24 @@ TEST(SchedulerTest, IdenticalResultsAt1And2And8Threads)
     std::vector<ExperimentConfig> grid = testGrid();
 
     std::vector<std::vector<ExperimentResult>> runs;
+    std::vector<std::string> exports;
     for (unsigned threads : {1u, 2u, 8u}) {
-        SchedulerOptions options;
-        options.threads = threads;
-        ExperimentScheduler scheduler(options);
-        EXPECT_EQ(scheduler.threadCount(), threads);
-        runs.push_back(scheduler.run(grid));
+        ResultStore store(threads);
+        store.prefetch(grid);
+        EXPECT_EQ(store.stats().computed, grid.size());
+        std::vector<ExperimentResult> results;
+        for (const ExperimentConfig &cfg : grid)
+            results.push_back(store.get(cfg));
+        runs.push_back(std::move(results));
+        exports.push_back(store.toJson().dump());
     }
 
-    for (const auto &run : runs)
-        ASSERT_EQ(run.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         expectIdentical(runs[0][i], runs[1][i]);
         expectIdentical(runs[0][i], runs[2][i]);
     }
-}
-
-TEST(SchedulerTest, DerivedSeedsAreDeterministicAcrossThreadCounts)
-{
-    std::vector<ExperimentConfig> grid = testGrid();
-
-    std::vector<std::vector<ExperimentResult>> runs;
-    for (unsigned threads : {1u, 8u}) {
-        SchedulerOptions options;
-        options.threads = threads;
-        options.deriveSeeds = true;
-        ExperimentScheduler scheduler(options);
-        runs.push_back(scheduler.run(grid));
-    }
-    for (std::size_t i = 0; i < grid.size(); ++i)
-        expectIdentical(runs[0][i], runs[1][i]);
-}
-
-TEST(SchedulerTest, DeriveRunSeedIsPureAndDecorrelated)
-{
-    EXPECT_EQ(ExperimentScheduler::deriveRunSeed(1, 0),
-              ExperimentScheduler::deriveRunSeed(1, 0));
-    EXPECT_NE(ExperimentScheduler::deriveRunSeed(1, 0),
-              ExperimentScheduler::deriveRunSeed(1, 1));
-    EXPECT_NE(ExperimentScheduler::deriveRunSeed(1, 0),
-              ExperimentScheduler::deriveRunSeed(2, 0));
-    EXPECT_NE(ExperimentScheduler::deriveRunSeed(0, 0), 0u);
+    EXPECT_EQ(exports[0], exports[1]);
+    EXPECT_EQ(exports[0], exports[2]);
 }
 
 TEST(SchedulerTest, MatchesDirectRunExperiment)
@@ -117,59 +95,39 @@ TEST(SchedulerTest, MatchesDirectRunExperiment)
         smallConfig("HHMA", MitigationType::kGraphene, 512, true);
     ExperimentResult direct = runExperiment(cfg);
 
-    SchedulerOptions options;
-    options.threads = 2;
-    ExperimentScheduler scheduler(options);
-    std::vector<ExperimentResult> scheduled = scheduler.run({cfg});
-    ASSERT_EQ(scheduled.size(), 1u);
-    expectIdentical(direct, scheduled[0]);
+    ResultStore store(2);
+    store.prefetch({cfg});
+    expectIdentical(direct, store.get(cfg));
 }
 
-TEST(SchedulerTest, StreamsEveryIndexExactlyOnce)
+TEST(SchedulerTest, StreamsEveryPointToDiskExactlyOnce)
 {
     std::vector<ExperimentConfig> grid = testGrid();
+    std::string dir = ::testing::TempDir() + "bh_scheduler_stream";
+    std::filesystem::remove_all(dir);
 
-    std::set<std::size_t> seen;
-    std::atomic<unsigned> calls{0};
-    SchedulerOptions options;
-    options.threads = 4;
-    options.onResult = [&](std::size_t index, const ExperimentConfig &,
-                           const ExperimentResult &) {
-        seen.insert(index); // serialized by the scheduler's stream lock
-        ++calls;
-    };
-    ResultLog log;
-    options.log = &log;
-    ExperimentScheduler scheduler(options);
-    scheduler.run(grid);
-
-    EXPECT_EQ(calls.load(), grid.size());
-    EXPECT_EQ(seen.size(), grid.size());
-    EXPECT_EQ(log.size(), grid.size());
-
-    // The log's export is index-ordered regardless of completion order.
-    std::vector<ResultRecord> sorted = log.sorted();
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-        EXPECT_EQ(sorted[i].index, i);
-        EXPECT_EQ(sorted[i].key, experimentKey(grid[i]));
+    std::set<std::string> expected;
+    {
+        ResultStore store(4);
+        std::string error;
+        ASSERT_TRUE(store.open(dir, &error)) << error;
+        for (const ExperimentConfig &cfg : grid)
+            expected.insert(experimentKey(store.resolve(cfg)));
+        store.prefetch(grid);
     }
-}
 
-TEST(SchedulerTest, LogExportIsIdenticalAcrossThreadCounts)
-{
-    std::vector<ExperimentConfig> grid = testGrid();
-
-    std::vector<std::string> dumps;
-    for (unsigned threads : {1u, 8u}) {
-        ResultLog log;
-        SchedulerOptions options;
-        options.threads = threads;
-        options.log = &log;
-        ExperimentScheduler scheduler(options);
-        scheduler.run(grid);
-        dumps.push_back(log.toJson().dump());
+    std::ifstream in(dir + "/results.jsonl");
+    std::string line;
+    std::multiset<std::string> streamed;
+    while (std::getline(in, line)) {
+        JsonValue rec = JsonValue::parseOrDie(line);
+        if (rec.find("kind")->asString() == "experiment")
+            streamed.insert(rec.find("key")->asString());
     }
-    EXPECT_EQ(dumps[0], dumps[1]);
+    EXPECT_EQ(streamed.size(), grid.size());
+    EXPECT_EQ(std::set<std::string>(streamed.begin(), streamed.end()),
+              expected);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SchedulerTest, ExperimentKeyDistinguishesEveryKnob)

@@ -832,7 +832,7 @@ TEST(SystemSnapshotTest, DamagedOrForeignSnapshotsAreRejected)
 
 TEST(SystemSnapshotTest, RunExperimentResumesAndCleansUpItsSnapshot)
 {
-    // The bench-level wiring: with a CheckpointSpec installed,
+    // The bench-level wiring: with a CheckpointSpec in its RunContext,
     // runExperiment() writes snapshots while running, resumes from one
     // when present, and removes it on completion.
     std::string dir = tempPath("exp_ckpt_dir");
@@ -848,12 +848,10 @@ TEST(SystemSnapshotTest, RunExperimentResumesAndCleansUpItsSnapshot)
 
     ExperimentResult reference = runExperiment(cfg);
 
-    CheckpointSpec spec;
-    spec.dir = dir;
-    spec.everyInsts = 1500;
-    setCheckpointSpec(spec);
-    ExperimentResult checkpointed = runExperiment(cfg);
-    setCheckpointSpec(CheckpointSpec{});
+    RunContext ctx;
+    ctx.checkpoint.dir = dir;
+    ctx.checkpoint.everyInsts = 1500;
+    ExperimentResult checkpointed = runExperiment(cfg, ctx);
 
     EXPECT_EQ(reference.weightedSpeedup, checkpointed.weightedSpeedup);
     EXPECT_EQ(reference.maxSlowdown, checkpointed.maxSlowdown);

@@ -742,6 +742,53 @@ TEST(SweepServiceTest, MetricsEscapesHostileWorkerNames)
     ::close(wfd);
 }
 
+/** A loopback port nothing listens on (bound, then released). */
+std::uint16_t
+closedPort()
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len) != 0)
+        addr.sin_port = 0;
+    ::close(fd);
+    return ntohs(addr.sin_port);
+}
+
+TEST(SweepServiceTest, InProcessWorkerKeepsTheStorePersistingSolos)
+{
+    // A worker in the same process as an open store must not take over
+    // where the store's freshly computed solo IPCs go: after the worker
+    // exits, the store still persists them.
+    std::string dir = freshDir("solo_sink");
+    ExperimentConfig cfg = loopbackGrid().front();
+    cfg.instructions = 3313; // Not in the process-wide solo cache yet.
+    const std::size_t solos = benignApps(cfg.mix).size();
+    {
+        ResultStore store(1);
+        std::string error;
+        ASSERT_TRUE(store.open(dir, &error)) << error;
+
+        WorkerOptions wopts;
+        wopts.port = closedPort();
+        ASSERT_NE(wopts.port, 0);
+        wopts.maxConnectFailures = 1;
+        SweepWorker worker(wopts);
+        EXPECT_FALSE(worker.run(&error));
+
+        store.prefetch({cfg});
+        EXPECT_EQ(store.stats().soloComputed, solos);
+    }
+
+    ResultStore reopened(1);
+    std::string error;
+    ASSERT_TRUE(reopened.open(dir, &error)) << error;
+    EXPECT_EQ(reopened.stats().soloLoaded, solos);
+}
+
 TEST(SweepServiceTest, SecondStoreWriterIsRefused)
 {
     std::string dir = freshDir("flock");

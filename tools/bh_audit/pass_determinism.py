@@ -19,7 +19,12 @@ This pass bans the constructs that silently break that:
   libraries/restarts. The snapshot codec's saveUnorderedMap() is the
   one sanctioned path — it records and reconstructs the order;
 - ``std::map`` / ``std::set`` keyed by pointers: address-dependent
-  ordering differs run to run.
+  ordering differs run to run;
+- ``thread_local`` and mutable (non-``const``, non-``constexpr``)
+  ``static`` objects: process-wide state that configures a run behind
+  the caller's back. How a point runs travels as an explicit
+  ``RunContext``; a cache of a pure function is the one legitimate
+  global and carries a reasoned skip.
 
 Wall-clock use that is deliberately outside the deterministic core (the
 sweep service's lease deadlines) is annotated in place::
@@ -27,7 +32,7 @@ sweep service's lease deadlines) is annotated in place::
     steadyNowMs(); // bh-audit: skip(clock) -- lease wall-clock, not sim
 
 Rule names for skip(): rand, time, clock, getenv, unordered-iter,
-pointer-key.
+pointer-key, global-state.
 """
 
 from __future__ import annotations
@@ -59,6 +64,48 @@ _RANGE_FOR = re.compile(
     r"\bfor\s*\(\s*[^;:()]*?:\s*([A-Za-z_][\w.\->]*)\s*\)")
 _POINTER_KEY = re.compile(
     r"std\s*::\s*(?:map|set)\s*<\s*[^,>]*\*")
+
+_THREAD_LOCAL = re.compile(r"\bthread_local\b")
+_STATIC = re.compile(r"\bstatic\b")
+_MUTABLE_POINTER = re.compile(r"\*\s*(?!const\b)[A-Za-z_]")
+_LAST_IDENT = re.compile(r"([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)*$")
+
+
+def _declaration(text: str, start: int) -> tuple[str, str]:
+    """The declaration text from @p start up to its first top-level
+    ``;``, ``=``, ``{`` or ``(`` (``<...>`` template arguments skipped),
+    and that terminator. A ``(`` first means a function."""
+    depth = 0
+    for i in range(start, len(text)):
+        c = text[i]
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth:
+            depth -= 1
+        elif depth == 0 and c in ";={(":
+            return text[start:i], c
+    return text[start:], ""
+
+
+def _global_state(sf: SourceFile):
+    """(offset, symbol) of every thread_local or mutable static object
+    declared in @p sf."""
+    for m in _THREAD_LOCAL.finditer(sf.stripped):
+        decl, _ = _declaration(sf.stripped, m.end())
+        name = _LAST_IDENT.search(decl.strip())
+        yield m.start(), "thread_local " + (name.group(1) if name else "?")
+    for m in _STATIC.finditer(sf.stripped):
+        decl, end = _declaration(sf.stripped, m.end())
+        words = decl.split()
+        if end in ("(", "") or not words:
+            continue  # A function (or not a declaration at all).
+        if words[0] in ("constexpr", "thread_local"):
+            continue  # Immutable, or already flagged as thread_local.
+        if words[0] == "const" and not _MUTABLE_POINTER.search(decl):
+            continue  # const object (a `const T *p` is still mutable).
+        name = _LAST_IDENT.search(decl.strip())
+        yield m.start(), "static " + (name.group(1) if name else "?")
+
 
 # A function participates in an ordered-output path when its body or
 # signature touches one of these.
@@ -114,6 +161,11 @@ def run(tree: SourceTree, report: Report) -> None:
                   m.group(0).replace(" ", ""),
                   "ordered container keyed by pointer: iteration "
                   "order is the allocator's, not the program's")
+
+        for offset, symbol in _global_state(sf):
+            _flag(report, tree, sf, "global-state", offset, symbol,
+                  "process-wide mutable state: pass it explicitly "
+                  "(RunContext) instead")
 
         # Unordered-container iteration inside ordered-output functions.
         paired = (tree.paired_header(path) if path.suffix == ".cc"

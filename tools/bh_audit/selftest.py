@@ -34,6 +34,9 @@ EXPECTED_VIOLATIONS = {
      "ExperimentConfig::stealthFactor"),
     ("determinism", "clock", "steady_clock::now"),
     ("determinism", "unordered-iter", "saveState(): for(... : table)"),
+    ("determinism", "global-state", "thread_local tlDepth"),
+    ("determinism", "global-state", "static mutex"),
+    ("determinism", "global-state", "static name"),
     ("probe-purity", "non-const-probe",
      "EagerMitigation::probeActReleaseCycle"),
     ("probe-purity", "member-mutation",
