@@ -8,20 +8,28 @@ namespace bh {
 
 Llc::Llc(const LlcConfig &config) : config_(config)
 {
-    std::uint64_t lines = config.sizeBytes / kCacheLineBytes;
-    BH_ASSERT(lines % config.ways == 0, "LLC geometry must divide evenly");
-    std::uint64_t num_sets = lines / config.ways;
+    std::uint64_t num_lines = config.sizeBytes / kCacheLineBytes;
+    BH_ASSERT(num_lines % config.ways == 0,
+              "LLC geometry must divide evenly");
+    std::uint64_t num_sets = num_lines / config.ways;
     BH_ASSERT((num_sets & (num_sets - 1)) == 0,
               "LLC set count must be a power of two");
-    sets.resize(num_sets);
-    for (auto &set : sets)
-        set.ways.resize(config.ways);
+    numSets_ = static_cast<unsigned>(num_sets);
+    lines.resize(num_lines);
 }
 
-std::uint64_t
-Llc::setIndex(Addr line_addr) const
+std::span<Llc::Line>
+Llc::setOf(Addr line_addr)
 {
-    return (line_addr >> kCacheLineBits) & (sets.size() - 1);
+    std::uint64_t set = (line_addr >> kCacheLineBits) & (numSets_ - 1);
+    return {lines.data() + set * config_.ways, config_.ways};
+}
+
+std::span<const Llc::Line>
+Llc::setOf(Addr line_addr) const
+{
+    std::uint64_t set = (line_addr >> kCacheLineBits) & (numSets_ - 1);
+    return {lines.data() + set * config_.ways, config_.ways};
 }
 
 Addr
@@ -33,9 +41,9 @@ Llc::tagOf(Addr line_addr) const
 bool
 Llc::access(Addr line_addr, bool is_write)
 {
-    Set &set = sets[setIndex(line_addr)];
+    std::span<Line> set = setOf(line_addr);
     Addr tag = tagOf(line_addr);
-    for (Line &line : set.ways) {
+    for (Line &line : set) {
         if (line.valid && line.tag == tag) {
             line.lru = ++lruClock;
             if (is_write)
@@ -51,11 +59,11 @@ Llc::access(Addr line_addr, bool is_write)
 void
 Llc::allocate(Addr line_addr, bool is_write, Victim *victim)
 {
-    Set &set = sets[setIndex(line_addr)];
+    std::span<Line> set = setOf(line_addr);
     Addr tag = tagOf(line_addr);
 
     Line *target = nullptr;
-    for (Line &line : set.ways) {
+    for (Line &line : set) {
         BH_ASSERT(!(line.valid && line.tag == tag),
                   "allocate of already-present line");
         if (!line.valid) {
@@ -82,9 +90,9 @@ Llc::allocate(Addr line_addr, bool is_write, Victim *victim)
 bool
 Llc::probe(Addr line_addr) const
 {
-    const Set &set = sets[setIndex(line_addr)];
+    std::span<const Line> set = setOf(line_addr);
     Addr tag = tagOf(line_addr);
-    for (const Line &line : set.ways)
+    for (const Line &line : set)
         if (line.valid && line.tag == tag)
             return true;
     return false;
@@ -93,9 +101,9 @@ Llc::probe(Addr line_addr) const
 void
 Llc::setDirty(Addr line_addr)
 {
-    Set &set = sets[setIndex(line_addr)];
+    std::span<Line> set = setOf(line_addr);
     Addr tag = tagOf(line_addr);
-    for (Line &line : set.ways) {
+    for (Line &line : set) {
         if (line.valid && line.tag == tag) {
             line.dirty = true;
             return;
@@ -107,7 +115,7 @@ void
 Llc::saveState(StateWriter &w) const
 {
     w.tag("llc");
-    w.u64(sets.size());
+    w.u64(numSets_);
     // Struct-of-arrays bulk encoding: the tag store is by far the
     // largest snapshot section (one entry per cache line), so it is
     // written as three flat arrays instead of hundreds of thousands of
@@ -115,31 +123,25 @@ Llc::saveState(StateWriter &w) const
     // and LRU stamps almost always fit 32 bits (tags below a 256 GB
     // address space, LRU stamps below 4G accesses); a width byte keeps
     // the wide encoding available for the rare state that does not.
-    std::size_t lines = 0;
-    for (const Set &set : sets)
-        lines += set.ways.size();
     bool narrow = true;
     std::vector<std::uint32_t> tags32, lrus32;
-    tags32.reserve(lines);
-    lrus32.reserve(lines);
+    tags32.reserve(lines.size());
+    lrus32.reserve(lines.size());
     std::vector<std::uint64_t> flags;
-    flags.reserve((lines + 31) / 32);
+    flags.reserve((lines.size() + 31) / 32);
     std::uint64_t packed = 0;
     std::size_t nbits = 0;
-    for (const Set &set : sets) {
-        for (const Line &line : set.ways) {
-            if (narrow && (line.tag > UINT32_MAX || line.lru > UINT32_MAX))
-                narrow = false;
-            tags32.push_back(static_cast<std::uint32_t>(line.tag));
-            lrus32.push_back(static_cast<std::uint32_t>(line.lru));
-            std::uint64_t f = (line.valid ? 1u : 0u) |
-                              (line.dirty ? 2u : 0u);
-            packed |= f << (nbits * 2);
-            if (++nbits == 32) {
-                flags.push_back(packed);
-                packed = 0;
-                nbits = 0;
-            }
+    for (const Line &line : lines) {
+        if (narrow && (line.tag > UINT32_MAX || line.lru > UINT32_MAX))
+            narrow = false;
+        tags32.push_back(static_cast<std::uint32_t>(line.tag));
+        lrus32.push_back(static_cast<std::uint32_t>(line.lru));
+        std::uint64_t f = (line.valid ? 1u : 0u) | (line.dirty ? 2u : 0u);
+        packed |= f << (nbits * 2);
+        if (++nbits == 32) {
+            flags.push_back(packed);
+            packed = 0;
+            nbits = 0;
         }
     }
     if (nbits > 0)
@@ -150,13 +152,11 @@ Llc::saveState(StateWriter &w) const
         saveU32VectorBulk(w, lrus32);
     } else {
         std::vector<std::uint64_t> tags, lrus;
-        tags.reserve(lines);
-        lrus.reserve(lines);
-        for (const Set &set : sets) {
-            for (const Line &line : set.ways) {
-                tags.push_back(line.tag);
-                lrus.push_back(line.lru);
-            }
+        tags.reserve(lines.size());
+        lrus.reserve(lines.size());
+        for (const Line &line : lines) {
+            tags.push_back(line.tag);
+            lrus.push_back(line.lru);
         }
         saveU64VectorBulk(w, tags);
         saveU64VectorBulk(w, lrus);
@@ -172,43 +172,38 @@ void
 Llc::loadState(StateReader &r)
 {
     r.tag("llc");
-    if (r.u64() != sets.size()) {
+    if (r.u64() != numSets_) {
         r.fail();
         return;
     }
-    std::size_t lines = 0;
-    for (const Set &set : sets)
-        lines += set.ways.size();
+    const std::size_t n = lines.size();
     const bool narrow = r.u8() != 0;
     std::vector<std::uint32_t> t32, l32;
     std::vector<std::uint64_t> t64, l64;
     if (narrow) {
         if (!loadU32VectorBulk(r, &t32) || !loadU32VectorBulk(r, &l32) ||
-            t32.size() != lines || l32.size() != lines) {
+            t32.size() != n || l32.size() != n) {
             r.fail();
             return;
         }
     } else if (!loadU64VectorBulk(r, &t64) || !loadU64VectorBulk(r, &l64) ||
-               t64.size() != lines || l64.size() != lines) {
+               t64.size() != n || l64.size() != n) {
         r.fail();
         return;
     }
     std::vector<std::uint64_t> flags;
     if (!loadU64VectorBulk(r, &flags) ||
-        flags.size() != (lines + 31) / 32) {
+        flags.size() != (n + 31) / 32) {
         r.fail();
         return;
     }
-    std::size_t i = 0;
-    for (Set &set : sets) {
-        for (Line &line : set.ways) {
-            line.tag = narrow ? t32[i] : t64[i];
-            line.lru = narrow ? l32[i] : l64[i];
-            std::uint64_t f = (flags[i / 32] >> ((i % 32) * 2)) & 3u;
-            line.valid = (f & 1) != 0;
-            line.dirty = (f & 2) != 0;
-            ++i;
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        Line &line = lines[i];
+        line.tag = narrow ? t32[i] : t64[i];
+        line.lru = narrow ? l32[i] : l64[i];
+        std::uint64_t f = (flags[i / 32] >> ((i % 32) * 2)) & 3u;
+        line.valid = (f & 1) != 0;
+        line.dirty = (f & 2) != 0;
     }
     lruClock = r.u64();
     hits_ = r.u64();
@@ -219,9 +214,9 @@ Llc::loadState(StateReader &r)
 bool
 Llc::invalidate(Addr line_addr)
 {
-    Set &set = sets[setIndex(line_addr)];
+    std::span<Line> set = setOf(line_addr);
     Addr tag = tagOf(line_addr);
-    for (Line &line : set.ways) {
+    for (Line &line : set) {
         if (line.valid && line.tag == tag) {
             line.valid = false;
             line.dirty = false;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/snapshot.h"
@@ -62,7 +63,7 @@ class Llc
     /** Invalidate a line if present. @return true if it was present. */
     bool invalidate(Addr line_addr);
 
-    unsigned numSets() const { return static_cast<unsigned>(sets.size()); }
+    unsigned numSets() const { return numSets_; }
     const LlcConfig &config() const { return config_; }
 
     std::uint64_t hits() const { return hits_; }
@@ -92,16 +93,14 @@ class Llc
         std::uint64_t lru = 0; ///< Larger = more recently used.
     };
 
-    struct Set
-    {
-        std::vector<Line> ways;
-    };
-
-    std::uint64_t setIndex(Addr line_addr) const;
+    /** The ways of @p line_addr's set, a slice of the flat tag store. */
+    std::span<Line> setOf(Addr line_addr);
+    std::span<const Line> setOf(Addr line_addr) const;
     Addr tagOf(Addr line_addr) const;
 
     LlcConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    std::vector<Set> sets;
+    unsigned numSets_ = 0;
+    std::vector<Line> lines; ///< Set-major: set s is [s*ways, (s+1)*ways).
     std::uint64_t lruClock = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

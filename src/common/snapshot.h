@@ -10,19 +10,20 @@
  * truncated or corrupt blob reports `!ok()` instead of crashing — the
  * caller falls back to recomputing from scratch.
  *
- * Hash-table state needs more care than contents alone: a resumed run
- * must be *bit-identical* to an uninterrupted one, and some consumers make
- * iteration-order-dependent decisions (MisraGries reclaims the first
- * stale slot an iteration finds, which steers which rows Graphene/AQUA
- * keep tracking). saveUnorderedMap()/loadUnorderedMap() therefore record
- * the bucket count and the elements in iteration order, and rebuild by
- * rehashing to the saved bucket count and inserting in *reverse* order:
- * libstdc++ prepends a new node to its bucket (and a new bucket's segment
- * to the global element list), so reverse insertion reproduces the exact
+ * Hash-table state needs more care than contents alone: a resumed run's
+ * later snapshots must be *byte-identical* to an uninterrupted run's, and
+ * a map is written in iteration order (MisraGries's reclaim scan also
+ * drops the first stale slot an iteration finds, which decides which
+ * stale keys a later snapshot holds, though never a simulated result).
+ * saveUnorderedMap()/loadUnorderedMap() therefore record the bucket
+ * count and the elements in iteration order, and rebuild by rehashing
+ * to the saved bucket count and inserting in *reverse* order: libstdc++
+ * prepends a new node to its bucket (and a new bucket's segment to the
+ * global element list), so reverse insertion reproduces the exact
  * iteration order — and, with the bucket count pinned, the exact future
  * rehash points. test_snapshot locks this property in; if a standard
  * library ever breaks it, the round-trip tests fail loudly rather than
- * letting resumed runs drift.
+ * letting resumed snapshots drift.
  */
 #pragma once
 

@@ -27,7 +27,6 @@ class MisraGries
     explicit MisraGries(unsigned capacity) : capacity_(capacity)
     {
         BH_ASSERT(capacity > 0, "Misra-Gries needs at least one counter");
-        table.reserve(capacity * 2);
     }
 
     /**
@@ -92,10 +91,12 @@ class MisraGries
     unsigned capacity() const { return capacity_; }
 
     /**
-     * Serialize the summary. Iteration order is part of the state here:
-     * reclaimOne() erases the first stale entry an iteration finds, so
-     * the table's bucket structure must survive the round trip
-     * (saveUnorderedMap/loadUnorderedMap guarantee that).
+     * Serialize the summary. Which stale entry reclaimOne() erases
+     * depends on iteration order, but a stale entry acts exactly like an
+     * absent row and a row is admitted iff fewer than capacity() entries
+     * are live, so no return value depends on it; only the snapshot
+     * bytes do. saveUnorderedMap/loadUnorderedMap keep the bucket
+     * structure so a resumed run's later snapshots match.
      */
     void
     saveState(StateWriter &w) const

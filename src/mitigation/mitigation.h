@@ -197,9 +197,9 @@ class IMitigation
      * advanceTo / onPeriodicRefresh can mutate, nothing derived from the
      * constructor arguments). A mechanism restored by loadState() into a
      * same-config instance must behave bit-identically to the original
-     * from that point on — including hash-table iteration order where a
-     * mechanism's decisions depend on it (see common/snapshot.h). The
-     * default is for stateless mechanisms: nothing to save.
+     * from that point on, and save the same bytes (hash tables keep
+     * their iteration order; see common/snapshot.h). The default is for
+     * stateless mechanisms: nothing to save.
      */
     virtual void saveState(StateWriter &w) const { (void)w; }
 

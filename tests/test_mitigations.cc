@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
+#include "common/rng.h"
 #include "mitigation/aqua.h"
 #include "mitigation/blockhammer.h"
 #include "mitigation/factory.h"
@@ -138,6 +140,63 @@ TEST(MisraGriesTest, ClearDropsEverything)
     mg.clear();
     EXPECT_EQ(mg.estimate(1), 0u);
     EXPECT_EQ(mg.trackedRows(), 0u);
+}
+
+TEST(MisraGriesTest, MatchesLiveRowModel)
+{
+    // Reference: only live rows (count > 0) and the offset are state, and
+    // a row is admitted iff fewer than capacity rows are live. If the
+    // summary matches this model, which stale slot reclaimOne() drops
+    // (and so the hash table's iteration order and bucket count) cannot
+    // reach any return value.
+    const unsigned capacity = 8;
+    MisraGries mg(capacity);
+    std::map<std::uint64_t, std::uint64_t> live; // row -> weight > offset
+    std::set<std::uint64_t> admitted;            // since the last clear
+    std::uint64_t offset = 0;
+    unsigned reclaims = 0;
+    Rng rng(2024);
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t row = rng.nextBounded(32);
+        const std::uint64_t op = rng.nextBounded(1000);
+        if (op < 700) {
+            std::uint64_t expect = 0;
+            if (auto it = live.find(row); it != live.end()) {
+                expect = ++it->second - offset;
+            } else if (live.size() < capacity) {
+                // A row never admitted since the clear is absent from a
+                // full table, so admitting it must reclaim a stale slot.
+                if (mg.trackedRows() == capacity && !admitted.contains(row))
+                    ++reclaims;
+                live[row] = offset + 1;
+                admitted.insert(row);
+                expect = 1;
+            } else {
+                ++offset;
+                std::erase_if(live, [&](const auto &kv) {
+                    return kv.second <= offset;
+                });
+            }
+            ASSERT_EQ(mg.increment(row), expect) << "step " << step;
+        } else if (op < 850) {
+            auto it = live.find(row);
+            ASSERT_EQ(mg.estimate(row),
+                      it == live.end() ? 0 : it->second - offset)
+                << "step " << step;
+        } else if (op < 998) {
+            mg.resetRow(row);
+            live.erase(row);
+        } else {
+            mg.clear();
+            live.clear();
+            admitted.clear();
+            offset = 0;
+        }
+        ASSERT_EQ(mg.trackedRows(),
+                  std::min<std::size_t>(capacity, admitted.size()))
+            << "step " << step;
+    }
+    EXPECT_GE(reclaims, 100u);
 }
 
 TEST(ParaTest, ProbabilityDerivation)

@@ -163,9 +163,11 @@ TEST(RedteamApplyTest, RewritesAttackerSlotsOnly)
     // Group size is capped at the attacker-slot count.
     MixSpec one = makeMix("HHMA", 0);
     applyRedteamStrategy(s, &one.slots);
-    for (const WorkloadSlot &slot : one.slots)
-        if (slot.kind != WorkloadSlot::Kind::kBenign)
+    for (const WorkloadSlot &slot : one.slots) {
+        if (slot.kind != WorkloadSlot::Kind::kBenign) {
             EXPECT_EQ(slot.adaptive.groupSize, 1u);
+        }
+    }
 }
 
 TEST(RedteamKeyTest, ProbeKeysNeverAliasCanonicalRecords)

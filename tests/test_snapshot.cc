@@ -5,9 +5,10 @@
  * Layer tests save one component mid-epoch, restore it into a freshly
  * constructed twin, and require field-level state equality — asserted as
  * byte equality of the two serialized states, which also pins the
- * unordered_map iteration-order reconstruction that MisraGries-based
- * mechanisms depend on — and then drive both instances through an
- * identical event stream and require identical behaviour.
+ * unordered_map iteration-order reconstruction that keeps a resumed
+ * MisraGries-based mechanism's later snapshots byte-identical — and
+ * then drive both instances through an identical event stream and
+ * require identical behaviour.
  *
  * The end-to-end tests run a full System, checkpoint it mid-run, resume
  * the snapshot in a new System, and require the completed run to match an
@@ -114,9 +115,9 @@ TEST(SnapshotCodecTest, CorruptLengthDoesNotAllocate)
 
 TEST(SnapshotCodecTest, UnorderedMapPreservesIterationOrder)
 {
-    // The property the MisraGries reclaim scan depends on: reloading a
-    // map reproduces not just its contents but its exact iteration
-    // order and bucket count.
+    // The property that keeps a resumed run's snapshot bytes equal to
+    // an uninterrupted run's: reloading a map reproduces not just its
+    // contents but its exact iteration order and bucket count.
     std::unordered_map<std::uint64_t, std::uint64_t> m;
     Rng rng(42);
     for (int i = 0; i < 1000; ++i)
@@ -147,7 +148,8 @@ TEST(SnapshotCodecTest, MisraGriesReclaimMatchesAfterRestore)
 {
     // Saturate a tiny summary so increments hit the reclaim path (which
     // erases the first stale entry in iteration order) and check the
-    // restored twin makes identical reclaim decisions.
+    // restored twin makes identical reclaim decisions, so the two save
+    // the same bytes afterwards.
     MisraGries a(8);
     Rng rng(7);
     for (int i = 0; i < 200; ++i)
