@@ -62,14 +62,6 @@ usage()
         "                the 'c' suffix) into <store>/snapshots; a killed\n"
         "                run restarted with the same flags resumes from\n"
         "                its snapshots bit-identically\n"
-        "  --sample=W/M/F\n"
-        "                statistical interval sampling: one detailed\n"
-        "                warm-up of W instructions, then repeating\n"
-        "                [fast-forward F][warm W][measure M] windows;\n"
-        "                headline metrics become means across windows\n"
-        "                with 95%% confidence intervals in the JSON.\n"
-        "                Sampled points key separately from exact ones\n"
-        "                in --store; oracle configs always run exact\n"
         "  --channels=N  DRAM channels (power of two; default 1). Each\n"
         "                channel gets its own memory controller and\n"
         "                mitigation state; addresses interleave across\n"
@@ -84,7 +76,7 @@ usage()
         "                POP strategies from the given seed; probes\n"
         "                persist in --store (required) under |rt= keys,\n"
         "                so a re-run simulates 0 and reports identical\n"
-        "                results. Takes no figures; exact runs only\n"
+        "                results. Takes no figures\n"
         "  --serve=PORT  coordinator mode: expand the selected figures'\n"
         "                grids into work units and lease them to --worker\n"
         "                processes over TCP; requires --store (every\n"
@@ -136,33 +128,6 @@ parseShardSpec(const char *text, unsigned *index, unsigned *count)
         return false;
     *index = static_cast<unsigned>(i);
     *count = static_cast<unsigned>(n);
-    return true;
-}
-
-/**
- * Parse a "W/M/F" sampling spec (all three positive instruction counts).
- * Rejects missing parts, zeros, and non-numeric text via the same strict
- * parser the shard spec uses.
- */
-bool
-parseSampleSpec(const char *text, bh::SamplingSpec *spec)
-{
-    const char *s1 = std::strchr(text, '/');
-    if (s1 == nullptr || s1 == text)
-        return false;
-    const char *s2 = std::strchr(s1 + 1, '/');
-    if (s2 == nullptr || s2 == s1 + 1 || s2[1] == '\0')
-        return false;
-    std::string warm(text, s1);
-    std::string meas(s1 + 1, s2);
-    std::uint64_t w = 0, m = 0, f = 0;
-    if (!bh::parsePositiveU64(warm.c_str(), &w) ||
-        !bh::parsePositiveU64(meas.c_str(), &m) ||
-        !bh::parsePositiveU64(s2 + 1, &f))
-        return false;
-    spec->warmup = w;
-    spec->measure = m;
-    spec->fastForward = f;
     return true;
 }
 
@@ -323,15 +288,6 @@ main(int argc, char **argv)
                 checkpoint_cycles = parsed;
             else
                 checkpoint_insts = parsed;
-        } else if (flag_value(arg, "--sample", &i, &value)) {
-            if (!parseSampleSpec(value, &defaults.sample)) {
-                std::fprintf(stderr,
-                             "error: --sample wants W/M/F with three "
-                             "positive instruction counts (e.g. "
-                             "--sample=20000/10000/100000), got \"%s\"\n",
-                             value);
-                return 2;
-            }
         } else if (flag_value(arg, "--channels", &i, &value)) {
             if (!parseOrgCount(value, 64, &defaults.channels)) {
                 std::fprintf(stderr,
@@ -386,10 +342,10 @@ main(int argc, char **argv)
             }
             lease_timeout_given = true;
         } else if (flag_value(arg, "--linger", &i, &value)) {
-            if (!parsePositiveU64(value, &linger_s) || linger_s > 86400) {
+            if (!parseU64Strict(value, &linger_s) || linger_s > 86400) {
                 std::fprintf(stderr,
-                             "error: --linger wants a positive number of "
-                             "seconds (1..86400), got \"%s\"\n",
+                             "error: --linger wants a number of seconds "
+                             "(0..86400), got \"%s\"\n",
                              value);
                 return 2;
             }
@@ -426,14 +382,13 @@ main(int argc, char **argv)
     }
     if (worker_mode &&
         (!store_dir.empty() || shard_count != 0 || !json_path.empty() ||
-         defaults.sample.enabled() || defaults.channels != 0 ||
-         defaults.ranks != 0 || run_all || !names.empty())) {
+         defaults.channels != 0 || defaults.ranks != 0 || run_all ||
+         !names.empty())) {
         std::fprintf(stderr,
                      "error: a worker takes its work (and every "
                      "simulation parameter) from the coordinator's "
-                     "leases; drop --store/--shard/--json/--sample/"
-                     "--channels/--ranks and figure names (try "
-                     "--help)\n");
+                     "leases; drop --store/--shard/--json/--channels/"
+                     "--ranks and figure names (try --help)\n");
         return 2;
     }
     if ((lease_timeout_given || linger_given) && !serve_mode) {
@@ -457,13 +412,12 @@ main(int argc, char **argv)
         return 2;
     }
     if (redteam_mode &&
-        (serve_mode || worker_mode || shard_count != 0 ||
-         defaults.sample.enabled() || run_all || !names.empty())) {
+        (serve_mode || worker_mode || shard_count != 0 || run_all ||
+         !names.empty())) {
         std::fprintf(stderr,
                      "error: --redteam is its own mode: it drives the "
-                     "search grid itself (exact runs only); drop "
-                     "--serve/--worker/--shard/--sample and figure "
-                     "names (try --help)\n");
+                     "search grid itself; drop --serve/--worker/--shard "
+                     "and figure names (try --help)\n");
         return 2;
     }
     if (redteam_mode && store_dir.empty()) {
@@ -576,8 +530,7 @@ main(int argc, char **argv)
         }
         store.setCheckpoint(spec);
     }
-    // --sample, --channels and --ranks fold into every point the store
-    // resolves (oracle configs ignore the sampling spec and run exact).
+    // --channels and --ranks fold into every point the store resolves.
     store.setDefaults(defaults);
     if (shard_count) {
         store.setShard(shard_index, shard_count);
@@ -589,6 +542,19 @@ main(int argc, char **argv)
     bench::Context ctx{&store};
 
     auto total_start = Clock::now();
+    // --serve and --shard both work on the union of the selected
+    // figures' declarative sweeps; rendering is skipped in both (tables
+    // need the whole grid — render from the warm or merged store).
+    std::vector<ExperimentConfig> grid;
+    if (serve_mode || shard_count) {
+        for (const bench::Figure &figure : selected) {
+            if (!figure.sweep)
+                continue;
+            std::vector<ExperimentConfig> points =
+                figure.sweep().expand();
+            grid.insert(grid.end(), points.begin(), points.end());
+        }
+    }
     if (redteam_mode) {
         std::printf("==== red-team fuzzer: seed=%llu rounds=%u pop=%u "
                     "====\n",
@@ -608,18 +574,8 @@ main(int argc, char **argv)
         std::printf("probes=%zu improved_any=%d\n", report.probes,
                     report.improvedAny ? 1 : 0);
     } else if (serve_mode) {
-        // Coordinator mode: union the selected figures' sweeps (the same
-        // grid --shard unions), lease the units to workers, and ingest
-        // their results. Rendering is skipped — render from the warm
-        // store afterwards.
-        std::vector<ExperimentConfig> grid;
-        for (const bench::Figure &figure : selected) {
-            if (!figure.sweep)
-                continue;
-            std::vector<ExperimentConfig> points =
-                figure.sweep().expand();
-            grid.insert(grid.end(), points.begin(), points.end());
-        }
+        // Coordinator mode: lease the grid's units to workers and ingest
+        // their results.
         svc::CoordinatorOptions copts;
         copts.port = serve_port;
         copts.leaseTimeoutMs = lease_timeout_s * 1000;
@@ -648,17 +604,7 @@ main(int argc, char **argv)
                     m.unitsDone, m.unitsWarm, m.recordsIngested,
                     m.leasesExpired);
     } else if (shard_count) {
-        // Shard mode: union every selected figure's declarative sweep,
-        // compute this shard's points, skip rendering (tables need the
-        // whole grid — render from a merged store instead).
-        std::vector<ExperimentConfig> grid;
-        for (const bench::Figure &figure : selected) {
-            if (!figure.sweep)
-                continue;
-            std::vector<ExperimentConfig> points =
-                figure.sweep().expand();
-            grid.insert(grid.end(), points.begin(), points.end());
-        }
+        // Shard mode: compute this shard's points of the grid.
         std::printf("==== shard %u/%u: %zu grid point(s) across %zu "
                     "figure(s) ====\n",
                     shard_index, shard_count, grid.size(),

@@ -118,20 +118,6 @@ class MshrFile : public IThrottleTarget
      */
     void addQuotaRejections(std::uint64_t n) { quotaRejections_ += n; }
 
-    /**
-     * Discard every outstanding entry without waking its waiters
-     * (fast-forward support). Quotas and the rejection/write counters
-     * survive; only the in-flight tracking resets. The caller must also
-     * drop the controller requests and core window slots the entries
-     * were wired to.
-     */
-    void
-    clearInflight()
-    {
-        entries.clear();
-        std::fill(inflight.begin(), inflight.end(), 0u);
-    }
-
     /** Serialize outstanding entries, quotas, and counters. */
     void saveState(StateWriter &w) const;
 

@@ -81,49 +81,6 @@ Core::issueOne(Cycle now)
 }
 
 void
-Core::resetPipeline()
-{
-    for (WindowEntry &entry : window)
-        entry.doneAt = 0;
-    // issueCounter survives (tokens must stay unique across the reset),
-    // so the retire head must re-align with the next issue slot — a head
-    // left at 0 would retire stale entries and let issues lap pending
-    // slots.
-    head = static_cast<unsigned>(issueCounter % window.size());
-    occupancy = 0;
-    stalledOnReject_ = false;
-}
-
-void
-Core::functionalAdvance(std::uint64_t insts,
-                        const std::function<void(const TraceRecord &)> &sink)
-{
-    std::uint64_t remaining = insts;
-    while (remaining > 0) {
-        if (pendingBubbles == 0 && !recValid) {
-            rec = trace->next();
-            recValid = true;
-            pendingBubbles = rec.bubbles;
-        }
-        if (pendingBubbles > 0) {
-            std::uint64_t n =
-                std::min<std::uint64_t>(pendingBubbles, remaining);
-            pendingBubbles -= static_cast<std::uint32_t>(n);
-            retired_ += n;
-            remaining -= n;
-            continue;
-        }
-        // The record's memory access counts as one instruction, exactly
-        // as issueOne() accounts it.
-        sink(rec);
-        ++memAccesses;
-        ++retired_;
-        --remaining;
-        recValid = false;
-    }
-}
-
-void
 Core::saveState(StateWriter &w) const
 {
     w.tag("core");

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/snapshot.h"
@@ -91,8 +90,7 @@ class Core
     /**
      * Arm a fresh retirement target AND clear the finishCycle() latch, so
      * a core that already finished an earlier phase can be re-measured.
-     * Used by the statistical-sampling driver between the warm-up and
-     * measurement phases of a window; setTarget() deliberately never
+     * System::runDelta() arms every phase this way; setTarget() never
      * clears the latch (a resumed checkpoint run must keep the finish
      * cycle a core latched before the snapshot).
      */
@@ -141,27 +139,6 @@ class Core
 
     /** Memory accesses issued (loads + stores). */
     std::uint64_t memoryAccesses() const { return memAccesses; }
-
-    /**
-     * Discard all in-flight pipeline state (fast-forward support): the
-     * instruction window empties and any reject-stall clears, but the
-     * trace cursor (a partially consumed record's remaining bubbles)
-     * carries over so the instruction stream continues seamlessly. The
-     * caller must have discarded the matching MSHR/controller in-flight
-     * state too — a completion for a cleared slot would be fatal.
-     */
-    void resetPipeline();
-
-    /**
-     * Retire @p insts instructions functionally: no timing, no window
-     * occupancy, no memory-system backpressure. Bubbles retire silently;
-     * each memory access is handed to @p sink (the functional-warming
-     * path of the sampling fast-forward). retired()/memoryAccesses()
-     * advance exactly as a detailed run over the same stream would.
-     */
-    void functionalAdvance(std::uint64_t insts,
-                           const std::function<void(const TraceRecord &)>
-                               &sink);
 
     /** Serialize the core's mutable pipeline state (not the config). */
     void saveState(StateWriter &w) const;

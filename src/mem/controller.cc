@@ -529,51 +529,6 @@ MemoryController::accountSkippedCycles(Cycle first, Cycle last)
         drainingWrites = f1;
 }
 
-// --- Fast-forward support ----------------------------------------------
-
-void
-MemoryController::beginFastForward()
-{
-    unsigned banks = spec_.org.totalBanks();
-    readQ = BankedRequestQueue(banks);
-    writeQ = BankedRequestQueue(banks);
-    drainingWrites = false;
-    for (std::deque<MaintOp> &q : maintQ)
-        q.clear();
-    maintOpsPending_ = 0;
-    pendingReads.clear();
-    freePendingSlots.clear();
-    completions = decltype(completions)();
-    std::fill(hitStreak.begin(), hitStreak.end(), 0u);
-    invalidateAllRowState();
-    wakeDirty_ = true;
-}
-
-void
-MemoryController::fastForwardTo(Cycle to)
-{
-    unsigned sweep_rows =
-        std::max(1u, spec_.org.rowsPerBank / config_.refsPerSweep);
-    for (unsigned rank = 0; rank < spec_.org.ranks; ++rank) {
-        while (nextRefAt[rank] <= to) {
-            Cycle when = nextRefAt[rank];
-            nextRefAt[rank] += spec_.timing.tREFI;
-            unsigned start = refSweepPos[rank];
-            refSweepPos[rank] =
-                (start + sweep_rows) % spec_.org.rowsPerBank;
-            if (onPeriodicRefresh)
-                onPeriodicRefresh(rank, start, sweep_rows);
-            if (mitigation != nullptr)
-                mitigation->onPeriodicRefresh(rank, start, sweep_rows,
-                                              when);
-        }
-    }
-    if (mitigation != nullptr)
-        mitigation->advanceTo(to);
-    lastSeenCycle = to;
-    wakeDirty_ = true;
-}
-
 bool
 MemoryController::serviceDemand(Cycle now)
 {

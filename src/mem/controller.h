@@ -194,12 +194,12 @@ class MemoryController : public IMitigationHost
 
     /**
      * The next cycle this controller must be ticked: a memoized
-     * nextEventCycle(lastSeenCycle), recomputed lazily after tick(),
-     * loadState(), beginFastForward() or fastForwardTo(), and forced to
-     * the enqueue cycle by enqueueRead()/enqueueWrite(). Until then every
-     * tick is a no-op apart from the drain-hysteresis step that
-     * accountSkippedCycles() replays. Mitigation host actions arrive only
-     * from inside tick() or fastForwardTo(), so they need no reset.
+     * nextEventCycle(lastSeenCycle), recomputed lazily after tick() or
+     * loadState(), and forced to the enqueue cycle by
+     * enqueueRead()/enqueueWrite(). Until then every tick is a no-op
+     * apart from the drain-hysteresis step that accountSkippedCycles()
+     * replays. Mitigation host actions arrive only from inside tick(),
+     * so they need no reset.
      */
     Cycle wakeAt() const;
 
@@ -213,28 +213,6 @@ class MemoryController : public IMitigationHost
      * ran, not just on the frozen queue sizes.
      */
     void accountSkippedCycles(Cycle first, Cycle last);
-
-    /**
-     * Discard all in-flight work (fast-forward support): request queues,
-     * pending read completions, and queued maintenance operations are
-     * dropped without firing their callbacks. Counters, refresh
-     * bookkeeping, and the timing engine survive — the clock is about to
-     * jump far past every engine constraint anyway. The caller must have
-     * cleared the MSHR entries and core window slots these requests were
-     * wired to.
-     */
-    void beginFastForward();
-
-    /**
-     * Functionally retire every periodic refresh due up to cycle @p to:
-     * the per-rank sweep pointers advance and each elapsed REF fires
-     * onPeriodicRefresh and the mitigation's onPeriodicRefresh hook at
-     * its scheduled cycle — so tracking tables reset on their normal
-     * cadence even though no commands issue. Finishes by advancing the
-     * mitigation's timed state (advanceTo) and the observer timestamp
-     * to @p to.
-     */
-    void fastForwardTo(Cycle to);
 
     /** Fires when read data is fully returned. */
     // bh-audit: skip(onReadComplete) -- wiring callback installed by System

@@ -1,6 +1,5 @@
 #include "sim/experiment.h"
 
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -10,7 +9,6 @@
 #include "common/env.h"
 #include "common/log.h"
 #include "common/snapshot.h"
-#include "sim/parallel_for.h"
 #include "sim/redteam.h"
 #include "sim/result_store.h"
 #include "stats/json_stats.h"
@@ -134,8 +132,6 @@ resolveExperimentConfig(const ExperimentConfig &config)
         resolved.instructions = defaultInstructions();
     if (resolved.bh.window == 0)
         resolved.bh = scaledBreakHammerConfig(resolved.instructions);
-    if (!resolved.sample.enabled())
-        resolved.sample = SamplingSpec{}; // Partial specs mean "exact".
     if (resolved.channels == 0)
         resolved.channels = 1;
     if (resolved.ranks == 0)
@@ -181,376 +177,6 @@ systemConfigFor(const ExperimentConfig &cfg)
     return sys;
 }
 
-/**
- * Two-sided 95% Student-t critical value for @p df degrees of freedom
- * (small-sample window counts need the fat tails; beyond 30 the normal
- * 1.96 is within half a percent).
- */
-double
-tCritical95(std::uint64_t df)
-{
-    static const double table[30] = {
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306,
-        2.262,  2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120,
-        2.110,  2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
-        2.060,  2.056, 2.052, 2.048, 2.045, 2.042};
-    if (df == 0)
-        return 0.0;
-    if (df <= 30)
-        return table[df - 1];
-    return 1.96;
-}
-
-/** Mean and 95% CI half-width of one per-window metric series. */
-SampledMetric
-summarizeWindows(const std::vector<double> &xs)
-{
-    SampledMetric m;
-    if (xs.empty())
-        return m;
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    m.mean = sum / static_cast<double>(xs.size());
-    if (xs.size() < 2)
-        return m;
-    double ss = 0.0;
-    for (double x : xs) {
-        double d = x - m.mean;
-        ss += d * d;
-    }
-    double var = ss / static_cast<double>(xs.size() - 1);
-    m.ci95 = tCritical95(xs.size() - 1) *
-             std::sqrt(var / static_cast<double>(xs.size()));
-    return m;
-}
-
-/**
- * The interval-sampled estimator behind runExperiment(): one ancestor
- * System runs the detailed warm-up, then walks the rest of the horizon
- * functionally ONCE, dropping an in-memory snapshot blob at each
- * window's warm-start — total fast-forward work is O(horizon), where
- * re-fast-forwarding every window from the shared warm-up snapshot
- * would be O(nwin * horizon). The blobs then fan out to nwin
- * independent detailed windows (optionally across ctx.samplingJobs
- * worker threads); window k's work — restore blob k, detailed re-warm
- * W, detailed measure M — is a pure function of k, so results are
- * byte-identical for every job count. Headline metrics anchor on the
- * exactly-measured warm-up and extend it at the steady-state window
- * rates; window spread becomes the 95% CIs in `sampling`.
- */
-ExperimentResult
-runSampledExperiment(const ExperimentConfig &cfg, const RunContext &ctx)
-{
-    const SamplingSpec &sp = cfg.sample;
-    const std::uint64_t insts = cfg.instructions;
-    const std::uint64_t stride =
-        sp.fastForward + sp.warmup + sp.measure;
-    const std::uint64_t nwin = (insts - sp.warmup) / stride;
-    BH_ASSERT(nwin > 0, "caller checked a window fits the horizon");
-
-    SystemConfig sys = systemConfigFor(cfg);
-
-    // One shared ancestor: the detailed warm-up, then a single serial
-    // functional pass over the horizon. Each window's warm-start state
-    // is captured as an in-memory snapshot blob along the way; the
-    // ancestor itself never runs the detailed phases (the workers fork
-    // those from the blobs), so between two snapshots it fast-forwards
-    // a full stride.
-    System ancestor(sys, cfg.mix.slots);
-    RunResult warm_res =
-        ancestor.run(sp.warmup, sp.warmup * 150 + 1000000);
-    std::vector<std::string> blobs(nwin);
-    for (std::uint64_t k = 0; k < nwin; ++k) {
-        ancestor.fastForward(k == 0 ? sp.fastForward : stride);
-        blobs[k] = ancestor.snapshotBlob();
-    }
-
-    // Solo denominators, resolved before the fan-out so the window
-    // workers only ever read the cache.
-    std::vector<double> alone;
-    for (const std::string &app : benignApps(cfg.mix))
-        alone.push_back(soloIpc(app, insts, ctx));
-
-    struct WindowOutcome
-    {
-        std::vector<double> coreIpcs; ///< All cores, benign and attacker.
-        std::vector<double> coreRetired;
-        std::vector<double> coreRejectStalls;
-        double ws = 0.0;
-        double maxsd = 0.0;
-        double preventive = 0.0;
-        double demand = 0.0;
-        double quotaRej = 0.0;
-        double suspect = 0.0;
-        double energy = 0.0;
-        double preventiveEnergy = 0.0;
-        double cycles = 0.0;
-        double p99 = 0.0;
-        Histogram hist{2.0, 4096};
-        std::vector<double> bhScores;
-        std::vector<unsigned> bhQuotas;
-        std::vector<std::string> names;
-        std::vector<bool> benign;
-        bool capped = false;
-        bool valid = false;
-    };
-    std::vector<WindowOutcome> wins(nwin);
-
-    auto runWindow = [&](System &sim, std::uint64_t k) {
-        std::string err;
-        bool restored = sim.restoreSnapshotBlob(blobs[k], &err);
-        BH_ASSERT(restored, "own snapshot blob must restore");
-        (void)restored;
-        Cycle phase_cap = std::max<Cycle>(
-            (sp.warmup + sp.measure) * 150, 1000000);
-        RunResult w = sim.runDelta(sp.warmup, phase_cap);
-        RunResult m = sim.runDelta(sp.measure, phase_cap);
-
-        WindowOutcome &out = wins[k];
-        out.capped = w.hitCycleCap || m.hitCycleCap;
-        double span = static_cast<double>(
-            m.cycles > w.cycles ? m.cycles - w.cycles : 1);
-        out.cycles = span;
-
-        std::vector<double> benign_ipcs;
-        for (std::size_t i = 0; i < m.cores.size(); ++i) {
-            double retired_delta =
-                static_cast<double>(m.cores[i].retired) -
-                static_cast<double>(w.cores[i].retired);
-            double ipc;
-            if (m.cores[i].benign && m.cores[i].finishCycle > w.cycles) {
-                // The measured phase ran [w.cycles+1, finishCycle].
-                ipc = static_cast<double>(sp.measure) /
-                      static_cast<double>(m.cores[i].finishCycle -
-                                          w.cycles);
-            } else {
-                // Capped window: progress rate over the phase span.
-                ipc = retired_delta / span;
-            }
-            out.coreIpcs.push_back(ipc);
-            out.coreRetired.push_back(retired_delta);
-            out.coreRejectStalls.push_back(
-                static_cast<double>(m.cores[i].rejectStalls) -
-                static_cast<double>(w.cores[i].rejectStalls));
-            out.names.push_back(m.cores[i].name);
-            out.benign.push_back(m.cores[i].benign);
-            if (m.cores[i].benign)
-                benign_ipcs.push_back(ipc);
-        }
-
-        // Weighted speedup / max slowdown of this window (inline: a
-        // capped window can report a zero IPC, which the metrics-layer
-        // helpers assert against).
-        BH_ASSERT(benign_ipcs.size() == alone.size(),
-                  "solo denominators must match benign slots");
-        for (std::size_t i = 0; i < benign_ipcs.size(); ++i) {
-            double a = alone[i] > 0.0 ? alone[i] : 1.0;
-            out.ws += benign_ipcs[i] / a;
-            double sd = a / std::max(benign_ipcs[i], 1e-12);
-            out.maxsd = std::max(out.maxsd, sd);
-        }
-
-        out.preventive = static_cast<double>(m.preventiveActions) -
-                         static_cast<double>(w.preventiveActions);
-        out.demand = static_cast<double>(m.demandActs) -
-                     static_cast<double>(w.demandActs);
-        out.quotaRej = static_cast<double>(m.quotaRejections) -
-                       static_cast<double>(w.quotaRejections);
-        out.suspect = static_cast<double>(m.suspectMarks) -
-                      static_cast<double>(w.suspectMarks);
-        out.energy = m.energyNj - w.energyNj;
-        out.preventiveEnergy =
-            m.preventiveEnergyNj - w.preventiveEnergyNj;
-
-        // This window's latency distribution: the cumulative histograms
-        // differenced bin by bin.
-        const std::vector<std::uint64_t> &mb =
-            m.benignReadLatencyNs.rawBins();
-        const std::vector<std::uint64_t> &wb =
-            w.benignReadLatencyNs.rawBins();
-        std::vector<std::uint64_t> diff(mb.size(), 0);
-        for (std::size_t i = 0; i < mb.size(); ++i)
-            diff[i] = mb[i] - wb[i];
-        out.hist = Histogram::fromRaw(
-            m.benignReadLatencyNs.binWidth(), std::move(diff),
-            m.benignReadLatencyNs.sum() - w.benignReadLatencyNs.sum(),
-            m.benignReadLatencyNs.max());
-        out.p99 = out.hist.percentile(99);
-
-        out.bhScores = m.bhScores;
-        out.bhQuotas = m.bhQuotas;
-        out.valid = true;
-    };
-
-    // Each worker drives ONE System and restores successive blobs into
-    // it: a snapshot carries the complete mutable state (the checkpoint
-    // tests enforce bit-exact resume into a fresh System), so window k's
-    // outcome is a pure function of blobs[k] no matter which worker —
-    // or how warm a System — runs it. Windows are striped, not stolen:
-    // they cost roughly the same, and striping keeps the per-worker
-    // System without any queue bookkeeping. Worker 0 recycles the
-    // ancestor (its FF chain is done; the restore overwrites all state),
-    // sparing one System construction on every sampled point.
-    const unsigned jobs = std::max(1u, ctx.samplingJobs);
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::uint64_t>(jobs, nwin));
-    parallelFor(workers, workers, [&](std::size_t wk) {
-        std::unique_ptr<System> local;
-        if (wk != 0)
-            local = std::make_unique<System>(sys, cfg.mix.slots);
-        System &sim = wk == 0 ? ancestor : *local;
-        for (std::uint64_t k = wk; k < nwin; k += workers)
-            runWindow(sim, k);
-    });
-
-    // Aggregate in window-index order — never completion order — so the
-    // result is a pure function of the config.
-    std::vector<double> wss, sds, prevs, p99s;
-    double prev_sum = 0, demand_sum = 0, quota_sum = 0, suspect_sum = 0;
-    double energy_sum = 0, prev_energy_sum = 0;
-    std::vector<double> stalls_sum, ipc_sum;
-    Histogram merged{2.0, 4096};
-    bool any_capped = false;
-    for (const WindowOutcome &win : wins) {
-        BH_ASSERT(win.valid, "every sampling window must complete");
-        wss.push_back(win.ws);
-        sds.push_back(win.maxsd);
-        prevs.push_back(win.preventive);
-        p99s.push_back(win.p99);
-        prev_sum += win.preventive;
-        demand_sum += win.demand;
-        quota_sum += win.quotaRej;
-        suspect_sum += win.suspect;
-        energy_sum += win.energy;
-        prev_energy_sum += win.preventiveEnergy;
-        if (stalls_sum.empty()) {
-            stalls_sum.resize(win.coreRetired.size(), 0.0);
-            ipc_sum.resize(win.coreRetired.size(), 0.0);
-        }
-        for (std::size_t i = 0; i < win.coreRetired.size(); ++i) {
-            stalls_sum[i] += win.coreRejectStalls[i];
-            ipc_sum[i] += win.coreIpcs[i];
-        }
-        merged.merge(win.hist);
-        any_capped = any_capped || win.capped;
-    }
-
-    ExperimentResult out;
-    out.sampling.enabled = true;
-    out.sampling.warmup = sp.warmup;
-    out.sampling.measure = sp.measure;
-    out.sampling.fastForward = sp.fastForward;
-    out.sampling.windows = nwin;
-    out.sampling.weightedSpeedup = summarizeWindows(wss);
-    out.sampling.maxSlowdown = summarizeWindows(sds);
-    out.sampling.preventiveActions = summarizeWindows(prevs);
-    out.sampling.p99LatencyNs = summarizeWindows(p99s);
-
-    // Headline metrics anchor on the ancestor's exactly-measured warm-up
-    // and extend it at the steady-state window rates. A pure window mean
-    // would stamp the steady state across the whole horizon and miss the
-    // cold-start transient that exact runs include (empty caches, idle
-    // row trackers), which biases WS high and ACT counts low. The
-    // `sampling` block above intentionally stays a pure per-window
-    // statistic, so its mean is the steady-state value, not the
-    // headline estimate.
-    const double nwin_d = static_cast<double>(nwin);
-    const double tail_insts = static_cast<double>(insts - sp.warmup);
-    const double tail_scale =
-        tail_insts / static_cast<double>(sp.measure);
-    auto extrapolate = [&](double warm_exact, double window_sum) {
-        return warm_exact + window_sum / nwin_d * tail_scale;
-    };
-
-    const std::size_t ncores = wins.back().names.size();
-    BH_ASSERT(warm_res.cores.size() == ncores,
-              "warm-up cores must match window cores");
-
-    // Per-core completion estimate: the warm-up finish cycle is exact;
-    // the remaining (insts - W) instructions proceed at the mean
-    // detailed-window IPC.
-    std::vector<double> est_cycles(ncores, 0.0);
-    double max_benign_cycles = 1.0;
-    for (std::size_t i = 0; i < ncores; ++i) {
-        double warm_finish =
-            warm_res.cores[i].finishCycle > 0
-                ? static_cast<double>(warm_res.cores[i].finishCycle)
-                : static_cast<double>(warm_res.cycles);
-        double mean_ipc = std::max(ipc_sum[i] / nwin_d, 1e-12);
-        est_cycles[i] = warm_finish + tail_insts / mean_ipc;
-        if (wins.back().benign[i])
-            max_benign_cycles =
-                std::max(max_benign_cycles, est_cycles[i]);
-    }
-
-    out.energyNj = extrapolate(warm_res.energyNj, energy_sum);
-    out.preventiveActions = static_cast<std::uint64_t>(std::llround(
-        extrapolate(static_cast<double>(warm_res.preventiveActions),
-                    prev_sum)));
-
-    out.raw.cycles =
-        static_cast<Cycle>(std::llround(max_benign_cycles));
-    out.raw.energyNj = out.energyNj;
-    out.raw.preventiveEnergyNj =
-        extrapolate(warm_res.preventiveEnergyNj, prev_energy_sum);
-    out.raw.preventiveActions = out.preventiveActions;
-    out.raw.demandActs = static_cast<std::uint64_t>(std::llround(
-        extrapolate(static_cast<double>(warm_res.demandActs),
-                    demand_sum)));
-    out.raw.quotaRejections = static_cast<std::uint64_t>(std::llround(
-        extrapolate(static_cast<double>(warm_res.quotaRejections),
-                    quota_sum)));
-    out.raw.suspectMarks = static_cast<std::uint64_t>(std::llround(
-        extrapolate(static_cast<double>(warm_res.suspectMarks),
-                    suspect_sum)));
-    out.raw.hitCycleCap = any_capped;
-    out.raw.benignReadLatencyNs = merged;
-    out.raw.bhScores = wins.back().bhScores;
-    out.raw.bhQuotas = wins.back().bhQuotas;
-
-    double ws = 0.0, maxsd = 0.0;
-    std::size_t bi = 0;
-    for (std::size_t i = 0; i < ncores; ++i) {
-        CoreResult cr;
-        cr.name = wins.back().names[i];
-        cr.benign = wins.back().benign[i];
-        if (cr.benign) {
-            double ipc = static_cast<double>(insts) / est_cycles[i];
-            double a =
-                bi < alone.size() && alone[bi] > 0.0 ? alone[bi] : 1.0;
-            ws += ipc / a;
-            maxsd = std::max(maxsd, a / std::max(ipc, 1e-12));
-            ++bi;
-            cr.ipc = ipc;
-            cr.retired = insts;
-            cr.finishCycle =
-                static_cast<Cycle>(std::llround(est_cycles[i]));
-        } else {
-            // The attacker runs until the slowest benign core finishes;
-            // extend its warm-up progress at the mean window rate.
-            double rate = std::max(ipc_sum[i] / nwin_d, 0.0);
-            double retired =
-                static_cast<double>(warm_res.cores[i].retired) +
-                rate * std::max(max_benign_cycles -
-                                    static_cast<double>(warm_res.cycles),
-                                0.0);
-            cr.retired = static_cast<std::uint64_t>(
-                std::llround(std::max(retired, 0.0)));
-            cr.ipc = retired / max_benign_cycles;
-            cr.finishCycle = 0;
-        }
-        cr.rejectStalls = static_cast<std::uint64_t>(std::llround(
-            extrapolate(
-                static_cast<double>(warm_res.cores[i].rejectStalls),
-                stalls_sum[i])));
-        out.raw.cores.push_back(std::move(cr));
-    }
-    out.weightedSpeedup = ws;
-    out.maxSlowdown = maxsd;
-    return out;
-}
-
 } // namespace
 
 ExperimentResult
@@ -560,7 +186,7 @@ runExperiment(const ExperimentConfig &config, const RunContext &ctx)
     std::uint64_t insts = cfg.instructions;
 
     // Red-team probes rewrite the mix's attacker slots into adaptive
-    // traces before either run path constructs a System. The rewrite is
+    // traces before the System is constructed. The rewrite is
     // part of the config identity (the `|rt=` key suffix), so a probe
     // can never be served a canonical fixed-attacker record.
     if (!cfg.redteam.empty()) {
@@ -568,29 +194,6 @@ runExperiment(const ExperimentConfig &config, const RunContext &ctx)
         if (!parseRedteamStrategy(cfg.redteam, &strategy))
             BH_FATAL("malformed redteam strategy spec");
         applyRedteamStrategy(strategy, &cfg.mix.slots);
-    }
-
-    if (cfg.sample.enabled()) {
-        std::uint64_t stride =
-            cfg.sample.fastForward + cfg.sample.warmup + cfg.sample.measure;
-        bool fits = insts > cfg.sample.warmup &&
-                    (insts - cfg.sample.warmup) / stride > 0;
-        if (cfg.oracle) {
-            // The oracle audits every activation; a fast-forwarded
-            // interval has no exact activation stream to audit, so
-            // oracle points always run exact.
-            BH_LOG("sampling disabled for oracle point %s",
-                   cfg.mix.name.c_str());
-        } else if (!fits) {
-            BH_LOG("sampling spec %llu/%llu/%llu has no window within "
-                   "%llu insts; running exact",
-                   static_cast<unsigned long long>(cfg.sample.warmup),
-                   static_cast<unsigned long long>(cfg.sample.measure),
-                   static_cast<unsigned long long>(cfg.sample.fastForward),
-                   static_cast<unsigned long long>(insts));
-        } else {
-            return runSampledExperiment(cfg, ctx);
-        }
     }
 
     SystemConfig sys = systemConfigFor(cfg);
@@ -680,23 +283,10 @@ experimentKey(const ExperimentConfig &config)
         config.oracle ? 1 : 0, config.bluntThrottle ? 1 : 0,
         static_cast<unsigned long long>(config.seed));
     std::string key = buf;
-    // Appended only when sampling is on: every pre-sampling key (and
-    // every exact run's key) stays byte-identical, so existing store
-    // records keep their content addresses while sampled results can
-    // never alias an exact record of the same point.
-    if (config.sample.enabled()) {
-        char sbuf[80];
-        std::snprintf(
-            sbuf, sizeof(sbuf), "|sample=%llu/%llu/%llu",
-            static_cast<unsigned long long>(config.sample.warmup),
-            static_cast<unsigned long long>(config.sample.measure),
-            static_cast<unsigned long long>(config.sample.fastForward));
-        key += sbuf;
-    }
-    // Same append-only rule for the organization: only non-default
-    // channel/rank counts are spelled out (0 = unresolved default), so
-    // single-channel records keep their addresses while multi-channel
-    // runs can never alias them.
+    // Suffixes are append-only: only non-default channel/rank counts
+    // are spelled out (0 = unresolved default), so single-channel
+    // records keep their addresses while multi-channel runs can never
+    // alias them.
     bool nondefault_channels = config.channels > 1;
     bool nondefault_ranks = config.ranks != 0 && config.ranks != 2;
     if (nondefault_channels || nondefault_ranks) {
@@ -707,7 +297,7 @@ experimentKey(const ExperimentConfig &config)
         key += obuf;
     }
     // Red-team probes carry their canonical strategy spec. Append-only
-    // like the blocks above: canonical figure records (empty redteam)
+    // like the block above: canonical figure records (empty redteam)
     // keep their addresses, and no probe can ever alias them.
     if (!config.redteam.empty())
         key += "|rt=" + config.redteam;
@@ -752,28 +342,6 @@ experimentResultToJson(const ExperimentConfig &config,
     out.set("max_slowdown", result.maxSlowdown);
     out.set("energy_nj", result.energyNj);
     out.set("preventive_actions", result.preventiveActions);
-
-    // Present only for interval-sampled runs: the window parameters and
-    // mean ± 95% CI for every sampled headline metric.
-    if (result.sampling.enabled) {
-        auto metric = [](const SampledMetric &m) {
-            JsonValue v = JsonValue::object();
-            v.set("mean", m.mean);
-            v.set("ci95", m.ci95);
-            return v;
-        };
-        JsonValue s = JsonValue::object();
-        s.set("warmup", result.sampling.warmup);
-        s.set("measure", result.sampling.measure);
-        s.set("fast_forward", result.sampling.fastForward);
-        s.set("windows", result.sampling.windows);
-        s.set("weighted_speedup", metric(result.sampling.weightedSpeedup));
-        s.set("max_slowdown", metric(result.sampling.maxSlowdown));
-        s.set("preventive_actions",
-              metric(result.sampling.preventiveActions));
-        s.set("p99_latency_ns", metric(result.sampling.p99LatencyNs));
-        out.set("sampling", std::move(s));
-    }
 
     // Present only for red-team probes: the strategy spec and the
     // per-thread demand-ACT split the fuzzer's evasion fitness divides
@@ -883,20 +451,6 @@ histogramJsonIsWellFormed(const JsonValue &v)
     return true;
 }
 
-/** Parse a {"mean": x, "ci95": y} sampled-metric object. */
-bool
-sampledMetricFromJson(const JsonValue &v, SampledMetric *out)
-{
-    const JsonValue *mean =
-        typedMember(v, "mean", JsonValue::Type::kNumber);
-    const JsonValue *ci = typedMember(v, "ci95", JsonValue::Type::kNumber);
-    if (mean == nullptr || ci == nullptr)
-        return false;
-    out->mean = mean->asDouble();
-    out->ci95 = ci->asDouble();
-    return true;
-}
-
 } // namespace
 
 bool
@@ -959,43 +513,8 @@ experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
     r.energyNj = energy->asDouble();
     r.preventiveActions = prev->asU64();
 
-    // The sampling block is optional (exact records lack it), but when
-    // present it must be complete — a truncated one is corruption.
-    if (const JsonValue *sampling = v.find("sampling")) {
-        const JsonValue *warmup =
-            typedMember(*sampling, "warmup", Type::kNumber);
-        const JsonValue *measure =
-            typedMember(*sampling, "measure", Type::kNumber);
-        const JsonValue *ff =
-            typedMember(*sampling, "fast_forward", Type::kNumber);
-        const JsonValue *windows =
-            typedMember(*sampling, "windows", Type::kNumber);
-        const JsonValue *sws =
-            typedMember(*sampling, "weighted_speedup", Type::kObject);
-        const JsonValue *ssd =
-            typedMember(*sampling, "max_slowdown", Type::kObject);
-        const JsonValue *sprev =
-            typedMember(*sampling, "preventive_actions", Type::kObject);
-        const JsonValue *sp99 =
-            typedMember(*sampling, "p99_latency_ns", Type::kObject);
-        if (!warmup || !measure || !ff || !windows || !sws || !ssd ||
-            !sprev || !sp99)
-            return false;
-        r.sampling.enabled = true;
-        r.sampling.warmup = warmup->asU64();
-        r.sampling.measure = measure->asU64();
-        r.sampling.fastForward = ff->asU64();
-        r.sampling.windows = windows->asU64();
-        if (!sampledMetricFromJson(*sws, &r.sampling.weightedSpeedup) ||
-            !sampledMetricFromJson(*ssd, &r.sampling.maxSlowdown) ||
-            !sampledMetricFromJson(*sprev,
-                                   &r.sampling.preventiveActions) ||
-            !sampledMetricFromJson(*sp99, &r.sampling.p99LatencyNs))
-            return false;
-    }
-
-    // The redteam block is likewise optional-but-complete (only probe
-    // records carry it).
+    // The redteam block is optional (only probe records carry it), but
+    // when present it must be complete: a truncated one is corruption.
     if (const JsonValue *redteam = v.find("redteam")) {
         const JsonValue *spec =
             typedMember(*redteam, "spec", Type::kString);

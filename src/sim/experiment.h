@@ -11,12 +11,11 @@
  * from the environment: BH_INSTS (instructions per benign core), BH_MIXES
  * (mixes per class), BH_FULL (full N_RH sweep).
  *
- * How a point runs — checkpointing, a progress callback, where freshly
- * simulated solo IPCs go, and how many threads a sampled point may use —
- * is a RunContext the caller passes to runExperiment() and soloIpc().
- * None of it changes a result. The ResultStore owns the context its
- * figures, shards and coordinator run under; the sweep worker builds one
- * per lease.
+ * How a point runs — checkpointing, a progress callback, and where
+ * freshly simulated solo IPCs go — is a RunContext the caller passes to
+ * runExperiment() and soloIpc(). None of it changes a result. The
+ * ResultStore owns the context its figures, shards and coordinator run
+ * under; the sweep worker builds one per lease.
  */
 #pragma once
 
@@ -30,28 +29,6 @@
 #include "stats/json.h"
 
 namespace bh {
-
-/**
- * Statistical interval-sampling parameters (SMARTS-style), in
- * instructions per benign core. A run samples the horizon as
- * [detailed warm-up of W insts] followed by repeating
- * [fast-forward F][detailed warm W][detailed measure M] windows; only
- * the M phases contribute to the reported metrics, each an independent
- * estimate whose spread yields a 95% confidence interval. All three
- * must be positive for sampling to engage.
- */
-struct SamplingSpec
-{
-    std::uint64_t warmup = 0;      ///< W: detailed warm insts per window.
-    std::uint64_t measure = 0;     ///< M: measured detailed insts.
-    std::uint64_t fastForward = 0; ///< F: functionally-warmed insts.
-
-    bool
-    enabled() const
-    {
-        return warmup > 0 && measure > 0 && fastForward > 0;
-    }
-};
 
 /** One experiment point. */
 struct ExperimentConfig
@@ -77,13 +54,6 @@ struct ExperimentConfig
     unsigned channels = 0;
     unsigned ranks = 0;
     /**
-     * Interval sampling; disabled (exact simulation) by default. When
-     * disabled here, a ResultStore folds in its ConfigDefaults' spec.
-     * Part of experimentKey(), so sampled and exact results never alias
-     * in the ResultStore.
-     */
-    SamplingSpec sample;
-    /**
      * Red-team attacker strategy (canonical spec string of
      * sim/redteam.h, e.g. "pat=many,obs=64,bub=64,grp=1,ho=0"); empty =
      * canonical fixed attackers. When set, runExperiment() rewrites the
@@ -94,34 +64,6 @@ struct ExperimentConfig
     std::string redteam;
 };
 
-/** A sampled metric: the mean across measurement windows and its CI. */
-struct SampledMetric
-{
-    double mean = 0.0;
-    double ci95 = 0.0; ///< Half-width of the 95% confidence interval.
-};
-
-/**
- * Per-window statistics of a sampled run. The headline metrics of the
- * owning ExperimentResult are the means; this carries the uncertainty
- * (mean ± ci95) the JSON export reports next to every sampled metric.
- * preventiveActions and p99LatencyNs are per-window quantities (counts
- * within one M-instruction measurement, latency percentile of one
- * window's samples), not whole-horizon extrapolations.
- */
-struct SamplingStats
-{
-    bool enabled = false;
-    std::uint64_t warmup = 0;
-    std::uint64_t measure = 0;
-    std::uint64_t fastForward = 0;
-    std::uint64_t windows = 0;
-    SampledMetric weightedSpeedup;
-    SampledMetric maxSlowdown;
-    SampledMetric preventiveActions;
-    SampledMetric p99LatencyNs;
-};
-
 /** Metrics of one run, alongside the raw result. */
 struct ExperimentResult
 {
@@ -130,8 +72,6 @@ struct ExperimentResult
     double maxSlowdown = 0.0;
     double energyNj = 0.0;
     std::uint64_t preventiveActions = 0;
-    /** Present (enabled = true) only for interval-sampled runs. */
-    SamplingStats sampling;
 };
 
 /** Default per-benign-core instruction count (BH_INSTS, default 150k). */
@@ -172,15 +112,14 @@ struct CheckpointSpec
 };
 
 /**
- * Mid-simulation progress callback. When set, an exact runExperiment()
+ * Mid-simulation progress callback. When set, a runExperiment()
  * simulation invokes @p fn from inside the run loop each time the
  * slowest benign core's retired-instruction count crosses a multiple of
  * everyInsts — observation only, results are bit-identical with or
  * without it. The sweep-service worker (svc/worker.h) uses this to
  * heartbeat its coordinator lease while a long simulation blocks the
  * thread; the fn must therefore be cheap and must not call back into
- * runExperiment(). Sampled runs do not fire it (their window loop owns
- * the run); lease deadlines must cover them.
+ * runExperiment().
  */
 struct ProgressHook
 {
@@ -206,21 +145,14 @@ using SoloSink = std::function<void(const std::string &app,
 
 /**
  * How one runExperiment() / soloIpc() call runs, passed explicitly. The
- * default context runs exact, uncheckpointed and unobserved, on one
- * thread. No member changes a result.
+ * default context runs uncheckpointed and unobserved. No member changes
+ * a result.
  */
 struct RunContext
 {
     CheckpointSpec checkpoint;
     ProgressHook progress;
     SoloSink soloSink;
-    /**
-     * Worker threads a sampled run may fan its measurement windows
-     * across (intra-point parallelism). Window results are slotted by
-     * window index and aggregated in that order, so sampled results are
-     * byte-identical for every count.
-     */
-    unsigned samplingJobs = 1;
 };
 
 /**

@@ -1,8 +1,7 @@
 /**
  * @file
  * Work-stealing parallelFor, the one parallel primitive: ResultStore::
- * prefetch runs grids on it (inter-point parallelism) and the
- * interval sampler its measurement windows (intra-point).
+ * prefetch runs grids on it, one simulation point per task.
  *
  * Tasks are simulation runs lasting milliseconds to seconds, so a
  * mutex-per-deque pool is plenty cheap relative to task granularity.

@@ -28,7 +28,6 @@ ResultStore::ResultStore(unsigned threads)
     : threads(threads ? threads
                       : std::max(1u, std::thread::hardware_concurrency()))
 {
-    context.samplingJobs = this->threads;
 }
 
 ResultStore::~ResultStore()
@@ -281,8 +280,6 @@ ResultStore::resolve(const ExperimentConfig &config) const
     // other field's resolution reads them, so they can land after
     // resolveExperimentConfig() without a second copy of the config.
     ExperimentConfig resolved = resolveExperimentConfig(config);
-    if (!config.sample.enabled() && defaults.sample.enabled())
-        resolved.sample = defaults.sample;
     if (config.channels == 0 && defaults.channels != 0)
         resolved.channels = defaults.channels;
     if (config.ranks == 0 && defaults.ranks != 0)

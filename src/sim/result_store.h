@@ -34,10 +34,9 @@
  * one.
  *
  * The store also owns how its points run: the ConfigDefaults it folds
- * into every config it resolves (the CLI's --sample/--channels/--ranks)
- * and the RunContext its simulations run under (checkpointing, sampled
- * windows fanned over the store's threads). Solo-IPC runs (the
- * weighted-speedup denominators) persist through the same file: open()
+ * into every config it resolves (the CLI's --channels/--ranks) and the
+ * RunContext its simulations run under (checkpointing). Solo-IPC runs
+ * (the weighted-speedup denominators) persist through the same file: open()
  * primes the shared solo cache from "solo" records and points the
  * context's solo sink at an append of each freshly computed solo IPC.
  */
@@ -57,14 +56,13 @@ namespace bh {
 
 /**
  * Scale defaults a ResultStore folds into every config that leaves the
- * field unset (the bh_bench --sample, --channels and --ranks flags).
+ * field unset (the bh_bench --channels and --ranks flags).
  * Solo-IPC baselines deliberately stay on the default single-channel
  * organization: weighted speedup compares against the same denominator
  * across the channel-count axis.
  */
 struct ConfigDefaults
 {
-    SamplingSpec sample;   ///< Used where a config's own is disabled.
     unsigned channels = 0; ///< 0 = the DDR5 default (1 channel).
     unsigned ranks = 0;    ///< 0 = the DDR5 default (2 ranks).
 };
@@ -100,10 +98,7 @@ class ResultStore
      */
     static constexpr std::uint64_t kSchemaVersion = 2;
 
-    /**
-     * @param threads Worker threads for prefetch() grids and for the
-     *        measurement windows of each sampled point.
-     */
+    /** @param threads Worker threads for prefetch() grids. */
     explicit ResultStore(unsigned threads = 1);
     ~ResultStore();
 

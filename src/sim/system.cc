@@ -1,7 +1,6 @@
 #include "sim/system.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/env.h"
@@ -655,224 +654,6 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
     return result;
 }
 
-// --- Statistical-sampling fast-forward ---------------------------------
-
-namespace {
-
-/**
- * Mitigation host swapped in during fastForward(): preventive actions
- * have no timing or energy cost (there is no detailed controller to
- * absorb them), but the observer notifications and row protections the
- * MemoryController would emit still fire, so BreakHammer's
- * scores/quotas and the oracle's counters keep evolving through the
- * skipped interval — the "functional warming" of the mitigation state.
- */
-class FastForwardHost : public IMitigationHost
-{
-  public:
-    IActionObserver *observer = nullptr;
-    HammerOracle *oracle = nullptr;
-    Cycle now = 0;
-
-    void
-    performVictimRefresh(unsigned flat_bank, unsigned row,
-                         double weight) override
-    {
-        if (observer != nullptr)
-            observer->onPreventiveAction(weight, now);
-        if (oracle != nullptr)
-            oracle->onRowProtected(flat_bank, row);
-    }
-
-    void
-    performMigration(unsigned flat_bank, unsigned row) override
-    {
-        if (observer != nullptr)
-            observer->onPreventiveAction(1.0, now);
-        if (oracle != nullptr)
-            oracle->onRowProtected(flat_bank, row);
-    }
-
-    void
-    performRfm(unsigned flat_bank, double weight) override
-    {
-        (void)flat_bank;
-        if (observer != nullptr)
-            observer->onPreventiveAction(weight, now);
-    }
-
-    void
-    performAlertBackoff(unsigned rfms, double weight) override
-    {
-        (void)rfms;
-        if (observer != nullptr)
-            observer->onPreventiveAction(weight, now);
-    }
-
-    void
-    performTrackerAccess(unsigned flat_bank, Cycle duration,
-                         double weight) override
-    {
-        (void)flat_bank;
-        (void)duration;
-        if (observer != nullptr)
-            observer->onPreventiveAction(weight, now);
-    }
-
-    void
-    notifyRowProtected(unsigned flat_bank, unsigned row) override
-    {
-        if (oracle != nullptr)
-            oracle->onRowProtected(flat_bank, row);
-    }
-
-    void
-    creditDirectScore(ThreadId thread, double amount) override
-    {
-        if (observer != nullptr)
-            observer->onDirectScore(thread, amount, now);
-    }
-};
-
-} // namespace
-
-void
-System::fastForward(std::uint64_t delta_insts)
-{
-    if (delta_insts == 0)
-        return;
-    BH_ASSERT(now > 0, "fast-forward needs a prior detailed phase");
-    resumePending_ = false;
-
-    // Per-core functional rates, estimated from the whole detailed
-    // history so far; the slowest benign core's rate converts the
-    // instruction delta into the interval's cycle span.
-    std::vector<double> rate(cores.size(), 0.0);
-    double slowest_benign = 0.0;
-    for (unsigned i = 0; i < cores.size(); ++i) {
-        rate[i] = static_cast<double>(cores[i]->retired()) /
-                  static_cast<double>(now);
-        if (cores[i]->benign() && rate[i] > 0.0 &&
-            (slowest_benign == 0.0 || rate[i] < slowest_benign))
-            slowest_benign = rate[i];
-    }
-    BH_ASSERT(slowest_benign > 0.0,
-              "fast-forward needs a benign core with warm progress");
-    Cycle ff_cycles = static_cast<Cycle>(std::ceil(
-        static_cast<double>(delta_insts) / slowest_benign));
-    const Cycle start = now;
-    const Cycle end = start + ff_cycles;
-
-    std::vector<std::uint64_t> total(cores.size(), 0);
-    for (unsigned i = 0; i < cores.size(); ++i)
-        total[i] = static_cast<std::uint64_t>(
-            rate[i] * static_cast<double>(ff_cycles));
-
-    // Drop all in-flight timing state as one coupled set: a stale
-    // completion routed to a cleared core slot would be fatal.
-    mshr.clearInflight();
-    for (auto &mc : mcs)
-        mc->beginFastForward();
-    for (auto &core : cores)
-        core->resetPipeline();
-
-    // One host per channel so row protections route to that channel's
-    // oracle; BreakHammer observes them all.
-    std::vector<FastForwardHost> hosts(mcs.size());
-    for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
-        hosts[ch].observer = bh.get();
-        hosts[ch].oracle = oracles.empty() ? nullptr : oracles[ch].get();
-        hosts[ch].now = start;
-        if (mitigations[ch])
-            mitigations[ch]->setHost(&hosts[ch]);
-    }
-
-    // Functional open-row table, seeded from the timing engines' last
-    // detailed view, indexed [channel * banks + flat bank]. Row
-    // transitions here are what drive the warming commits below; the
-    // engines' own bank state is left as-is and re-converges during the
-    // detailed warm-up phase that follows.
-    unsigned banks = config_.spec.org.totalBanks();
-    std::vector<long> openRow(mcs.size() * banks, -1);
-    for (std::size_t ch = 0; ch < mcs.size(); ++ch)
-        for (unsigned fb = 0; fb < banks; ++fb) {
-            const BankState &bank = mcs[ch]->engine().bank(fb);
-            if (bank.open)
-                openRow[ch * banks + fb] =
-                    static_cast<long>(bank.openRow);
-        }
-
-    auto dramAccess = [&](Addr addr, ThreadId thread, Cycle at) {
-        DramAddress da = mapper.decode(addr);
-        unsigned fb = mapper.flatBank(da);
-        unsigned ch = da.channel;
-        if (openRow[ch * banks + fb] == static_cast<long>(da.row))
-            return;
-        openRow[ch * banks + fb] = static_cast<long>(da.row);
-        ++demandActsByThread_[thread];
-        if (!oracles.empty())
-            oracles[ch]->onActivate(fb, da.row);
-        if (!censuses.empty())
-            censuses[ch]->recordAct(fb, da.row, at);
-        if (bh)
-            bh->onDemandActivate(thread, fb, at);
-        if (mitigations[ch])
-            mitigations[ch]->commitAct(fb, da.row, thread, at);
-    };
-    auto touch = [&](ThreadId thread, const TraceRecord &r, Cycle at) {
-        if (r.uncached) {
-            dramAccess(r.addr, thread, at);
-            return;
-        }
-        Addr line = lineOf(r.addr);
-        if (llc.access(line, r.isWrite))
-            return;
-        Llc::Victim victim;
-        llc.allocate(line, r.isWrite, &victim);
-        if (victim.dirtyWriteback)
-            dramAccess(victim.writebackLine, thread, at);
-        dramAccess(line, thread, at);
-    };
-
-    // Virtual clock: advance in roll-grid slices so BreakHammer windows,
-    // refresh sweeps, and mitigation epochs keep rolling on their usual
-    // cadence while the cores interleave at their observed rates.
-    std::vector<std::uint64_t> advanced(cores.size(), 0);
-    Cycle t = start;
-    while (t < end) {
-        Cycle next = std::min<Cycle>(end, nextRollCycleAtOrAfter(t + 1));
-        for (auto &host : hosts)
-            host.now = next;
-        for (unsigned i = 0; i < cores.size(); ++i) {
-            std::uint64_t planned =
-                next == end
-                    ? total[i]
-                    : static_cast<std::uint64_t>(
-                          rate[i] * static_cast<double>(next - start));
-            if (planned > total[i])
-                planned = total[i];
-            if (planned > advanced[i]) {
-                ThreadId id = static_cast<ThreadId>(i);
-                cores[i]->functionalAdvance(
-                    planned - advanced[i],
-                    [&](const TraceRecord &r) { touch(id, r, next); });
-                advanced[i] = planned;
-            }
-        }
-        for (auto &mc : mcs)
-            mc->fastForwardTo(next);
-        if (bh && isRollCycle(next))
-            bh->rollWindows(next);
-        t = next;
-    }
-
-    for (std::size_t ch = 0; ch < mcs.size(); ++ch)
-        if (mitigations[ch])
-            mitigations[ch]->setHost(mcs[ch].get());
-    now = end;
-    fillRejectSnapshot(&prevSnap);
-}
-
 // --- Snapshot / checkpoint ---------------------------------------------
 
 void
@@ -1138,8 +919,7 @@ System::restoreSnapshotBlob(const std::string &blob, std::string *error)
         return false;
     }
 
-    // Borrow the payload instead of copying it: blobs are megabytes and
-    // the sampling driver restores one per measurement window.
+    // Borrow the payload instead of copying it: blobs are megabytes.
     StateReader r(std::string_view(blob.data(), blob.size() - 8),
                   StateReader::Borrow{});
     if (r.str() != kSnapshotMagic) {

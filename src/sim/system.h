@@ -225,11 +225,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     bool saveSnapshot(const std::string &path,
                       std::string *error = nullptr) const;
 
-    /**
-     * The saveSnapshot() byte string without the file write: the
-     * statistical-sampling driver keeps one warm ancestor's blob in
-     * memory and restores it into a fresh System per measurement window.
-     */
+    /** The saveSnapshot() byte string without the file write. */
     std::string snapshotBlob() const;
 
     /**
@@ -271,30 +267,13 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * run()) until every benign core retires @p delta_insts MORE
      * instructions than it already has, or @p max_extra_cycles elapse.
      * Unlike run() the clock is not reset and each core gets its own
-     * absolute target, so back-to-back calls chain phases — the
-     * statistical-sampling driver runs an unmeasured warm phase followed
-     * by a measured phase and differences the two RunResults. Per-core
+     * absolute target, so back-to-back calls chain phases — e.g. a caller
+     * polling state between fixed-size slices of one run. Per-core
      * finishCycle() latches are cleared on entry; the returned CoreResult
      * ipc fields are whole-run progress rates (callers derive window IPC
      * from finishCycle deltas).
      */
     RunResult runDelta(std::uint64_t delta_insts, Cycle max_extra_cycles);
-
-    /**
-     * Jump the simulation forward by roughly @p delta_insts per benign
-     * core without detailed timing (SMARTS-style functional warming).
-     * In-flight pipeline/queue state is discarded, then every core
-     * replays its trace functionally at the per-core rate observed so
-     * far while the LLC, the mitigation mechanism's tracking tables,
-     * BreakHammer's windows/scores/quotas, periodic-refresh sweeps, and
-     * the row census all keep evolving; only DRAM timing, latency, and
-     * energy accounting stand still. The clock advances to the cycle the
-     * slowest benign core would have needed. Requires a prior detailed
-     * phase (rates come from retired()/now). Follow with a detailed
-     * warm-up phase (runDelta) before measuring — the drained timing
-     * state and approximate row states need to re-converge.
-     */
-    void fastForward(std::uint64_t delta_insts);
 
     // --- ICoreMemory ---
     AccessOutcome load(ThreadId thread, Addr addr, bool uncached,

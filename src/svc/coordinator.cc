@@ -77,7 +77,7 @@ SweepCoordinator::SweepCoordinator(CoordinatorOptions opts,
 {
     // Content-address dedup happens here, once: two figures sweeping the
     // same point become one leasable unit, exactly as they become one
-    // record in the store. The store's defaults (--sample, --channels)
+    // record in the store. The store's defaults (--channels, --ranks)
     // fold in first, so leases carry what a local run would simulate.
     std::vector<ExperimentConfig> folded;
     for (const ExperimentConfig &config : grid)

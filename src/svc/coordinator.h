@@ -56,8 +56,7 @@ struct CoordinatorOptions
      * Lease lifetime. Each heartbeat (and the grant itself) arms the
      * unit's deadline this far out; a worker that goes silent longer
      * forfeits the unit. Must comfortably exceed the worker's heartbeat
-     * interval, and — for sampled points, which cannot heartbeat
-     * mid-run — the longest single simulation.
+     * interval.
      */
     std::uint64_t leaseTimeoutMs = 30000;
     /**

@@ -109,11 +109,6 @@ experimentConfigToJson(const ExperimentConfig &config)
     out.set("seed", config.seed);
     out.set("channels", config.channels);
     out.set("ranks", config.ranks);
-    JsonValue sample = JsonValue::object();
-    sample.set("warmup", config.sample.warmup);
-    sample.set("measure", config.sample.measure);
-    sample.set("fast_forward", config.sample.fastForward);
-    out.set("sample", std::move(sample));
     out.set("redteam", config.redteam);
     return out;
 }
@@ -148,12 +143,10 @@ experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out)
     const JsonValue *channels =
         member(v, "channels", JsonValue::Type::kNumber);
     const JsonValue *ranks = member(v, "ranks", JsonValue::Type::kNumber);
-    const JsonValue *sample =
-        member(v, "sample", JsonValue::Type::kObject);
     const JsonValue *redteam =
         member(v, "redteam", JsonValue::Type::kString);
     if (!mix || !mech || !nrh || !bh_on || !bh || !insts || !oracle ||
-        !blunt || !seed || !channels || !ranks || !sample || !redteam)
+        !blunt || !seed || !channels || !ranks || !redteam)
         return false;
 
     const JsonValue *mix_name =
@@ -272,18 +265,6 @@ experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out)
                                 ? ScoreAttribution::kWinnerTakesAll
                                 : ScoreAttribution::kProportional;
     config.bh.singleCounterSet = single->asBool();
-
-    const JsonValue *warmup =
-        member(*sample, "warmup", JsonValue::Type::kNumber);
-    const JsonValue *measure =
-        member(*sample, "measure", JsonValue::Type::kNumber);
-    const JsonValue *ff =
-        member(*sample, "fast_forward", JsonValue::Type::kNumber);
-    if (!warmup || !measure || !ff)
-        return false;
-    config.sample.warmup = warmup->asU64();
-    config.sample.measure = measure->asU64();
-    config.sample.fastForward = ff->asU64();
 
     config.nRh = static_cast<unsigned>(nrh->asU64());
     config.breakHammer = bh_on->asBool();

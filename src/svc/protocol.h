@@ -22,7 +22,7 @@
  *
  * The lease carries the full *resolved* ExperimentConfig — not just the
  * content key — so a worker needs no environment agreement with the
- * coordinator: BH_INSTS, --sample, and --channels are all resolved into
+ * coordinator: BH_INSTS, --channels and --ranks are all resolved into
  * explicit fields on the coordinator before leasing, and the config
  * round-trips exactly (doubles at 17 significant digits, the same rule
  * the result schema uses).
@@ -38,8 +38,11 @@ namespace bh::svc {
 
 /** Wire-protocol revision; bumped on message-shape changes.
  *  v2: slot codec carries the attacker pattern, the adaptive-attacker
- *  slot kind and parameters, and the config's red-team strategy spec. */
-constexpr std::uint64_t kProtocolVersion = 2;
+ *  slot kind and parameters, and the config's red-team strategy spec.
+ *  v3: the config codec's members are exactly mix, mechanism, nrh,
+ *  breakhammer, bh, instructions, oracle, blunt_throttle, seed,
+ *  channels, ranks and redteam. */
+constexpr std::uint64_t kProtocolVersion = 3;
 
 /**
  * Parse one frame payload into a message object. Enforces the envelope

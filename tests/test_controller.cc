@@ -313,7 +313,7 @@ TEST_F(ControllerFixture, WakeMemoIsForcedByEnqueueAndRecomputedAfterTick)
     EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(now));
 }
 
-TEST_F(ControllerFixture, WakeMemoResetsOnRestoreAndFastForward)
+TEST_F(ControllerFixture, WakeMemoResetsOnRestore)
 {
     // An idle controller's wake is its first refresh deadline, far past
     // the enqueue cycle a stale forced wake would still report.
@@ -329,19 +329,6 @@ TEST_F(ControllerFixture, WakeMemoResetsOnRestoreAndFastForward)
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
     EXPECT_GT(mc.wakeAt(), now);
-
-    mc.enqueueRead(readReq(addrOf(5)), now);
-    ASSERT_EQ(mc.wakeAt(), now);
-    mc.beginFastForward();
-    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
-    EXPECT_GT(mc.wakeAt(), now);
-
-    // Fast-forward retires refreshes the memo computed before it named.
-    const Cycle to = 3 * spec.timing.tREFI;
-    ASSERT_LT(mc.wakeAt(), to);
-    mc.fastForwardTo(to);
-    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(to));
-    EXPECT_GT(mc.wakeAt(), to);
 }
 
 /** One scripted request arrival of the wake-memo equivalence test. */

@@ -4,8 +4,9 @@
  * (sim/result_store.h): in-memory memoization (the old ExperimentPool
  * contract), cross-process round-trips (write, reload in a fresh store,
  * bit-identical JSON), schema-version mismatches triggering recompute
- * rather than corruption, torn-line tolerance, shard-merge equivalence
- * with an unsharded run, and solo-IPC persistence. "Cross-process" is
+ * rather than corruption, torn-line tolerance, stores that still hold
+ * interval-sampled records, shard-merge equivalence with an unsharded
+ * run, and solo-IPC persistence. "Cross-process" is
  * modeled by destroying one store and opening another on the same
  * directory — the disk file is the only state they share.
  */
@@ -370,6 +371,70 @@ TEST(ResultStoreTest, TornMiddleLineKeepsFollowingRecords)
     EXPECT_GE(store.stats().skipped, 1u); // the torn prefix
     store.prefetch({cfg_a, cfg_b});
     EXPECT_EQ(store.stats().computed, 0u);
+}
+
+TEST(ResultStoreTest, StoreHoldingSampledRecordsStillServesExactOnes)
+{
+    // Stores written while interval sampling existed can hold records
+    // keyed `<exact key>|sample=W/M/F` whose payload carries a
+    // `sampling` block. Such a record is never requested again, but the
+    // store must still open, serve the exact point beside it, and
+    // export only what was requested.
+    std::string dir = storeDir("sampled-legacy");
+    ExperimentConfig cfg =
+        smallConfig("LLLA", MitigationType::kPara, 1024, true);
+    const std::string key = experimentKey(resolveExperimentConfig(cfg));
+    const JsonValue exact =
+        experimentResultToJson(resolveExperimentConfig(cfg),
+                               runExperiment(cfg));
+
+    auto metric = [](double mean, double ci95) {
+        JsonValue m = JsonValue::object();
+        m.set("mean", mean);
+        m.set("ci95", ci95);
+        return m;
+    };
+    JsonValue sampling = JsonValue::object();
+    sampling.set("warmup", 1000);
+    sampling.set("measure", 1000);
+    sampling.set("fast_forward", 3500);
+    sampling.set("windows", 1);
+    sampling.set("weighted_speedup", metric(2.5, 0.0));
+    sampling.set("max_slowdown", metric(1.5, 0.0));
+    sampling.set("preventive_actions", metric(12.0, 0.0));
+    sampling.set("p99_latency_ns", metric(180.0, 0.0));
+    const std::string sampled_key = key + "|sample=1000/1000/3500";
+    JsonValue sampled = exact;
+    sampled.set("key", sampled_key);
+    sampled.set("sampling", std::move(sampling));
+
+    std::filesystem::create_directories(dir);
+    {
+        std::ofstream out(resultsPath(dir));
+        for (const auto &[k, payload] :
+             {std::pair{key, exact}, std::pair{sampled_key, sampled}}) {
+            JsonValue rec = JsonValue::object();
+            rec.set("v", ResultStore::kSchemaVersion);
+            rec.set("kind", "experiment");
+            rec.set("key", k);
+            rec.set("payload", payload);
+            out << rec.dump() << "\n";
+        }
+    }
+
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    EXPECT_EQ(store.stats().loaded, 2u);
+    EXPECT_EQ(store.stats().skipped, 0u);
+    EXPECT_NE(store.lookup(cfg), nullptr);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().computed, 0u);
+
+    JsonValue exported = store.toJson();
+    ASSERT_EQ(exported.size(), 1u);
+    EXPECT_EQ(exported.at(0).get("key").asString(), key);
+    EXPECT_EQ(exported.at(0).dump(), exact.dump());
 }
 
 TEST(ResultStoreTest, ShardedStoresMergeToTheUnshardedResult)

@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "sim/experiment.h"
+#include "sim/redteam.h"
 #include "sim/result_store.h"
 #include "svc/coordinator.h"
 #include "svc/frame.h"
@@ -146,12 +147,22 @@ TEST(ProtocolTest, ConfigRoundTripPreservesExperimentKey)
     cfg.seed = 7;
     cfg.channels = 2;
     cfg.ranks = 4;
-    cfg.sample.warmup = 100;
-    cfg.sample.measure = 200;
-    cfg.sample.fastForward = 300;
+    RedteamStrategy strategy;
+    strategy.pattern = AttackPattern::kHalfDouble;
+    strategy.group = 2;
+    cfg.redteam = redteamStrategyCanonical(strategy);
     ExperimentConfig resolved = resolveExperimentConfig(cfg);
 
     JsonValue wire = experimentConfigToJson(resolved);
+    // Every member the codec writes, and nothing else.
+    std::vector<std::string> members;
+    for (const auto &[name, value] : wire.members())
+        members.push_back(name);
+    EXPECT_EQ(members,
+              (std::vector<std::string>{
+                  "mix", "mechanism", "nrh", "breakhammer", "bh",
+                  "instructions", "oracle", "blunt_throttle", "seed",
+                  "channels", "ranks", "redteam"}));
     // Through a dump/parse cycle, as the wire actually delivers it.
     JsonValue parsed = JsonValue::parseOrDie(wire.dump());
     ExperimentConfig back;
@@ -160,6 +171,7 @@ TEST(ProtocolTest, ConfigRoundTripPreservesExperimentKey)
     EXPECT_EQ(back.mix.pattern, resolved.mix.pattern);
     EXPECT_EQ(back.bh.window, resolved.bh.window);
     EXPECT_EQ(back.bh.thThreat, resolved.bh.thThreat);
+    EXPECT_EQ(back.redteam, resolved.redteam);
 }
 
 TEST(ProtocolTest, ConfigCodecRejectsMalformedDocuments)

@@ -11,7 +11,7 @@ different experiment than the coordinator leased.
 
 The pass parses the ExperimentConfig struct out of src/sim/experiment.h
 and checks `config.<field>` / `resolved.<field>` token references in
-the named function bodies. Struct-valued fields (mix, bh, sample) are
+the named function bodies. Struct-valued fields (mix, bh) are
 recursed into for the protocol codec: their leaf fields must appear as
 `.<leaf>` references in both codec directions.
 
