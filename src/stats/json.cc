@@ -1,19 +1,59 @@
 #include "stats/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/log.h"
 
 namespace bh {
 
+static_assert(sizeof(JsonValue) <= 16, "JsonValue must stay a 16-byte node");
+
+namespace {
+
+/** The owned payload of kind T (string, Array or Object) in @p value. */
+template <class T, class Storage>
+auto &
+owned(Storage &value)
+{
+    return *std::get<std::unique_ptr<T>>(value);
+}
+
+} // namespace
+
+JsonValue::JsonValue(const JsonValue &other)
+{
+    *this = other;
+}
+
+JsonValue &
+JsonValue::operator=(const JsonValue &other)
+{
+    if (this == &other)
+        return *this;
+    // The copy is complete before the old value (which may own @p other)
+    // is destroyed.
+    value_ = std::visit(
+        [](const auto &v) -> Storage {
+            if constexpr (requires { *v; })
+                return std::make_unique<std::remove_cvref_t<decltype(*v)>>(
+                    *v);
+            else
+                return v;
+        },
+        other.value_);
+    return *this;
+}
+
 JsonValue
 JsonValue::array()
 {
     JsonValue v;
-    v.type_ = Type::kArray;
+    v.value_ = std::make_unique<Array>();
     return v;
 }
 
@@ -21,7 +61,7 @@ JsonValue
 JsonValue::object()
 {
     JsonValue v;
-    v.type_ = Type::kObject;
+    v.value_ = std::make_unique<Object>();
     return v;
 }
 
@@ -29,65 +69,68 @@ bool
 JsonValue::asBool() const
 {
     BH_ASSERT(isBool(), "JsonValue: not a bool");
-    return bool_;
+    return std::get<bool>(value_);
 }
 
 double
 JsonValue::asDouble() const
 {
     BH_ASSERT(isNumber(), "JsonValue: not a number");
-    return number_;
+    return std::get<double>(value_);
 }
 
 std::uint64_t
 JsonValue::asU64() const
 {
-    BH_ASSERT(isNumber() && number_ >= 0.0, "JsonValue: not a u64");
-    return static_cast<std::uint64_t>(number_);
+    BH_ASSERT(isNumber() && std::get<double>(value_) >= 0.0,
+              "JsonValue: not a u64");
+    return static_cast<std::uint64_t>(std::get<double>(value_));
 }
 
 const std::string &
 JsonValue::asString() const
 {
     BH_ASSERT(isString(), "JsonValue: not a string");
-    return string_;
+    return owned<std::string>(value_);
 }
 
 void
 JsonValue::push(JsonValue value)
 {
     BH_ASSERT(isArray(), "JsonValue: push on non-array");
-    array_.push_back(std::move(value));
+    owned<Array>(value_).push_back(std::move(value));
 }
 
 std::size_t
 JsonValue::size() const
 {
     if (isArray())
-        return array_.size();
+        return owned<Array>(value_).size();
     if (isObject())
-        return object_.size();
+        return owned<Object>(value_).size();
     return 0;
 }
 
 const JsonValue &
 JsonValue::at(std::size_t i) const
 {
-    BH_ASSERT(isArray() && i < array_.size(), "JsonValue: bad index");
-    return array_[i];
+    BH_ASSERT(isArray() && i < owned<Array>(value_).size(),
+              "JsonValue: bad index");
+    return owned<Array>(value_)[i];
 }
 
 void
 JsonValue::set(const std::string &key, JsonValue value)
 {
     BH_ASSERT(isObject(), "JsonValue: set on non-object");
-    for (auto &member : object_) {
+    Object &members = owned<Object>(value_);
+    for (auto &member : members) {
         if (member.first == key) {
             member.second = std::move(value);
             return;
         }
     }
-    object_.emplace_back(key, std::move(value));
+    members.emplace_back(key, std::move(value));
 }
 
 const JsonValue *
@@ -95,7 +138,7 @@ JsonValue::find(const std::string &key) const
 {
     if (!isObject())
         return nullptr;
-    for (const auto &member : object_)
+    for (const auto &member : owned<Object>(value_))
         if (member.first == key)
             return &member.second;
     return nullptr;
@@ -109,27 +152,28 @@ JsonValue::get(const std::string &key) const
     return *v;
 }
 
-const std::vector<std::pair<std::string, JsonValue>> &
+const JsonValue::Object &
 JsonValue::members() const
 {
     BH_ASSERT(isObject(), "JsonValue: members of non-object");
-    return object_;
+    return owned<Object>(value_);
 }
 
 bool
 JsonValue::operator==(const JsonValue &other) const
 {
-    if (type_ != other.type_)
+    if (value_.index() != other.value_.index())
         return false;
-    switch (type_) {
-      case Type::kNull: return true;
-      case Type::kBool: return bool_ == other.bool_;
-      case Type::kNumber: return number_ == other.number_;
-      case Type::kString: return string_ == other.string_;
-      case Type::kArray: return array_ == other.array_;
-      case Type::kObject: return object_ == other.object_;
-    }
-    return false;
+    return std::visit(
+        [&other](const auto &a) {
+            const auto &b = std::get<std::remove_cvref_t<decltype(a)>>(
+                other.value_);
+            if constexpr (requires { *a; })
+                return *a == *b;
+            else
+                return a == b;
+        },
+        value_);
 }
 
 namespace {
@@ -138,24 +182,32 @@ void
 appendEscaped(std::string &out, const std::string &s)
 {
     out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
+    const char *run = s.data();
+    const char *end = s.data() + s.size();
+    for (const char *c = run; c != end; ++c) {
+        const char *escape = nullptr;
+        switch (*c) {
+          case '"': escape = "\\\""; break;
+          case '\\': escape = "\\\\"; break;
+          case '\n': escape = "\\n"; break;
+          case '\r': escape = "\\r"; break;
+          case '\t': escape = "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
+            if (static_cast<unsigned char>(*c) >= 0x20)
+                continue;
+        }
+        out.append(run, c);
+        run = c + 1;
+        if (escape) {
+            out += escape;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(*c));
+            out += buf;
         }
     }
+    out.append(run, end);
     out += '"';
 }
 
@@ -170,17 +222,15 @@ appendNumber(std::string &out, double v)
     }
     // Integral values within the exactly-representable range print as
     // integers (counter fields stay readable); everything else uses 17
-    // significant digits so parse(dump(x)) == x bit-for-bit.
-    if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        out += buf;
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
+    // significant digits so parse(dump(x)) == x bit-for-bit. Both forms
+    // are the bytes printf's "%lld" and "%.17g" would write.
+    char buf[32];
+    std::to_chars_result r =
+        v == std::floor(v) && std::fabs(v) < 9.0e15
+            ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+            : std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 void
@@ -192,16 +242,69 @@ appendIndent(std::string &out, int indent, int depth)
                ' ');
 }
 
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/**
+ * Merge an object's duplicate keys: the last value wins, at the first
+ * key's position, as repeated set() calls would leave it. Small objects
+ * compare keys pairwise; larger ones index them, so an object with many
+ * keys costs linear time.
+ */
+void
+mergeDuplicateKeys(JsonValue::Object &members)
+{
+    constexpr std::size_t kPairwiseLimit = 16;
+    const bool indexed = members.size() > kPairwiseLimit;
+    // Views into keys at their final positions [0, kept), which no later
+    // step moves.
+    std::unordered_map<std::string_view, std::size_t> firstAt;
+    if (indexed)
+        firstAt.reserve(members.size());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        std::size_t first = kept;
+        if (indexed) {
+            auto it = firstAt.find(members[i].first);
+            if (it != firstAt.end())
+                first = it->second;
+        } else {
+            for (std::size_t j = 0; j < kept; ++j) {
+                if (members[j].first == members[i].first) {
+                    first = j;
+                    break;
+                }
+            }
+        }
+        if (first < kept) {
+            members[first].second = std::move(members[i].second);
+            continue;
+        }
+        if (kept != i)
+            members[kept] = std::move(members[i]);
+        if (indexed)
+            firstAt.emplace(members[kept].first, kept);
+        ++kept;
+    }
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(kept),
+                  members.end());
+}
+
+} // namespace
+
 /** Recursive-descent JSON parser over a raw character range. */
-class Parser
+class JsonParser
 {
   public:
-    Parser(const char *p, const char *end) : p(p), end(end) {}
+    JsonParser(const char *p, const char *end) : p(p), end(end) {}
 
     bool
     parse(JsonValue *out, std::string *error)
     {
-        bool ok = parseValue(out) && (skipWs(), p == end);
+        bool ok = parseValue(out, 0) && (skipWs(), p == end);
         if (!ok && error)
             *error = err.empty() ? "trailing garbage" : err;
         return ok;
@@ -238,8 +341,9 @@ class Parser
         return true;
     }
 
+    /** Parse one value enclosed by @p depth arrays/objects. */
     bool
-    parseValue(JsonValue *out)
+    parseValue(JsonValue *out, int depth)
     {
         skipWs();
         if (p >= end)
@@ -248,27 +352,31 @@ class Parser
           case 'n':
             if (!literal("null"))
                 return fail("bad literal");
-            *out = JsonValue();
+            out->value_ = std::monostate{};
             return true;
           case 't':
             if (!literal("true"))
                 return fail("bad literal");
-            *out = JsonValue(true);
+            out->value_ = true;
             return true;
           case 'f':
             if (!literal("false"))
                 return fail("bad literal");
-            *out = JsonValue(false);
+            out->value_ = false;
             return true;
           case '"': {
-            std::string s;
-            if (!parseString(&s))
+            auto s = std::make_unique<std::string>();
+            if (!parseString(s.get()))
                 return false;
-            *out = JsonValue(std::move(s));
+            out->value_ = std::move(s);
             return true;
           }
-          case '[': return parseArray(out);
-          case '{': return parseObject(out);
+          case '[':
+          case '{':
+            if (depth >= JsonValue::kMaxParseDepth)
+                return fail("nesting too deep");
+            return *p == '[' ? parseArray(out, depth + 1)
+                             : parseObject(out, depth + 1);
           default: return parseNumber(out);
         }
     }
@@ -278,141 +386,177 @@ class Parser
     {
         ++p; // opening quote
         out->clear();
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
+        while (true) {
+            const char *run = p;
+            while (p < end && *p != '"' && *p != '\\')
                 ++p;
-                if (p >= end)
-                    return fail("bad escape");
-                switch (*p) {
-                  case '"': *out += '"'; break;
-                  case '\\': *out += '\\'; break;
-                  case '/': *out += '/'; break;
-                  case 'n': *out += '\n'; break;
-                  case 'r': *out += '\r'; break;
-                  case 't': *out += '\t'; break;
-                  case 'b': *out += '\b'; break;
-                  case 'f': *out += '\f'; break;
-                  case 'u': {
-                    if (end - p < 5)
+            out->append(run, p);
+            if (p >= end)
+                return fail("unterminated string");
+            if (*p == '"')
+                break;
+            ++p; // backslash
+            if (p >= end)
+                return fail("bad escape");
+            switch (*p) {
+              case '"': *out += '"'; break;
+              case '\\': *out += '\\'; break;
+              case '/': *out += '/'; break;
+              case 'n': *out += '\n'; break;
+              case 'r': *out += '\r'; break;
+              case 't': *out += '\t'; break;
+              case 'b': *out += '\b'; break;
+              case 'f': *out += '\f'; break;
+              case 'u': {
+                if (end - p < 5)
+                    return fail("bad \\u escape");
+                unsigned code = 0;
+                for (int i = 1; i <= 4; ++i) {
+                    char c = p[i];
+                    code <<= 4;
+                    if (c >= '0' && c <= '9')
+                        code |= static_cast<unsigned>(c - '0');
+                    else if (c >= 'a' && c <= 'f')
+                        code |= static_cast<unsigned>(c - 'a' + 10);
+                    else if (c >= 'A' && c <= 'F')
+                        code |= static_cast<unsigned>(c - 'A' + 10);
+                    else
                         return fail("bad \\u escape");
-                    unsigned code = 0;
-                    for (int i = 1; i <= 4; ++i) {
-                        char c = p[i];
-                        code <<= 4;
-                        if (c >= '0' && c <= '9')
-                            code |= static_cast<unsigned>(c - '0');
-                        else if (c >= 'a' && c <= 'f')
-                            code |= static_cast<unsigned>(c - 'a' + 10);
-                        else if (c >= 'A' && c <= 'F')
-                            code |= static_cast<unsigned>(c - 'A' + 10);
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    // The simulator only emits ASCII control escapes;
-                    // decode BMP code points as UTF-8 for completeness.
-                    if (code < 0x80) {
-                        *out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        *out += static_cast<char>(0xC0 | (code >> 6));
-                        *out += static_cast<char>(0x80 | (code & 0x3F));
-                    } else {
-                        *out += static_cast<char>(0xE0 | (code >> 12));
-                        *out += static_cast<char>(0x80 |
-                                                  ((code >> 6) & 0x3F));
-                        *out += static_cast<char>(0x80 | (code & 0x3F));
-                    }
-                    p += 4;
-                    break;
-                  }
-                  default: return fail("bad escape");
                 }
-                ++p;
-            } else {
-                *out += *p++;
+                // The simulator only emits ASCII control escapes;
+                // decode BMP code points as UTF-8 for completeness.
+                if (code < 0x80) {
+                    *out += static_cast<char>(code);
+                } else if (code < 0x800) {
+                    *out += static_cast<char>(0xC0 | (code >> 6));
+                    *out += static_cast<char>(0x80 | (code & 0x3F));
+                } else {
+                    *out += static_cast<char>(0xE0 | (code >> 12));
+                    *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+                    *out += static_cast<char>(0x80 | (code & 0x3F));
+                }
+                p += 4;
+                break;
+              }
+              default: return fail("bad escape");
             }
+            ++p;
         }
-        if (p >= end)
-            return fail("unterminated string");
         ++p; // closing quote
+        return true;
+    }
+
+    /** Skip one or more digits at @p q; false when there are none. */
+    bool
+    digits(const char *&q) const
+    {
+        if (q >= end || !isDigit(*q))
+            return false;
+        while (q < end && isDigit(*q))
+            ++q;
         return true;
     }
 
     bool
     parseNumber(JsonValue *out)
     {
-        char *num_end = nullptr;
-        double v = std::strtod(p, &num_end);
-        if (num_end == p || num_end > end)
+        // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+        const char *q = p;
+        if (q < end && *q == '-')
+            ++q;
+        if (q < end && *q == '0')
+            ++q;
+        else if (q >= end || *q < '1' || *q > '9' || !digits(q))
             return fail("bad number");
-        p = num_end;
-        *out = JsonValue(v);
+        if (q < end && *q == '.') {
+            ++q;
+            if (!digits(q))
+                return fail("bad number");
+        }
+        if (q < end && (*q == 'e' || *q == 'E')) {
+            ++q;
+            if (q < end && (*q == '+' || *q == '-'))
+                ++q;
+            if (!digits(q))
+                return fail("bad number");
+        }
+        double v = 0.0;
+        auto [num_end, ec] = std::from_chars(p, q, v);
+        if (ec == std::errc::result_out_of_range)
+            // Beyond a double's range: read it as strtod does (±inf, ±0).
+            v = std::strtod(std::string(p, q).c_str(), nullptr);
+        else if (ec != std::errc() || num_end != q)
+            return fail("bad number");
+        p = q;
+        out->value_ = v;
         return true;
     }
 
     bool
-    parseArray(JsonValue *out)
+    parseArray(JsonValue *out, int depth)
     {
         ++p; // '['
-        *out = JsonValue::array();
+        auto elements = std::make_unique<JsonValue::Array>();
         skipWs();
         if (p < end && *p == ']') {
             ++p;
-            return true;
-        }
-        while (true) {
-            JsonValue element;
-            if (!parseValue(&element))
-                return false;
-            out->push(std::move(element));
-            skipWs();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
+        } else {
+            while (true) {
+                if (!parseValue(&elements->emplace_back(), depth))
+                    return false;
+                skipWs();
+                if (p < end && *p == ',') {
+                    ++p;
+                    continue;
+                }
+                if (p < end && *p == ']') {
+                    ++p;
+                    break;
+                }
+                return fail("expected ',' or ']'");
             }
-            if (p < end && *p == ']') {
-                ++p;
-                return true;
-            }
-            return fail("expected ',' or ']'");
         }
+        out->value_ = std::move(elements);
+        return true;
     }
 
     bool
-    parseObject(JsonValue *out)
+    parseObject(JsonValue *out, int depth)
     {
         ++p; // '{'
-        *out = JsonValue::object();
+        auto members = std::make_unique<JsonValue::Object>();
         skipWs();
         if (p < end && *p == '}') {
             ++p;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (p >= end || *p != '"')
-                return fail("expected object key");
-            std::string key;
-            if (!parseString(&key))
-                return false;
-            skipWs();
-            if (p >= end || *p != ':')
-                return fail("expected ':'");
-            ++p;
-            JsonValue value;
-            if (!parseValue(&value))
-                return false;
-            out->set(key, std::move(value));
-            skipWs();
-            if (p < end && *p == ',') {
+        } else {
+            while (true) {
+                skipWs();
+                if (p >= end || *p != '"')
+                    return fail("expected object key");
+                auto &member = members->emplace_back();
+                if (!parseString(&member.first))
+                    return false;
+                skipWs();
+                if (p >= end || *p != ':')
+                    return fail("expected ':'");
                 ++p;
-                continue;
+                if (!parseValue(&member.second, depth))
+                    return false;
+                skipWs();
+                if (p < end && *p == ',') {
+                    ++p;
+                    continue;
+                }
+                if (p < end && *p == '}') {
+                    ++p;
+                    break;
+                }
+                return fail("expected ',' or '}'");
             }
-            if (p < end && *p == '}') {
-                ++p;
-                return true;
-            }
-            return fail("expected ',' or '}'");
+            mergeDuplicateKeys(*members);
         }
+        out->value_ = std::move(members);
+        return true;
     }
 
     const char *p;
@@ -420,36 +564,35 @@ class Parser
     std::string err;
 };
 
-} // namespace
-
 void
 JsonValue::dumpTo(std::string &out, int indent, int depth) const
 {
-    switch (type_) {
+    switch (type()) {
       case Type::kNull:
         out += "null";
         return;
       case Type::kBool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(value_) ? "true" : "false";
         return;
       case Type::kNumber:
-        appendNumber(out, number_);
+        appendNumber(out, std::get<double>(value_));
         return;
       case Type::kString:
-        appendEscaped(out, string_);
+        appendEscaped(out, owned<std::string>(value_));
         return;
       case Type::kArray: {
-        if (array_.empty()) {
+        const Array &elements = owned<Array>(value_);
+        if (elements.empty()) {
             out += "[]";
             return;
         }
         out += '[';
-        for (std::size_t i = 0; i < array_.size(); ++i) {
+        for (std::size_t i = 0; i < elements.size(); ++i) {
             if (i)
                 out += ',';
             if (indent >= 0)
                 appendIndent(out, indent, depth + 1);
-            array_[i].dumpTo(out, indent, depth + 1);
+            elements[i].dumpTo(out, indent, depth + 1);
         }
         if (indent >= 0)
             appendIndent(out, indent, depth);
@@ -457,13 +600,14 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         return;
       }
       case Type::kObject: {
-        if (object_.empty()) {
+        const Object &members = owned<Object>(value_);
+        if (members.empty()) {
             out += "{}";
             return;
         }
         out += '{';
         bool first = true;
-        for (const auto &member : object_) {
+        for (const auto &member : members) {
             if (!first)
                 out += ',';
             first = false;
@@ -493,7 +637,7 @@ bool
 JsonValue::parse(const std::string &text, JsonValue *out,
                  std::string *error)
 {
-    Parser parser(text.data(), text.data() + text.size());
+    JsonParser parser(text.data(), text.data() + text.size());
     return parser.parse(out, error);
 }
 

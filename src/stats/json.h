@@ -1,14 +1,37 @@
 /**
  * @file
- * Minimal JSON document model used for stats export and golden files.
+ * Minimal JSON document model used for stats export, the result store,
+ * the sweep-service wire protocol and golden files.
  *
- * The simulator streams experiment results to disk as JSON so figure
- * output can be diffed, post-processed, and regression-tested. The model
- * is deliberately small: an ordered object (insertion order is preserved
- * so serialization is deterministic), arrays, strings, numbers, booleans,
- * and null. `dump()` and `parse()` round-trip every value the simulator
- * produces; doubles are printed with 17 significant digits so the binary
- * value survives the trip.
+ * The model is deliberately small: an ordered object (insertion order is
+ * preserved so serialization is deterministic), arrays, strings, numbers,
+ * booleans, and null.
+ *
+ * Layout and ownership. A JsonValue is 16 bytes: a std::variant whose
+ * index is the Type. Null, bool and double live inline; a string, an
+ * array or an object is owned through a std::unique_ptr, so a sweep
+ * record's hundreds of histogram pairs cost one small node each rather
+ * than a node that carries every kind's storage. Copies are deep; a
+ * moved-from value is null. Object members stay a vector of (key, value)
+ * pairs in insertion order, and set() on an existing key replaces its
+ * value in place.
+ *
+ * Number codec. dump() prints an integral value within ±9e15 as an
+ * integer (std::to_chars of a long long, the bytes of printf's "%lld")
+ * and every other finite value with std::to_chars(general, 17), which is
+ * defined as printf's "%.17g", so parse(dump(x)) == x bit-for-bit.
+ * Non-finite values print as null. parse() accepts numbers only in the
+ * RFC 8259 grammar (`-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`)
+ * and rounds them exactly as strtod does; "inf", "nan", hex, a leading
+ * '+', leading zeros, and a '.' without digits on both sides are errors.
+ * A number too large for a double reads as ±inf and one too small as ±0,
+ * again as strtod reads them.
+ *
+ * Untrusted input. parse() is also the decoder for sweep-service frames,
+ * so it bounds its own work: arrays and objects nest at most
+ * kMaxParseDepth deep (deeper input fails with "nesting too deep"), and
+ * an object's duplicate keys are merged in linear time, keeping the last
+ * value at the first key's position as repeated set() calls would.
  */
 #pragma once
 
@@ -16,6 +39,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace bh {
@@ -24,6 +48,7 @@ namespace bh {
 class JsonValue
 {
   public:
+    /** The kinds of value, in the order of the storage variant. */
     enum class Type
     {
         kNull,
@@ -34,19 +59,39 @@ class JsonValue
         kObject,
     };
 
-    JsonValue() : type_(Type::kNull) {}
-    JsonValue(bool b) : type_(Type::kBool), bool_(b) {}
-    JsonValue(double v) : type_(Type::kNumber), number_(v) {}
-    JsonValue(int v) : type_(Type::kNumber), number_(v) {}
-    JsonValue(unsigned v) : type_(Type::kNumber), number_(v) {}
-    JsonValue(std::int64_t v)
-        : type_(Type::kNumber), number_(static_cast<double>(v))
+    using Array = std::vector<JsonValue>;
+    using Object = std::vector<std::pair<std::string, JsonValue>>;
+
+    /** Deepest array/object nesting parse() accepts. */
+    static constexpr int kMaxParseDepth = 256;
+
+    JsonValue() = default;
+    JsonValue(bool b) : value_(b) {}
+    JsonValue(double v) : value_(v) {}
+    JsonValue(int v) : value_(static_cast<double>(v)) {}
+    JsonValue(unsigned v) : value_(static_cast<double>(v)) {}
+    JsonValue(std::int64_t v) : value_(static_cast<double>(v)) {}
+    JsonValue(std::uint64_t v) : value_(static_cast<double>(v)) {}
+    JsonValue(const char *s) : value_(std::make_unique<std::string>(s)) {}
+    JsonValue(std::string s)
+        : value_(std::make_unique<std::string>(std::move(s)))
     {}
-    JsonValue(std::uint64_t v)
-        : type_(Type::kNumber), number_(static_cast<double>(v))
-    {}
-    JsonValue(const char *s) : type_(Type::kString), string_(s) {}
-    JsonValue(std::string s) : type_(Type::kString), string_(std::move(s)) {}
+
+    JsonValue(const JsonValue &other);
+    JsonValue(JsonValue &&other) noexcept : value_(std::move(other.value_))
+    {
+        other.value_.emplace<std::monostate>();
+    }
+    JsonValue &operator=(const JsonValue &other);
+    JsonValue &
+    operator=(JsonValue &&other) noexcept
+    {
+        // Take @p other's value before releasing ours, which may own it.
+        Storage taken = std::move(other.value_);
+        other.value_.emplace<std::monostate>();
+        value_ = std::move(taken);
+        return *this;
+    }
 
     /** An empty array value. */
     static JsonValue array();
@@ -54,13 +99,13 @@ class JsonValue
     /** An empty object value. */
     static JsonValue object();
 
-    Type type() const { return type_; }
-    bool isNull() const { return type_ == Type::kNull; }
-    bool isBool() const { return type_ == Type::kBool; }
-    bool isNumber() const { return type_ == Type::kNumber; }
-    bool isString() const { return type_ == Type::kString; }
-    bool isArray() const { return type_ == Type::kArray; }
-    bool isObject() const { return type_ == Type::kObject; }
+    Type type() const { return static_cast<Type>(value_.index()); }
+    bool isNull() const { return type() == Type::kNull; }
+    bool isBool() const { return type() == Type::kBool; }
+    bool isNumber() const { return type() == Type::kNumber; }
+    bool isString() const { return type() == Type::kString; }
+    bool isArray() const { return type() == Type::kArray; }
+    bool isObject() const { return type() == Type::kObject; }
 
     bool asBool() const;
     double asDouble() const;
@@ -88,7 +133,7 @@ class JsonValue
     const JsonValue &get(const std::string &key) const;
 
     /** Object members in insertion order. */
-    const std::vector<std::pair<std::string, JsonValue>> &members() const;
+    const Object &members() const;
 
     // --- serialization ----------------------------------------------
     /**
@@ -98,10 +143,9 @@ class JsonValue
     std::string dump(int indent = -1) const;
 
     /**
-     * Parse @p text.
+     * Parse @p text into @p out.
      * @param[out] error Filled with a message on failure (optional).
-     * @return The parsed value, or std::nullopt-like null on failure
-     *         (check @p ok).
+     * @return false on malformed input; @p out is then unspecified.
      */
     static bool parse(const std::string &text, JsonValue *out,
                       std::string *error = nullptr);
@@ -112,14 +156,15 @@ class JsonValue
     bool operator==(const JsonValue &other) const;
 
   private:
+    friend class JsonParser;
+
+    using Storage =
+        std::variant<std::monostate, bool, double, std::unique_ptr<std::string>,
+                     std::unique_ptr<Array>, std::unique_ptr<Object>>;
+
     void dumpTo(std::string &out, int indent, int depth) const;
 
-    Type type_;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<JsonValue> array_;
-    std::vector<std::pair<std::string, JsonValue>> object_;
+    Storage value_;
 };
 
 } // namespace bh

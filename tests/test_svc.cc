@@ -134,6 +134,20 @@ TEST(ProtocolTest, RejectsGarbageMessages)
     EXPECT_EQ(messageType(msg), "hello");
 }
 
+TEST(ProtocolTest, DeeplyNestedPayloadIsAnErrorNotACrash)
+{
+    // A frame may carry up to kMaxFramePayload bytes; a run of '[' used
+    // to recurse once per byte and overflow the event loop's stack.
+    JsonValue msg;
+    std::string error;
+    EXPECT_FALSE(parseMessage(std::string(100000, '['), &msg, &error));
+    EXPECT_EQ(error, "nesting too deep");
+    EXPECT_FALSE(parseMessage("{\"type\":\"result\",\"payload\":" +
+                                  std::string(100000, '['),
+                              &msg, &error));
+    EXPECT_EQ(error, "nesting too deep");
+}
+
 TEST(ProtocolTest, ConfigRoundTripPreservesExperimentKey)
 {
     ExperimentConfig cfg;
