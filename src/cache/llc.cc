@@ -15,21 +15,33 @@ Llc::Llc(const LlcConfig &config) : config_(config)
     BH_ASSERT((num_sets & (num_sets - 1)) == 0,
               "LLC set count must be a power of two");
     numSets_ = static_cast<unsigned>(num_sets);
-    lines.resize(num_lines);
+    slots.assign(numSets_, 0);
+}
+
+std::size_t
+Llc::setIndex(Addr line_addr) const
+{
+    return (line_addr >> kCacheLineBits) & (numSets_ - 1);
 }
 
 std::span<Llc::Line>
-Llc::setOf(Addr line_addr)
+Llc::filledSet(Addr line_addr)
 {
-    std::uint64_t set = (line_addr >> kCacheLineBits) & (numSets_ - 1);
-    return {lines.data() + set * config_.ways, config_.ways};
+    std::uint32_t slot = slots[setIndex(line_addr)];
+    if (slot == 0)
+        return {};
+    return {pool.data() + std::size_t{slot - 1} * config_.ways,
+            config_.ways};
 }
 
 std::span<const Llc::Line>
-Llc::setOf(Addr line_addr) const
+Llc::filledSet(Addr line_addr) const
 {
-    std::uint64_t set = (line_addr >> kCacheLineBits) & (numSets_ - 1);
-    return {lines.data() + set * config_.ways, config_.ways};
+    std::uint32_t slot = slots[setIndex(line_addr)];
+    if (slot == 0)
+        return {};
+    return {pool.data() + std::size_t{slot - 1} * config_.ways,
+            config_.ways};
 }
 
 Addr
@@ -41,7 +53,7 @@ Llc::tagOf(Addr line_addr) const
 bool
 Llc::access(Addr line_addr, bool is_write)
 {
-    std::span<Line> set = setOf(line_addr);
+    std::span<Line> set = filledSet(line_addr);
     Addr tag = tagOf(line_addr);
     for (Line &line : set) {
         if (line.valid && line.tag == tag) {
@@ -59,7 +71,12 @@ Llc::access(Addr line_addr, bool is_write)
 void
 Llc::allocate(Addr line_addr, bool is_write, Victim *victim)
 {
-    std::span<Line> set = setOf(line_addr);
+    std::uint32_t &slot = slots[setIndex(line_addr)];
+    if (slot == 0) {
+        pool.resize(pool.size() + config_.ways);
+        slot = static_cast<std::uint32_t>(pool.size() / config_.ways);
+    }
+    std::span<Line> set = filledSet(line_addr);
     Addr tag = tagOf(line_addr);
 
     Line *target = nullptr;
@@ -90,7 +107,7 @@ Llc::allocate(Addr line_addr, bool is_write, Victim *victim)
 bool
 Llc::probe(Addr line_addr) const
 {
-    std::span<const Line> set = setOf(line_addr);
+    std::span<const Line> set = filledSet(line_addr);
     Addr tag = tagOf(line_addr);
     for (const Line &line : set)
         if (line.valid && line.tag == tag)
@@ -101,7 +118,7 @@ Llc::probe(Addr line_addr) const
 void
 Llc::setDirty(Addr line_addr)
 {
-    std::span<Line> set = setOf(line_addr);
+    std::span<Line> set = filledSet(line_addr);
     Addr tag = tagOf(line_addr);
     for (Line &line : set) {
         if (line.valid && line.tag == tag) {
@@ -123,15 +140,27 @@ Llc::saveState(StateWriter &w) const
     // and LRU stamps almost always fit 32 bits (tags below a 256 GB
     // address space, LRU stamps below 4G accesses); a width byte keeps
     // the wide encoding available for the rare state that does not.
+    //
+    // The arrays are the logical, set-major tag store: a never-filled
+    // set contributes `ways` default lines, so the bytes do not depend
+    // on which sets are stored.
+    const std::size_t ways = config_.ways;
+    const std::size_t n = std::size_t{numSets_} * ways;
+    const Line empty{};
+    auto line_at = [&](std::size_t i) -> const Line & {
+        std::uint32_t slot = slots[i / ways];
+        return slot == 0 ? empty : pool[(slot - 1) * ways + i % ways];
+    };
     bool narrow = true;
     std::vector<std::uint32_t> tags32, lrus32;
-    tags32.reserve(lines.size());
-    lrus32.reserve(lines.size());
+    tags32.reserve(n);
+    lrus32.reserve(n);
     std::vector<std::uint64_t> flags;
-    flags.reserve((lines.size() + 31) / 32);
+    flags.reserve((n + 31) / 32);
     std::uint64_t packed = 0;
     std::size_t nbits = 0;
-    for (const Line &line : lines) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const Line &line = line_at(i);
         if (narrow && (line.tag > UINT32_MAX || line.lru > UINT32_MAX))
             narrow = false;
         tags32.push_back(static_cast<std::uint32_t>(line.tag));
@@ -152,11 +181,11 @@ Llc::saveState(StateWriter &w) const
         saveU32VectorBulk(w, lrus32);
     } else {
         std::vector<std::uint64_t> tags, lrus;
-        tags.reserve(lines.size());
-        lrus.reserve(lines.size());
-        for (const Line &line : lines) {
-            tags.push_back(line.tag);
-            lrus.push_back(line.lru);
+        tags.reserve(n);
+        lrus.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            tags.push_back(line_at(i).tag);
+            lrus.push_back(line_at(i).lru);
         }
         saveU64VectorBulk(w, tags);
         saveU64VectorBulk(w, lrus);
@@ -176,7 +205,8 @@ Llc::loadState(StateReader &r)
         r.fail();
         return;
     }
-    const std::size_t n = lines.size();
+    const std::size_t ways = config_.ways;
+    const std::size_t n = std::size_t{numSets_} * ways;
     const bool narrow = r.u8() != 0;
     std::vector<std::uint32_t> t32, l32;
     std::vector<std::uint64_t> t64, l64;
@@ -197,33 +227,41 @@ Llc::loadState(StateReader &r)
         r.fail();
         return;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        Line &line = lines[i];
-        line.tag = narrow ? t32[i] : t64[i];
-        line.lru = narrow ? l32[i] : l64[i];
-        std::uint64_t f = (flags[i / 32] >> ((i % 32) * 2)) & 3u;
-        line.valid = (f & 1) != 0;
-        line.dirty = (f & 2) != 0;
+    auto tag_at = [&](std::size_t i) -> Addr {
+        return narrow ? t32[i] : t64[i];
+    };
+    auto lru_at = [&](std::size_t i) -> std::uint64_t {
+        return narrow ? l32[i] : l64[i];
+    };
+    auto flags_at = [&](std::size_t i) -> std::uint64_t {
+        return (flags[i / 32] >> ((i % 32) * 2)) & 3u;
+    };
+    // Store only the sets whose lines are not all default; the rest read
+    // back as never filled, which behaves identically.
+    std::fill(slots.begin(), slots.end(), 0);
+    pool.clear();
+    for (std::size_t set = 0; set < numSets_; ++set) {
+        const std::size_t first = set * ways;
+        bool filled = false;
+        for (std::size_t i = first; i < first + ways && !filled; ++i)
+            filled = tag_at(i) != 0 || lru_at(i) != 0 || flags_at(i) != 0;
+        if (!filled)
+            continue;
+        pool.resize(pool.size() + ways);
+        slots[set] = static_cast<std::uint32_t>(pool.size() / ways);
+        Line *block = pool.data() + pool.size() - ways;
+        for (std::size_t way = 0; way < ways; ++way) {
+            Line &line = block[way];
+            line.tag = tag_at(first + way);
+            line.lru = lru_at(first + way);
+            line.valid = (flags_at(first + way) & 1) != 0;
+            line.dirty = (flags_at(first + way) & 2) != 0;
+        }
     }
     lruClock = r.u64();
     hits_ = r.u64();
     misses_ = r.u64();
     writebacks_ = r.u64();
-}
-
-bool
-Llc::invalidate(Addr line_addr)
-{
-    std::span<Line> set = setOf(line_addr);
-    Addr tag = tagOf(line_addr);
-    for (Line &line : set) {
-        if (line.valid && line.tag == tag) {
-            line.valid = false;
-            line.dirty = false;
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace bh

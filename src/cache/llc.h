@@ -6,6 +6,11 @@
  * 8 MiB, 8-way). Storage is tag-only: the simulator never models data
  * contents. Misses reserve the victim way immediately (no transient states);
  * the MSHR file tracks the outstanding fill.
+ *
+ * A set's ways are stored only once something is allocated into it: a
+ * per-set slot index points into a pool of `ways`-line blocks, so a run
+ * that touches a few thousand of the 16,384 sets never builds the rest.
+ * A never-filled set behaves exactly like a set of invalid lines.
  */
 #pragma once
 
@@ -60,10 +65,10 @@ class Llc
     /** Mark @p line_addr dirty if present (merged-store fill). */
     void setDirty(Addr line_addr);
 
-    /** Invalidate a line if present. @return true if it was present. */
-    bool invalidate(Addr line_addr);
-
     unsigned numSets() const { return numSets_; }
+
+    /** Sets that have stored ways (every set allocated into so far). */
+    std::size_t filledSets() const { return pool.size() / config_.ways; }
     const LlcConfig &config() const { return config_; }
 
     std::uint64_t hits() const { return hits_; }
@@ -93,14 +98,18 @@ class Llc
         std::uint64_t lru = 0; ///< Larger = more recently used.
     };
 
-    /** The ways of @p line_addr's set, a slice of the flat tag store. */
-    std::span<Line> setOf(Addr line_addr);
-    std::span<const Line> setOf(Addr line_addr) const;
+    std::size_t setIndex(Addr line_addr) const;
+    /** The ways of @p line_addr's set; empty if the set was never filled. */
+    std::span<Line> filledSet(Addr line_addr);
+    std::span<const Line> filledSet(Addr line_addr) const;
     Addr tagOf(Addr line_addr) const;
 
     LlcConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
     unsigned numSets_ = 0;
-    std::vector<Line> lines; ///< Set-major: set s is [s*ways, (s+1)*ways).
+    /** Per set: 1 + its block number in `pool`, or 0 if never filled. */
+    // bh-audit: skip(slots) -- derived state; loadState rebuilds it from the logical tag store
+    std::vector<std::uint32_t> slots;
+    std::vector<Line> pool; ///< Blocks of `ways` lines, in first-fill order.
     std::uint64_t lruClock = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

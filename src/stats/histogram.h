@@ -5,6 +5,10 @@
  * Fixed-width bins over [0, max) with a saturating overflow bin. Memory
  * latencies of benign requests are recorded in nanoseconds; percentile
  * queries interpolate within the containing bin.
+ *
+ * Storage holds only the prefix of bins up to the highest occupied one:
+ * benign latencies occupy a few hundred of the 4096 bins, and every
+ * sweep point keeps its histogram in its result record.
  */
 #pragma once
 
@@ -29,7 +33,7 @@ class Histogram
      *                 land in a saturating overflow bin.
      */
     explicit Histogram(double bin_width = 1.0, std::size_t num_bins = 4096)
-        : binWidth_(bin_width), bins(num_bins + 1, 0)
+        : binWidth_(bin_width), numBins_(num_bins)
     {
         BH_ASSERT(bin_width > 0.0, "histogram bin width must be positive");
     }
@@ -51,10 +55,11 @@ class Histogram
         if (value < 0.0)
             value = 0.0;
         double quotient = value / binWidth_;
-        double overflow = static_cast<double>(bins.size() - 1);
-        std::size_t idx = quotient >= overflow
-                              ? bins.size() - 1
+        std::size_t idx = quotient >= static_cast<double>(numBins_)
+                              ? numBins_
                               : static_cast<std::size_t>(quotient);
+        if (idx >= bins.size())
+            bins.resize(idx + 1, 0);
         ++bins[idx];
         ++count_;
         sum_ += value;
@@ -114,7 +119,7 @@ class Histogram
         for (std::size_t i = 0; i < bins.size(); ++i) {
             double next = running + static_cast<double>(bins[i]);
             if (next >= target) {
-                if (i == bins.size() - 1)
+                if (i == numBins_)
                     return max_; // overflow bin: report observed max
                 double frac =
                     bins[i] ? (target - running) / static_cast<double>(bins[i])
@@ -129,27 +134,11 @@ class Histogram
         return max_;
     }
 
-    /** Merge another histogram with identical geometry into this one. */
-    void
-    merge(const Histogram &other)
-    {
-        BH_ASSERT(other.bins.size() == bins.size() &&
-                      other.binWidth_ == binWidth_,
-                  "histogram geometry mismatch in merge");
-        for (std::size_t i = 0; i < bins.size(); ++i)
-            bins[i] += other.bins[i];
-        count_ += other.count_;
-        sum_ += other.sum_;
-        dropped_ += other.dropped_;
-        if (other.max_ > max_)
-            max_ = other.max_;
-    }
-
     /** Drop all samples. */
     void
     reset()
     {
-        std::fill(bins.begin(), bins.end(), 0);
+        bins.clear();
         count_ = 0;
         sum_ = 0.0;
         max_ = 0.0;
@@ -161,7 +150,14 @@ class Histogram
     /** Bin width in recorded units. */
     double binWidth() const { return binWidth_; }
 
-    /** Raw bin counts; the final element is the overflow bin. */
+    /** Number of regular bins; the overflow bin has index numBins(). */
+    std::size_t numBins() const { return numBins_; }
+
+    /**
+     * Stored bin counts, indexed like the logical bins: the prefix up to
+     * the highest occupied bin (empty when nothing was recorded). Every
+     * bin past the end holds zero.
+     */
     const std::vector<std::uint64_t> &rawBins() const { return bins; }
 
     /** Sum of all recorded samples. */
@@ -169,15 +165,18 @@ class Histogram
 
     /**
      * Rebuild a histogram from exported raw state (the inverse of
-     * rawBins()/sum()/max()); @p raw_bins must include the overflow bin.
+     * numBins()/rawBins()/sum()/max()); @p raw_bins holds bins from index
+     * 0 and may stop anywhere up to the overflow bin.
      */
     static Histogram
-    fromRaw(double bin_width, std::vector<std::uint64_t> raw_bins,
-            double sum, double max)
+    fromRaw(double bin_width, std::size_t num_bins,
+            std::vector<std::uint64_t> raw_bins, double sum, double max)
     {
-        BH_ASSERT(!raw_bins.empty(), "histogram needs an overflow bin");
-        Histogram h(bin_width, raw_bins.size() - 1);
+        BH_ASSERT(raw_bins.size() <= num_bins + 1,
+                  "histogram bins beyond the overflow bin");
+        Histogram h(bin_width, num_bins);
         h.bins = std::move(raw_bins);
+        h.trimBins();
         for (std::uint64_t c : h.bins)
             h.count_ += c;
         h.sum_ = sum;
@@ -185,13 +184,19 @@ class Histogram
         return h;
     }
 
-    /** Serialize the accumulator state (geometry stays constructor-set). */
+    /**
+     * Serialize the accumulator state (geometry stays constructor-set).
+     * The bins are written densely, all numBins_ + 1 of them, so the
+     * encoding does not depend on how much of the prefix is stored.
+     */
     void
     saveState(StateWriter &w) const
     {
         w.tag("hist");
         w.d(binWidth_);
-        saveU64Vector(w, bins);
+        w.u64(numBins_ + 1);
+        for (std::size_t i = 0; i <= numBins_; ++i)
+            w.u64(i < bins.size() ? bins[i] : 0);
         w.u64(count_);
         w.d(sum_);
         w.d(max_);
@@ -210,11 +215,12 @@ class Histogram
         double sum = r.d();
         double max = r.d();
         std::uint64_t dropped = r.u64();
-        if (!r.ok() || width != binWidth_ || raw.size() != bins.size()) {
+        if (!r.ok() || width != binWidth_ || raw.size() != numBins_ + 1) {
             r.fail();
             return;
         }
         bins = std::move(raw);
+        trimBins();
         count_ = count;
         sum_ = sum;
         max_ = max;
@@ -224,14 +230,26 @@ class Histogram
     bool
     operator==(const Histogram &other) const
     {
-        return binWidth_ == other.binWidth_ && bins == other.bins &&
+        return binWidth_ == other.binWidth_ && numBins_ == other.numBins_ &&
+               bins == other.bins &&
                count_ == other.count_ && sum_ == other.sum_ &&
                max_ == other.max_ && dropped_ == other.dropped_;
     }
 
   private:
+    /** Drop trailing empty bins so storage ends at the highest occupied
+     *  one (what record() maintains, and what operator== relies on). */
+    void
+    trimBins()
+    {
+        while (!bins.empty() && bins.back() == 0)
+            bins.pop_back();
+        bins.shrink_to_fit();
+    }
+
     double binWidth_;
-    std::vector<std::uint64_t> bins;
+    std::size_t numBins_;
+    std::vector<std::uint64_t> bins; ///< Bins [0, highest occupied].
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double max_ = 0.0;

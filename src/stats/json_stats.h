@@ -20,7 +20,7 @@ histogramToJson(const Histogram &h)
 {
     JsonValue out = JsonValue::object();
     out.set("bin_width", h.binWidth());
-    out.set("num_bins", static_cast<std::uint64_t>(h.rawBins().size() - 1));
+    out.set("num_bins", static_cast<std::uint64_t>(h.numBins()));
     out.set("sum", h.sum());
     out.set("max", h.max());
     JsonValue bins = JsonValue::array();
@@ -37,20 +37,25 @@ histogramToJson(const Histogram &h)
     return out;
 }
 
-/** Rebuild a histogram dumped by histogramToJson(). */
+/**
+ * Rebuild a histogram dumped by histogramToJson(). Storage is sized to
+ * the highest listed bin, not to num_bins.
+ */
 inline Histogram
 histogramFromJson(const JsonValue &v)
 {
     std::size_t num_bins = v.get("num_bins").asU64();
-    std::vector<std::uint64_t> raw(num_bins + 1, 0);
     const JsonValue &bins = v.get("bins");
+    std::vector<std::uint64_t> raw;
     for (std::size_t i = 0; i < bins.size(); ++i) {
         const JsonValue &pair = bins.at(i);
         std::size_t idx = pair.at(0).asU64();
-        BH_ASSERT(idx < raw.size(), "histogram JSON: bin out of range");
+        BH_ASSERT(idx <= num_bins, "histogram JSON: bin out of range");
+        if (idx >= raw.size())
+            raw.resize(idx + 1, 0);
         raw[idx] = pair.at(1).asU64();
     }
-    return Histogram::fromRaw(v.get("bin_width").asDouble(),
+    return Histogram::fromRaw(v.get("bin_width").asDouble(), num_bins,
                               std::move(raw), v.get("sum").asDouble(),
                               v.get("max").asDouble());
 }

@@ -5,8 +5,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "cache/llc.h"
 #include "cache/mshr.h"
+#include "common/rng.h"
 
 namespace bh {
 namespace {
@@ -111,20 +116,134 @@ TEST(LlcTest, ProbeDoesNotTouchLru)
     EXPECT_EQ(victim.writebackLine, 0u);
 }
 
-TEST(LlcTest, InvalidateRemovesLine)
-{
-    Llc llc(tinyLlc());
-    llc.allocate(0x40, false, nullptr);
-    EXPECT_TRUE(llc.invalidate(0x40));
-    EXPECT_FALSE(llc.probe(0x40));
-    EXPECT_FALSE(llc.invalidate(0x40));
-}
-
 TEST(LlcTest, Table1Geometry)
 {
     LlcConfig cfg; // Defaults: 8 MiB, 8-way.
     Llc llc(cfg);
     EXPECT_EQ(llc.numSets(), (8u << 20) / 64 / 8);
+}
+
+TEST(LlcTest, NeverFilledSetMissesAndStoresNothing)
+{
+    LlcConfig cfg; // Table 1: 16,384 sets.
+    Llc llc(cfg);
+    EXPECT_EQ(llc.filledSets(), 0u);
+    EXPECT_FALSE(llc.access(0x1000, false));
+    EXPECT_FALSE(llc.access(0x1000, true));
+    EXPECT_FALSE(llc.probe(0x1000));
+    llc.setDirty(0x1000);
+    EXPECT_EQ(llc.misses(), 2u);
+    EXPECT_EQ(llc.filledSets(), 0u);
+
+    // Filling one set stores that set only; its neighbours still miss.
+    Llc::Victim victim;
+    llc.allocate(0x1000, true, &victim);
+    EXPECT_FALSE(victim.dirtyWriteback);
+    EXPECT_EQ(llc.filledSets(), 1u);
+    EXPECT_TRUE(llc.probe(0x1000));
+    EXPECT_FALSE(llc.access(0x1040, false));
+    EXPECT_EQ(llc.filledSets(), 1u);
+}
+
+/** One step of a seeded access stream (the System's miss path). */
+struct LlcOutcome
+{
+    bool hit;
+    bool dirtyWriteback;
+    Addr writebackLine;
+
+    bool
+    operator==(const LlcOutcome &o) const
+    {
+        return hit == o.hit && dirtyWriteback == o.dirtyWriteback &&
+               writebackLine == o.writebackLine;
+    }
+};
+
+LlcOutcome
+step(Llc &llc, Addr line, bool is_write)
+{
+    LlcOutcome out{llc.access(line, is_write), false, 0};
+    if (!out.hit) {
+        Llc::Victim victim;
+        llc.allocate(line, is_write, &victim);
+        out.dirtyWriteback = victim.dirtyWriteback;
+        out.writebackLine = victim.dirtyWriteback ? victim.writebackLine : 0;
+    }
+    return out;
+}
+
+std::string
+llcState(const Llc &llc)
+{
+    StateWriter w;
+    llc.saveState(w);
+    return w.take();
+}
+
+TEST(LlcTest, FilledSetsCountDistinctSetsAllocated)
+{
+    LlcConfig cfg; // Table 1: 16,384 sets.
+    Llc llc(cfg);
+    Rng rng(7);
+    std::set<std::uint64_t> allocated;
+    for (int i = 0; i < 6000; ++i) {
+        Addr line = rng.nextBounded(1u << 24) << kCacheLineBits;
+        if (!llc.access(line, false)) {
+            llc.allocate(line, false, nullptr);
+            allocated.insert((line >> kCacheLineBits) & (llc.numSets() - 1));
+        }
+        if (i % 500 == 0) {
+            EXPECT_EQ(llc.filledSets(), allocated.size());
+        }
+    }
+    EXPECT_EQ(llc.filledSets(), allocated.size());
+    EXPECT_LT(llc.filledSets(), llc.numSets());
+}
+
+TEST(LlcTest, MidRunRestoreKeepsOutcomesAndBytes)
+{
+    // 128 sets of 8 ways under a 2,048-line working set: evictions, dirty
+    // writebacks and never-filled sets all occur.
+    LlcConfig cfg;
+    cfg.sizeBytes = 64 << 10;
+    Llc llc(cfg);
+    Rng rng(11);
+    auto next_line = [&rng] {
+        // Skip every fourth set so part of the cache is never filled.
+        Addr line = rng.nextBounded(2048);
+        if (line % 4 == 3)
+            --line;
+        return line << kCacheLineBits;
+    };
+    for (int i = 0; i < 3000; ++i) {
+        Addr line = next_line();
+        step(llc, line, rng.nextBool(0.3));
+        if (rng.nextBool(0.05))
+            llc.setDirty(next_line());
+    }
+    ASSERT_LT(llc.filledSets(), llc.numSets());
+
+    const std::string mid = llcState(llc);
+    Llc restored(cfg);
+    StateReader r(mid);
+    restored.loadState(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(restored.filledSets(), llc.filledSets());
+    EXPECT_EQ(llcState(restored), mid);
+
+    for (int i = 0; i < 3000; ++i) {
+        Addr line = next_line();
+        bool is_write = rng.nextBool(0.3);
+        ASSERT_TRUE(step(llc, line, is_write) ==
+                    step(restored, line, is_write))
+            << "access " << i;
+    }
+    EXPECT_EQ(llc.hits(), restored.hits());
+    EXPECT_EQ(llc.misses(), restored.misses());
+    EXPECT_EQ(llc.writebacks(), restored.writebacks());
+    EXPECT_GT(llc.writebacks(), 0u);
+    EXPECT_EQ(llcState(restored), llcState(llc));
 }
 
 TEST(MshrTest, AllocateAndRelease)

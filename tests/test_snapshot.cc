@@ -721,6 +721,29 @@ TEST(SystemSnapshotTest, FourChannelKillResumeIsFieldExactPerChannel)
     std::remove(snap.c_str());
 }
 
+TEST(SystemSnapshotTest, MidRunSnapshotBytesArePinned)
+{
+    // The snapshot layout is a compatibility contract (kSnapshotVersion):
+    // a seeded mid-run System must serialize to exactly these bytes.
+    // The LLC writes its whole logical tag store and the latency
+    // histogram all of its bins, however few sets and bins are stored.
+    // The digest was computed from the dense-storage layouts.
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("HHMA", 0);
+    cfg.mechanism = MitigationType::kGraphene;
+    cfg.nRh = 512;
+    cfg.breakHammer = true;
+    cfg.instructions = 5000;
+    SystemConfig sys = systemConfigFor(cfg);
+    System system(sys, cfg.mix.slots);
+    RunResult mid = system.run(cfg.instructions, 30000);
+    ASSERT_TRUE(mid.hitCycleCap);
+    ASSERT_GT(mid.benignReadLatencyNs.count(), 0u);
+    const std::string blob = system.snapshotBlob();
+    EXPECT_EQ(blob.size(), 1131965u);
+    EXPECT_EQ(fnv1a64(blob.data(), blob.size()), 0x8191837283b2faa7ull);
+}
+
 TEST(SystemSnapshotTest, StaleVersionSnapshotsAreRejected)
 {
     // Regression for the v2 -> v3 format bump (per-channel sections): a

@@ -4,9 +4,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/snapshot.h"
 #include "stats/histogram.h"
+#include "stats/json_stats.h"
 #include "stats/metrics.h"
 
 namespace bh {
@@ -62,19 +70,6 @@ TEST(HistogramTest, NegativeClampsToZero)
     EXPECT_NEAR(h.percentile(100), 0.0, 1e-9);
 }
 
-TEST(HistogramTest, MergeCombinesCounts)
-{
-    Histogram a(1.0, 32), b(1.0, 32);
-    for (int i = 0; i < 10; ++i)
-        a.record(1.0);
-    for (int i = 0; i < 10; ++i)
-        b.record(21.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 20u);
-    EXPECT_NEAR(a.mean(), 11.0, 1e-9);
-    EXPECT_GT(a.percentile(90), 20.0);
-}
-
 TEST(HistogramTest, ResetClears)
 {
     Histogram h(1.0, 8);
@@ -113,17 +108,6 @@ TEST(HistogramTest, HugeValuesClampToOverflowBin)
     EXPECT_EQ(h.count(), 3u);
     EXPECT_EQ(h.droppedSamples(), 0u);
     EXPECT_EQ(h.rawBins().back(), 3u);
-}
-
-TEST(HistogramTest, MergeAccumulatesDroppedSamples)
-{
-    Histogram a(1.0, 8), b(1.0, 8);
-    a.record(std::numeric_limits<double>::quiet_NaN());
-    b.record(std::numeric_limits<double>::quiet_NaN());
-    b.record(1.0);
-    a.merge(b);
-    EXPECT_EQ(a.droppedSamples(), 2u);
-    EXPECT_EQ(a.count(), 1u);
 }
 
 TEST(MetricsTest, WeightedSpeedupIdentity)
@@ -205,6 +189,238 @@ TEST_P(HistogramPropertyTest, PercentilesWithinRange)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramPropertyTest,
                          ::testing::Range(1, 9));
+
+/**
+ * Reference model: the dense layout Histogram stores only a prefix of,
+ * with all num_bins + 1 bins allocated up front and every query scanning
+ * all of them.
+ */
+struct DenseHistogram
+{
+    DenseHistogram(double width, std::size_t num_bins)
+        : binWidth(width), bins(num_bins + 1, 0)
+    {}
+
+    void
+    record(double value)
+    {
+        if (std::isnan(value)) {
+            ++dropped;
+            return;
+        }
+        if (value < 0.0)
+            value = 0.0;
+        double quotient = value / binWidth;
+        double overflow = static_cast<double>(bins.size() - 1);
+        std::size_t idx = quotient >= overflow
+                              ? bins.size() - 1
+                              : static_cast<std::size_t>(quotient);
+        ++bins[idx];
+        ++count;
+        sum += value;
+        if (value > max)
+            max = value;
+    }
+
+    double
+    percentile(double pct) const
+    {
+        if (count == 0)
+            return 0.0;
+        if (pct <= 0.0) {
+            for (std::size_t i = 0; i < bins.size(); ++i)
+                if (bins[i] != 0)
+                    return std::min(static_cast<double>(i) * binWidth, max);
+            return 0.0;
+        }
+        if (pct >= 100.0)
+            return max;
+        double target = pct / 100.0 * static_cast<double>(count);
+        double running = 0.0;
+        for (std::size_t i = 0; i < bins.size(); ++i) {
+            double next = running + static_cast<double>(bins[i]);
+            if (next >= target) {
+                if (i == bins.size() - 1)
+                    return max;
+                double frac =
+                    bins[i] ? (target - running) / static_cast<double>(bins[i])
+                            : 0.0;
+                return std::min((static_cast<double>(i) + frac) * binWidth,
+                                max);
+            }
+            running = next;
+        }
+        return max;
+    }
+
+    /** histogramToJson's document, built from every dense bin. */
+    JsonValue
+    toJson() const
+    {
+        JsonValue out = JsonValue::object();
+        out.set("bin_width", binWidth);
+        out.set("num_bins", static_cast<std::uint64_t>(bins.size() - 1));
+        out.set("sum", sum);
+        out.set("max", max);
+        JsonValue pairs = JsonValue::array();
+        for (std::size_t i = 0; i < bins.size(); ++i) {
+            if (bins[i] == 0)
+                continue;
+            JsonValue pair = JsonValue::array();
+            pair.push(static_cast<std::uint64_t>(i));
+            pair.push(bins[i]);
+            pairs.push(std::move(pair));
+        }
+        out.set("bins", std::move(pairs));
+        return out;
+    }
+
+    /** Histogram::saveState's encoding of the dense state. */
+    std::string
+    stateBytes() const
+    {
+        StateWriter w;
+        w.tag("hist");
+        w.d(binWidth);
+        saveU64Vector(w, bins);
+        w.u64(count);
+        w.d(sum);
+        w.d(max);
+        w.u64(dropped);
+        return w.take();
+    }
+
+    double binWidth;
+    std::vector<std::uint64_t> bins;
+    std::uint64_t count = 0;
+    std::uint64_t dropped = 0;
+    double sum = 0.0;
+    double max = 0.0;
+};
+
+/** A sample mix that reaches every branch of record(). */
+double
+drawSample(Rng &rng, double width, std::size_t num_bins)
+{
+    const double span = width * static_cast<double>(num_bins);
+    switch (rng.nextBounded(20)) {
+    case 0:
+        return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+        return -rng.nextDouble() * span; // clamps to bin 0
+    case 2:
+        return -std::numeric_limits<double>::infinity();
+    case 3:
+        return span * (1.0 + 3.0 * rng.nextDouble()); // past the last bin
+    case 4:
+        // Quotients past size_t's range. (+inf is left out: JSON has no
+        // infinity, so its sum could not round-trip.)
+        return rng.nextBool(0.5) ? 1e300 : 0x1p70;
+    default:
+        // Benign-latency-like: the low fifth of the range, bin edges too.
+        return rng.nextBool(0.1)
+                   ? width * static_cast<double>(rng.nextBounded(num_bins / 5 + 1))
+                   : rng.nextDouble() * span / 5.0;
+    }
+}
+
+struct HistogramGeometry
+{
+    double width;
+    std::size_t numBins;
+};
+
+class HistogramEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<int, HistogramGeometry>>
+{};
+
+TEST_P(HistogramEquivalenceTest, StoredPrefixAnswersLikeDenseBins)
+{
+    const auto [seed, geometry] = GetParam();
+    Rng rng(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ull);
+    // Sizes include zero samples and runs too short to reach overflow.
+    const std::uint64_t samples = rng.nextBounded(3) == 0
+                                      ? rng.nextBounded(4)
+                                      : rng.nextBounded(4000);
+    Histogram h(geometry.width, geometry.numBins);
+    DenseHistogram ref(geometry.width, geometry.numBins);
+    // The JSON form carries no dropped-NaN count, so a parsed histogram
+    // equals one that never saw the NaNs.
+    Histogram kept(geometry.width, geometry.numBins);
+    for (std::uint64_t i = 0; i < samples; ++i) {
+        double v = drawSample(rng, geometry.width, geometry.numBins);
+        h.record(v);
+        ref.record(v);
+        if (!std::isnan(v))
+            kept.record(v);
+    }
+
+    EXPECT_EQ(h.numBins(), geometry.numBins);
+    EXPECT_EQ(h.count(), ref.count);
+    EXPECT_EQ(h.droppedSamples(), ref.dropped);
+    EXPECT_EQ(h.sum(), ref.sum);
+    EXPECT_EQ(h.mean(), ref.count ? ref.sum / static_cast<double>(ref.count)
+                                  : 0.0);
+    EXPECT_EQ(h.max(), ref.max);
+    const std::vector<double> pcts = {-1.0, 0.0,  0.1,  1.0,  5.0,
+                                      10.0, 25.0, 50.0, 75.0, 90.0,
+                                      95.0, 99.0, 99.9, 100.0, 150.0};
+    for (double p : pcts)
+        EXPECT_EQ(h.percentile(p), ref.percentile(p)) << "p" << p;
+
+    // Storage ends at the highest occupied bin; the rest are zero.
+    const std::vector<std::uint64_t> &stored = h.rawBins();
+    ASSERT_LE(stored.size(), ref.bins.size());
+    EXPECT_TRUE(stored.empty() || stored.back() != 0);
+    for (std::size_t i = 0; i < ref.bins.size(); ++i)
+        EXPECT_EQ(i < stored.size() ? stored[i] : 0, ref.bins[i]) << i;
+
+    // Same JSON bytes, and the parsed copy stores the same prefix.
+    const std::string dump = histogramToJson(h).dump();
+    EXPECT_EQ(dump, ref.toJson().dump());
+    Histogram back = histogramFromJson(JsonValue::parseOrDie(dump));
+    EXPECT_TRUE(back == kept);
+    EXPECT_EQ(back == h, ref.dropped == 0);
+    EXPECT_EQ(back.rawBins().size(), stored.size());
+    EXPECT_EQ(back.count(), ref.count);
+    for (double p : pcts)
+        EXPECT_EQ(back.percentile(p), ref.percentile(p)) << "p" << p;
+
+    // Same snapshot bytes; a restore stores the same prefix.
+    StateWriter w;
+    h.saveState(w);
+    const std::string state = w.take();
+    EXPECT_EQ(state, ref.stateBytes());
+    Histogram restored(geometry.width, geometry.numBins);
+    StateReader r(state);
+    restored.loadState(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(restored == h);
+    EXPECT_EQ(restored.rawBins().size(), stored.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, HistogramEquivalenceTest,
+    ::testing::Combine(::testing::Range(1, 25),
+                       ::testing::Values(HistogramGeometry{2.0, 4096},
+                                         HistogramGeometry{0.5, 64},
+                                         HistogramGeometry{1.0, 1})));
+
+TEST(HistogramTest, EmptyHistogramStoresNoBins)
+{
+    Histogram h(2.0, 4096);
+    EXPECT_TRUE(h.rawBins().empty());
+    h.record(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_TRUE(h.rawBins().empty()); // a dropped sample occupies nothing
+    h.record(3.0);
+    EXPECT_EQ(h.rawBins().size(), 2u);
+    h.reset();
+    EXPECT_TRUE(h.rawBins().empty());
+    Histogram back =
+        histogramFromJson(JsonValue::parseOrDie(histogramToJson(h).dump()));
+    EXPECT_TRUE(back.rawBins().empty());
+    EXPECT_EQ(back.numBins(), 4096u);
+}
 
 } // namespace
 } // namespace bh
