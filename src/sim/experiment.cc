@@ -420,6 +420,17 @@ typedMember(const JsonValue &obj, const char *key, JsonValue::Type type)
     return member;
 }
 
+/** Member @p key of @p obj iff it is a number asU64() reads exactly
+ *  (finite, integral, in [0, 2^64)): the gate every count goes through,
+ *  so a negative or huge count reads as a cache miss, not a crash or an
+ *  undefined cast. */
+const JsonValue *
+u64Member(const JsonValue &obj, const char *key)
+{
+    const JsonValue *member = typedMember(obj, key, JsonValue::Type::kNumber);
+    return member != nullptr && member->isU64() ? member : nullptr;
+}
+
 /** Validate the histogramToJson() shape before the (assert-happy)
  *  histogramFromJson() parser touches it. */
 bool
@@ -431,20 +442,19 @@ histogramJsonIsWellFormed(const JsonValue &v)
     constexpr std::uint64_t kMaxBins = 1u << 20;
     const JsonValue *bin_width =
         typedMember(v, "bin_width", JsonValue::Type::kNumber);
-    const JsonValue *num_bins =
-        typedMember(v, "num_bins", JsonValue::Type::kNumber);
+    const JsonValue *num_bins = u64Member(v, "num_bins");
     const JsonValue *bins =
         typedMember(v, "bins", JsonValue::Type::kArray);
     if (bin_width == nullptr || bin_width->asDouble() <= 0.0 ||
-        num_bins == nullptr || num_bins->asDouble() < 0.0 ||
-        num_bins->asU64() > kMaxBins || bins == nullptr ||
+        num_bins == nullptr || num_bins->asU64() > kMaxBins ||
+        bins == nullptr ||
         typedMember(v, "sum", JsonValue::Type::kNumber) == nullptr ||
         typedMember(v, "max", JsonValue::Type::kNumber) == nullptr)
         return false;
     for (std::size_t i = 0; i < bins->size(); ++i) {
         const JsonValue &pair = bins->at(i);
         if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(0).isNumber() || !pair.at(1).isNumber() ||
+            !pair.at(0).isU64() || !pair.at(1).isU64() ||
             pair.at(0).asU64() > num_bins->asU64())
             return false;
     }
@@ -464,27 +474,21 @@ experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
     const JsonValue *ws = typedMember(v, "weighted_speedup", Type::kNumber);
     const JsonValue *sd = typedMember(v, "max_slowdown", Type::kNumber);
     const JsonValue *energy = typedMember(v, "energy_nj", Type::kNumber);
-    const JsonValue *prev =
-        typedMember(v, "preventive_actions", Type::kNumber);
+    const JsonValue *prev = u64Member(v, "preventive_actions");
     const JsonValue *raw = typedMember(v, "raw", Type::kObject);
     if (!ws || !sd || !energy || !prev || !raw)
         return false;
 
-    const JsonValue *cycles = typedMember(*raw, "cycles", Type::kNumber);
-    const JsonValue *demand =
-        typedMember(*raw, "demand_acts", Type::kNumber);
-    const JsonValue *marks =
-        typedMember(*raw, "suspect_marks", Type::kNumber);
-    const JsonValue *rejections =
-        typedMember(*raw, "quota_rejections", Type::kNumber);
+    const JsonValue *cycles = u64Member(*raw, "cycles");
+    const JsonValue *demand = u64Member(*raw, "demand_acts");
+    const JsonValue *marks = u64Member(*raw, "suspect_marks");
+    const JsonValue *rejections = u64Member(*raw, "quota_rejections");
     const JsonValue *capped =
         typedMember(*raw, "hit_cycle_cap", Type::kBool);
     const JsonValue *prev_energy =
         typedMember(*raw, "preventive_energy_nj", Type::kNumber);
-    const JsonValue *violations =
-        typedMember(*raw, "oracle_violations", Type::kNumber);
-    const JsonValue *max_count =
-        typedMember(*raw, "oracle_max_count", Type::kNumber);
+    const JsonValue *violations = u64Member(*raw, "oracle_violations");
+    const JsonValue *max_count = u64Member(*raw, "oracle_max_count");
     const JsonValue *cores = typedMember(*raw, "cores", Type::kArray);
     const JsonValue *bh_scores =
         typedMember(*raw, "bh_scores", Type::kArray);
@@ -504,7 +508,7 @@ experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
         if (!bh_scores->at(i).isNumber())
             return false;
     for (std::size_t i = 0; i < bh_quotas->size(); ++i)
-        if (!bh_quotas->at(i).isNumber())
+        if (!bh_quotas->at(i).isU64())
             return false;
 
     ExperimentResult r;
@@ -523,7 +527,7 @@ experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
         if (!spec || !acts)
             return false;
         for (std::size_t i = 0; i < acts->size(); ++i)
-            if (!acts->at(i).isNumber())
+            if (!acts->at(i).isU64())
                 return false;
         for (std::size_t i = 0; i < acts->size(); ++i)
             r.raw.demandActsPerThread.push_back(acts->at(i).asU64());
@@ -546,12 +550,10 @@ experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
         const JsonValue &c = cores->at(i);
         const JsonValue *name = typedMember(c, "name", Type::kString);
         const JsonValue *benign = typedMember(c, "benign", Type::kBool);
-        const JsonValue *retired = typedMember(c, "retired", Type::kNumber);
-        const JsonValue *finish =
-            typedMember(c, "finish_cycle", Type::kNumber);
+        const JsonValue *retired = u64Member(c, "retired");
+        const JsonValue *finish = u64Member(c, "finish_cycle");
         const JsonValue *ipc = typedMember(c, "ipc", Type::kNumber);
-        const JsonValue *stalls =
-            typedMember(c, "reject_stalls", Type::kNumber);
+        const JsonValue *stalls = u64Member(c, "reject_stalls");
         if (!name || !benign || !retired || !finish || !ipc || !stalls)
             return false;
         CoreResult core;

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -104,33 +105,48 @@ ResultStore::loadFile(const std::string &path)
     if (!in.is_open())
         return; // A fresh store: nothing on disk yet.
 
+    // One candidate record, checked without building a payload tree: its
+    // small members decoded into @c rec (set() keeps the last duplicate,
+    // as parse() does), its payload kept as the bytes on the line.
+    JsonValue rec;
+    std::string_view payload;
+    const JsonValue::MemberVisitor visit = [&](const std::string &name,
+                                               std::string_view raw) {
+        if (name == "payload") {
+            payload = raw;
+            return;
+        }
+        JsonValue value;
+        JsonValue::parse(raw, &value); // scan() has checked these bytes.
+        rec.set(name, std::move(value));
+    };
+    auto scanRecord = [&](std::string_view text) {
+        rec = JsonValue::object();
+        payload = {};
+        return JsonValue::scan(text, visit);
+    };
+
     std::string line;
     std::size_t line_no = 0;
     while (std::getline(in, line)) {
         ++line_no;
         if (line.empty())
             continue;
-        JsonValue rec;
-        std::string parse_error;
-        if (!JsonValue::parse(line, &rec, &parse_error) ||
-            !rec.isObject()) {
+        if (!scanRecord(line)) {
             // Torn or malformed line. A crashed writer's torn record has
             // no trailing newline, so the next append — a perfectly valid
             // record — lands on the same physical line and would be lost
             // with it. Recover it: scan for an embedded record start and
-            // parse the suffix, skipping only the torn prefix.
+            // check the suffix, skipping only the torn prefix.
             bool recovered = false;
             for (std::size_t pos = line.find("{\"v\":", 1);
                  pos != std::string::npos;
                  pos = line.find("{\"v\":", pos + 1)) {
-                JsonValue tail;
-                if (JsonValue::parse(line.substr(pos), &tail) &&
-                    tail.isObject()) {
+                if (scanRecord(std::string_view(line).substr(pos))) {
                     std::fprintf(stderr,
                                  "result store: recovered a record fused "
                                  "to a torn write on line %zu of %s\n",
                                  line_no, path.c_str());
-                    rec = std::move(tail);
                     recovered = true;
                     break;
                 }
@@ -144,9 +160,11 @@ ResultStore::loadFile(const std::string &path)
                 continue;
             }
         }
+        // A line that is valid JSON but not an object reported no
+        // members, so it fails here like any other unreadable record.
         const JsonValue *version = rec.find("v");
         const JsonValue *kind = rec.find("kind");
-        if (version == nullptr || !version->isNumber() ||
+        if (version == nullptr || !version->isU64() ||
             version->asU64() != kSchemaVersion || kind == nullptr ||
             !kind->isString()) {
             ++counters.skipped; // Other schema version: recompute.
@@ -154,22 +172,21 @@ ResultStore::loadFile(const std::string &path)
         }
         if (kind->asString() == "experiment") {
             const JsonValue *key = rec.find("key");
-            const JsonValue *payload = rec.find("payload");
-            if (key == nullptr || !key->isString() || payload == nullptr) {
+            if (key == nullptr || !key->isString() || payload.empty()) {
                 ++counters.skipped;
                 continue;
             }
-            // Keep the payload as its compact dump, not a parsed tree:
-            // a store can hold far more records than one run requests,
-            // and resolveFromDisk() re-parses only the requested ones.
-            if (diskPayloads.emplace(key->asString(), payload->dump())
-                    .second)
+            // Keep the payload's bytes, not a parsed tree: a store can
+            // hold far more records than one run requests, and
+            // resolveFromDisk() parses only the requested ones.
+            if (diskPayloads.try_emplace(key->asString(), payload).second)
                 ++counters.loaded;
         } else if (kind->asString() == "solo") {
             const JsonValue *app = rec.find("app");
             const JsonValue *insts = rec.find("insts");
             const JsonValue *ipc = rec.find("ipc");
-            if (app == nullptr || insts == nullptr || ipc == nullptr) {
+            if (app == nullptr || !app->isString() || insts == nullptr ||
+                !insts->isU64() || ipc == nullptr || !ipc->isNumber()) {
                 ++counters.skipped;
                 continue;
             }

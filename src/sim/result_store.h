@@ -19,12 +19,20 @@
  *
  * The payload is experimentResultToJson() output, which round-trips
  * exactly, so a warm run re-serializes byte-identical JSON without
- * simulating anything. Records whose "v" differs from kSchemaVersion are
- * skipped at load (a schema change triggers recompute, never
- * corruption), as are torn or malformed lines. Appends write whole lines
- * with a single O_APPEND-style write, so two stores can be merged by
- * concatenating their results.jsonl files; duplicate keys are benign
- * (first record wins — deterministic simulation makes them identical).
+ * simulating anything. open() checks each line with JsonValue::scan(),
+ * which applies parse()'s grammar without building a tree: members may
+ * come in any order, and every member but the payload ("v", "kind",
+ * "key", or the solo fields) is decoded. An experiment payload's bytes
+ * are kept verbatim and parsed only when its point is requested. Every
+ * count read from disk ("v", "insts", and every count in a payload)
+ * passes JsonValue::isU64(), so a negative, fractional or huge value
+ * reads as a skipped line or a miss, never an abort. Records whose "v"
+ * differs from kSchemaVersion are skipped at load (a schema change
+ * triggers recompute, never corruption), as are torn or malformed lines.
+ * Appends write whole lines with a single O_APPEND-style write, so two
+ * stores can be merged by concatenating their results.jsonl files;
+ * duplicate keys are benign (first record wins — deterministic
+ * simulation makes them identical).
  *
  * Sharding: setShard(i, n) makes prefetch() compute only the points
  * whose content address hashes to shard i of n (1-based), so a grid can
@@ -233,8 +241,8 @@ class ResultStore
     std::map<std::string, Entry> cache;
     /** (app, insts) solo pairs already persisted via ingestSolo(). */
     std::map<std::pair<std::string, std::uint64_t>, bool> soloIngested;
-    /** Loaded but not-yet-requested records: key -> compact payload
-     *  dump, parsed lazily by resolveFromDisk(). */
+    /** Loaded but not-yet-requested records: key -> payload bytes as
+     *  stored, parsed lazily by resolveFromDisk(). */
     std::map<std::string, std::string> diskPayloads;
     ResultStoreStats counters;
     int fd = -1;

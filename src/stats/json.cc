@@ -79,11 +79,21 @@ JsonValue::asDouble() const
     return std::get<double>(value_);
 }
 
+bool
+JsonValue::isU64() const
+{
+    // 2^64 exactly; NaN and ±inf fail one of the comparisons.
+    constexpr double kLimit = 18446744073709551616.0;
+    if (!isNumber())
+        return false;
+    const double v = std::get<double>(value_);
+    return v >= 0.0 && v < kLimit && v == std::floor(v);
+}
+
 std::uint64_t
 JsonValue::asU64() const
 {
-    BH_ASSERT(isNumber() && std::get<double>(value_) >= 0.0,
-              "JsonValue: not a u64");
+    BH_ASSERT(isU64(), "JsonValue: not a u64");
     return static_cast<std::uint64_t>(std::get<double>(value_));
 }
 
@@ -295,12 +305,20 @@ mergeDuplicateKeys(JsonValue::Object &members)
 
 } // namespace
 
-/** Recursive-descent JSON parser over a raw character range. */
+/**
+ * Recursive-descent JSON parser over a raw character range. A null
+ * output selects the no-tree mode: the same grammar, depth cap and error
+ * messages, with nothing stored and no number converted.
+ */
 class JsonParser
 {
   public:
-    JsonParser(const char *p, const char *end) : p(p), end(end) {}
+    JsonParser(std::string_view text,
+               const JsonValue::MemberVisitor *visit = nullptr)
+        : p(text.data()), end(text.data() + text.size()), visit(visit)
+    {}
 
+    /** Parse the whole range into @p out (nullptr: check it only). */
     bool
     parse(JsonValue *out, std::string *error)
     {
@@ -352,19 +370,24 @@ class JsonParser
           case 'n':
             if (!literal("null"))
                 return fail("bad literal");
-            out->value_ = std::monostate{};
+            if (out)
+                out->value_ = std::monostate{};
             return true;
           case 't':
             if (!literal("true"))
                 return fail("bad literal");
-            out->value_ = true;
+            if (out)
+                out->value_ = true;
             return true;
           case 'f':
             if (!literal("false"))
                 return fail("bad literal");
-            out->value_ = false;
+            if (out)
+                out->value_ = false;
             return true;
           case '"': {
+            if (!out)
+                return parseString(nullptr);
             auto s = std::make_unique<std::string>();
             if (!parseString(s.get()))
                 return false;
@@ -381,16 +404,19 @@ class JsonParser
         }
     }
 
+    /** Parse a string literal into @p out (nullptr: check it only). */
     bool
     parseString(std::string *out)
     {
         ++p; // opening quote
-        out->clear();
+        if (out)
+            out->clear();
         while (true) {
             const char *run = p;
             while (p < end && *p != '"' && *p != '\\')
                 ++p;
-            out->append(run, p);
+            if (out)
+                out->append(run, p);
             if (p >= end)
                 return fail("unterminated string");
             if (*p == '"')
@@ -398,52 +424,64 @@ class JsonParser
             ++p; // backslash
             if (p >= end)
                 return fail("bad escape");
+            char c = 0;
             switch (*p) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'n': *out += '\n'; break;
-              case 'r': *out += '\r'; break;
-              case 't': *out += '\t'; break;
-              case 'b': *out += '\b'; break;
-              case 'f': *out += '\f'; break;
+              case '"': c = '"'; break;
+              case '\\': c = '\\'; break;
+              case '/': c = '/'; break;
+              case 'n': c = '\n'; break;
+              case 'r': c = '\r'; break;
+              case 't': c = '\t'; break;
+              case 'b': c = '\b'; break;
+              case 'f': c = '\f'; break;
               case 'u': {
                 if (end - p < 5)
                     return fail("bad \\u escape");
                 unsigned code = 0;
                 for (int i = 1; i <= 4; ++i) {
-                    char c = p[i];
+                    char h = p[i];
                     code <<= 4;
-                    if (c >= '0' && c <= '9')
-                        code |= static_cast<unsigned>(c - '0');
-                    else if (c >= 'a' && c <= 'f')
-                        code |= static_cast<unsigned>(c - 'a' + 10);
-                    else if (c >= 'A' && c <= 'F')
-                        code |= static_cast<unsigned>(c - 'A' + 10);
+                    if (h >= '0' && h <= '9')
+                        code |= static_cast<unsigned>(h - '0');
+                    else if (h >= 'a' && h <= 'f')
+                        code |= static_cast<unsigned>(h - 'a' + 10);
+                    else if (h >= 'A' && h <= 'F')
+                        code |= static_cast<unsigned>(h - 'A' + 10);
                     else
                         return fail("bad \\u escape");
                 }
-                // The simulator only emits ASCII control escapes;
-                // decode BMP code points as UTF-8 for completeness.
-                if (code < 0x80) {
-                    *out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    *out += static_cast<char>(0xC0 | (code >> 6));
-                    *out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    *out += static_cast<char>(0xE0 | (code >> 12));
-                    *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-                    *out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                p += 4;
-                break;
+                if (out)
+                    appendUtf8(*out, code);
+                p += 5;
+                continue;
               }
               default: return fail("bad escape");
             }
+            if (out)
+                *out += c;
             ++p;
         }
         ++p; // closing quote
         return true;
+    }
+
+    /**
+     * Append BMP code point @p code as UTF-8. The simulator only emits
+     * ASCII control escapes; the rest is decoded for completeness.
+     */
+    static void
+    appendUtf8(std::string &out, unsigned code)
+    {
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+        } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        }
     }
 
     /** Skip one or more digits at @p q; false when there are none. */
@@ -462,12 +500,15 @@ class JsonParser
     {
         // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
         const char *q = p;
-        if (q < end && *q == '-')
+        const bool negative = q < end && *q == '-';
+        if (negative)
             ++q;
+        const char *int_begin = q;
         if (q < end && *q == '0')
             ++q;
         else if (q >= end || *q < '1' || *q > '9' || !digits(q))
             return fail("bad number");
+        const char *int_end = q;
         if (q < end && *q == '.') {
             ++q;
             if (!digits(q))
@@ -480,13 +521,27 @@ class JsonParser
             if (!digits(q))
                 return fail("bad number");
         }
+        if (!out) {
+            p = q;
+            return true;
+        }
         double v = 0.0;
-        auto [num_end, ec] = std::from_chars(p, q, v);
-        if (ec == std::errc::result_out_of_range)
-            // Beyond a double's range: read it as strtod does (±inf, ±0).
-            v = std::strtod(std::string(p, q).c_str(), nullptr);
-        else if (ec != std::errc() || num_end != q)
-            return fail("bad number");
+        if (int_end == q && int_end - int_begin <= 15) {
+            // A plain integer below 10^15 < 2^53: exact as an integer, so
+            // converting it gives strtod's bits (negating keeps "-0").
+            std::int64_t n = 0;
+            for (const char *d = int_begin; d < int_end; ++d)
+                n = n * 10 + (*d - '0');
+            v = negative ? -static_cast<double>(n) : static_cast<double>(n);
+        } else {
+            auto [num_end, ec] = std::from_chars(p, q, v);
+            if (ec == std::errc::result_out_of_range)
+                // Beyond a double's range: read it as strtod does (±inf,
+                // ±0).
+                v = std::strtod(std::string(p, q).c_str(), nullptr);
+            else if (ec != std::errc() || num_end != q)
+                return fail("bad number");
+        }
         p = q;
         out->value_ = v;
         return true;
@@ -496,13 +551,21 @@ class JsonParser
     parseArray(JsonValue *out, int depth)
     {
         ++p; // '['
-        auto elements = std::make_unique<JsonValue::Array>();
+        std::unique_ptr<JsonValue::Array> elements;
+        if (out)
+            elements = std::make_unique<JsonValue::Array>();
         skipWs();
         if (p < end && *p == ']') {
             ++p;
         } else {
+            // Most arrays in a record are a histogram's [index, count]
+            // pairs: room for two up front saves a regrowth per pair.
+            if (elements)
+                elements->reserve(2);
             while (true) {
-                if (!parseValue(&elements->emplace_back(), depth))
+                if (!parseValue(elements ? &elements->emplace_back()
+                                         : nullptr,
+                                depth))
                     return false;
                 skipWs();
                 if (p < end && *p == ',') {
@@ -516,7 +579,8 @@ class JsonParser
                 return fail("expected ',' or ']'");
             }
         }
-        out->value_ = std::move(elements);
+        if (out)
+            out->value_ = std::move(elements);
         return true;
     }
 
@@ -524,7 +588,12 @@ class JsonParser
     parseObject(JsonValue *out, int depth)
     {
         ++p; // '{'
-        auto members = std::make_unique<JsonValue::Object>();
+        std::unique_ptr<JsonValue::Object> members;
+        if (out)
+            members = std::make_unique<JsonValue::Object>();
+        // Only the top-level object's members are reported, and only
+        // their keys are decoded in the no-tree mode.
+        const bool visiting = !out && visit && depth == 1;
         skipWs();
         if (p < end && *p == '}') {
             ++p;
@@ -533,15 +602,26 @@ class JsonParser
                 skipWs();
                 if (p >= end || *p != '"')
                     return fail("expected object key");
-                auto &member = members->emplace_back();
-                if (!parseString(&member.first))
+                std::string *key = visiting ? &visitKey : nullptr;
+                JsonValue *value = nullptr;
+                if (members) {
+                    auto &member = members->emplace_back();
+                    key = &member.first;
+                    value = &member.second;
+                }
+                if (!parseString(key))
                     return false;
                 skipWs();
                 if (p >= end || *p != ':')
                     return fail("expected ':'");
                 ++p;
-                if (!parseValue(&member.second, depth))
+                skipWs();
+                const char *raw = p;
+                if (!parseValue(value, depth))
                     return false;
+                if (visiting)
+                    (*visit)(visitKey,
+                             {raw, static_cast<std::size_t>(p - raw)});
                 skipWs();
                 if (p < end && *p == ',') {
                     ++p;
@@ -553,14 +633,18 @@ class JsonParser
                 }
                 return fail("expected ',' or '}'");
             }
-            mergeDuplicateKeys(*members);
+            if (members)
+                mergeDuplicateKeys(*members);
         }
-        out->value_ = std::move(members);
+        if (out)
+            out->value_ = std::move(members);
         return true;
     }
 
     const char *p;
     const char *end;
+    const JsonValue::MemberVisitor *visit;
+    std::string visitKey; ///< The reported member's key (no-tree mode).
     std::string err;
 };
 
@@ -634,15 +718,20 @@ JsonValue::dump(int indent) const
 }
 
 bool
-JsonValue::parse(const std::string &text, JsonValue *out,
-                 std::string *error)
+JsonValue::parse(std::string_view text, JsonValue *out, std::string *error)
 {
-    JsonParser parser(text.data(), text.data() + text.size());
-    return parser.parse(out, error);
+    return JsonParser(text).parse(out, error);
+}
+
+bool
+JsonValue::scan(std::string_view text, const MemberVisitor &visit,
+                std::string *error)
+{
+    return JsonParser(text, visit ? &visit : nullptr).parse(nullptr, error);
 }
 
 JsonValue
-JsonValue::parseOrDie(const std::string &text)
+JsonValue::parseOrDie(std::string_view text)
 {
     JsonValue out;
     std::string error;

@@ -25,7 +25,19 @@
  * and rounds them exactly as strtod does; "inf", "nan", hex, a leading
  * '+', leading zeros, and a '.' without digits on both sides are errors.
  * A number too large for a double reads as ±inf and one too small as ±0,
- * again as strtod reads them.
+ * again as strtod reads them. A plain integer of at most 15 digits (no
+ * fraction, no exponent) is below 2^53, so parse() builds it as an exact
+ * integer, which is strtod's value bit for bit ("-0" included); every
+ * other token goes through std::from_chars. isU64() is the one gate for
+ * reading a count from untrusted input: finite, integral, in [0, 2^64).
+ *
+ * No-tree mode. scan() runs the same parser with a null output: the same
+ * grammar, depth cap and error messages, but nothing is stored, nothing
+ * is allocated and no number is converted. It reports each top-level
+ * member of an object as its key and the raw bytes of its value, so a
+ * caller can read a few members and keep the rest as text (the result
+ * store reads a line's version, kind and key this way and keeps the
+ * payload's bytes for a later parse()).
  *
  * Untrusted input. parse() is also the decoder for sweep-service frames,
  * so it bounds its own work: arrays and objects nest at most
@@ -36,8 +48,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -106,6 +120,11 @@ class JsonValue
     bool isString() const { return type() == Type::kString; }
     bool isArray() const { return type() == Type::kArray; }
     bool isObject() const { return type() == Type::kObject; }
+    /**
+     * Whether this is a number asU64() reads exactly: finite, integral
+     * and in [0, 2^64). Decoders of untrusted input check this first.
+     */
+    bool isU64() const;
 
     bool asBool() const;
     double asDouble() const;
@@ -147,11 +166,28 @@ class JsonValue
      * @param[out] error Filled with a message on failure (optional).
      * @return false on malformed input; @p out is then unspecified.
      */
-    static bool parse(const std::string &text, JsonValue *out,
+    static bool parse(std::string_view text, JsonValue *out,
                       std::string *error = nullptr);
 
     /** Parse @p text; fatal on malformed input (for trusted files). */
-    static JsonValue parseOrDie(const std::string &text);
+    static JsonValue parseOrDie(std::string_view text);
+
+    /** Receives one top-level object member from scan(): its decoded key
+     *  and the raw bytes of its value, without surrounding whitespace. */
+    using MemberVisitor =
+        std::function<void(const std::string &key, std::string_view raw)>;
+
+    /**
+     * Check @p text exactly as parse() would, without building a tree:
+     * the same grammar, depth cap and error messages, with no allocation
+     * and no number conversion. When the document is an object, @p visit
+     * (if set) sees each of its top-level members in document order,
+     * duplicates included; parse() keeps the last. Members are reported
+     * as they are read, so a caller discards them when scan() fails.
+     * @param[out] error Filled with parse()'s message on failure.
+     */
+    static bool scan(std::string_view text, const MemberVisitor &visit = {},
+                     std::string *error = nullptr);
 
     bool operator==(const JsonValue &other) const;
 

@@ -341,9 +341,9 @@ SweepCoordinator::handleMessage(Conn &conn, const JsonValue &msg)
         const JsonValue *schema = msg.find("schema");
         const JsonValue *name = msg.find("name");
         std::uint64_t peer_proto =
-            proto != nullptr && proto->isNumber() ? proto->asU64() : 0;
+            proto != nullptr && proto->isU64() ? proto->asU64() : 0;
         std::uint64_t peer_schema =
-            schema != nullptr && schema->isNumber() ? schema->asU64() : 0;
+            schema != nullptr && schema->isU64() ? schema->asU64() : 0;
         if (peer_proto != kProtocolVersion ||
             peer_schema != ResultStore::kSchemaVersion) {
             // A worker from different sources would fill the store with
@@ -431,7 +431,7 @@ SweepCoordinator::handleMessage(Conn &conn, const JsonValue &msg)
         const JsonValue *insts = msg.find("insts");
         const JsonValue *ipc = msg.find("ipc");
         if (app == nullptr || !app->isString() || insts == nullptr ||
-            !insts->isNumber() || ipc == nullptr || !ipc->isNumber())
+            !insts->isU64() || ipc == nullptr || !ipc->isNumber())
             return;
         if (store != nullptr)
             store->ingestSolo(app->asString(), insts->asU64(),

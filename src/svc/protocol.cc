@@ -123,6 +123,14 @@ member(const JsonValue &v, const char *key, JsonValue::Type type)
     return m != nullptr && m->type() == type ? m : nullptr;
 }
 
+/** Member @p key iff it is a number asU64() reads exactly. */
+const JsonValue *
+u64Member(const JsonValue &v, const char *key)
+{
+    const JsonValue *m = member(v, key, JsonValue::Type::kNumber);
+    return m != nullptr && m->isU64() ? m : nullptr;
+}
+
 } // namespace
 
 bool
@@ -130,19 +138,17 @@ experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out)
 {
     const JsonValue *mix = member(v, "mix", JsonValue::Type::kObject);
     const JsonValue *mech = member(v, "mechanism", JsonValue::Type::kString);
-    const JsonValue *nrh = member(v, "nrh", JsonValue::Type::kNumber);
+    const JsonValue *nrh = u64Member(v, "nrh");
     const JsonValue *bh_on =
         member(v, "breakhammer", JsonValue::Type::kBool);
     const JsonValue *bh = member(v, "bh", JsonValue::Type::kObject);
-    const JsonValue *insts =
-        member(v, "instructions", JsonValue::Type::kNumber);
+    const JsonValue *insts = u64Member(v, "instructions");
     const JsonValue *oracle = member(v, "oracle", JsonValue::Type::kBool);
     const JsonValue *blunt =
         member(v, "blunt_throttle", JsonValue::Type::kBool);
-    const JsonValue *seed = member(v, "seed", JsonValue::Type::kNumber);
-    const JsonValue *channels =
-        member(v, "channels", JsonValue::Type::kNumber);
-    const JsonValue *ranks = member(v, "ranks", JsonValue::Type::kNumber);
+    const JsonValue *seed = u64Member(v, "seed");
+    const JsonValue *channels = u64Member(v, "channels");
+    const JsonValue *ranks = u64Member(v, "ranks");
     const JsonValue *redteam =
         member(v, "redteam", JsonValue::Type::kString);
     if (!mix || !mech || !nrh || !bh_on || !bh || !insts || !oracle ||
@@ -173,35 +179,22 @@ experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out)
             member(s, "adaptive", JsonValue::Type::kObject);
         if (!kind || !app || !att || !adp)
             return false;
-        const JsonValue *pattern =
-            member(*att, "pattern", JsonValue::Type::kNumber);
-        const JsonValue *aggr =
-            member(*att, "aggressors", JsonValue::Type::kNumber);
-        const JsonValue *row_base =
-            member(*att, "row_base", JsonValue::Type::kNumber);
-        const JsonValue *row_spacing =
-            member(*att, "row_spacing", JsonValue::Type::kNumber);
-        const JsonValue *banks =
-            member(*att, "banks", JsonValue::Type::kNumber);
-        const JsonValue *bubbles =
-            member(*att, "bubbles", JsonValue::Type::kNumber);
+        const JsonValue *pattern = u64Member(*att, "pattern");
+        const JsonValue *aggr = u64Member(*att, "aggressors");
+        const JsonValue *row_base = u64Member(*att, "row_base");
+        const JsonValue *row_spacing = u64Member(*att, "row_spacing");
+        const JsonValue *banks = u64Member(*att, "banks");
+        const JsonValue *bubbles = u64Member(*att, "bubbles");
         if (!pattern || !aggr || !row_base || !row_spacing || !banks ||
             !bubbles || pattern->asU64() > 2)
             return false;
-        const JsonValue *observe =
-            member(*adp, "observe_every", JsonValue::Type::kNumber);
-        const JsonValue *max_bubbles =
-            member(*adp, "max_bubbles", JsonValue::Type::kNumber);
-        const JsonValue *stride =
-            member(*adp, "rotation_stride", JsonValue::Type::kNumber);
-        const JsonValue *calm =
-            member(*adp, "calm_streak", JsonValue::Type::kNumber);
-        const JsonValue *group =
-            member(*adp, "group_size", JsonValue::Type::kNumber);
-        const JsonValue *slot_index =
-            member(*adp, "slot_index", JsonValue::Type::kNumber);
-        const JsonValue *handoff =
-            member(*adp, "handoff_epoch", JsonValue::Type::kNumber);
+        const JsonValue *observe = u64Member(*adp, "observe_every");
+        const JsonValue *max_bubbles = u64Member(*adp, "max_bubbles");
+        const JsonValue *stride = u64Member(*adp, "rotation_stride");
+        const JsonValue *calm = u64Member(*adp, "calm_streak");
+        const JsonValue *group = u64Member(*adp, "group_size");
+        const JsonValue *slot_index = u64Member(*adp, "slot_index");
+        const JsonValue *handoff = u64Member(*adp, "handoff_epoch");
         if (!observe || !max_bubbles || !stride || !calm || !group ||
             !slot_index || !handoff)
             return false;
@@ -239,16 +232,13 @@ experimentConfigFromJson(const JsonValue &v, ExperimentConfig *out)
         config.mix.slots.push_back(std::move(slot));
     }
 
-    const JsonValue *window =
-        member(*bh, "window", JsonValue::Type::kNumber);
+    const JsonValue *window = u64Member(*bh, "window");
     const JsonValue *th_threat =
         member(*bh, "th_threat", JsonValue::Type::kNumber);
     const JsonValue *th_outlier =
         member(*bh, "th_outlier", JsonValue::Type::kNumber);
-    const JsonValue *p_old =
-        member(*bh, "p_old_suspect", JsonValue::Type::kNumber);
-    const JsonValue *p_new =
-        member(*bh, "p_new_suspect", JsonValue::Type::kNumber);
+    const JsonValue *p_old = u64Member(*bh, "p_old_suspect");
+    const JsonValue *p_new = u64Member(*bh, "p_new_suspect");
     const JsonValue *wta =
         member(*bh, "winner_takes_all", JsonValue::Type::kBool);
     const JsonValue *single =

@@ -2,9 +2,11 @@
  * @file
  * Tests for the JSON layer (stats/json.h): the 16-byte value's copy and
  * move semantics, the number codec (byte-identical to printf's "%lld" /
- * "%.17g", strtod-exact reads, the strict RFC 8259 grammar), the
- * parser's bounds on untrusted input (nesting depth, linear-time wide
- * objects), and a seeded mutation test of the decoder; histogram
+ * "%.17g", strtod-exact reads on both sides of the exact-integer path,
+ * the strict RFC 8259 grammar, the isU64() gate), the no-tree scan()
+ * mode's member reports, the parser's bounds on untrusted input (nesting
+ * depth, linear-time wide objects), and a seeded mutation test of the
+ * decoder that also holds scan() to parse()'s verdicts; histogram
  * percentile edge cases (stats/histogram.h) and histogram JSON
  * round-tripping (stats/json_stats.h).
  */
@@ -321,12 +323,29 @@ TEST(JsonNumberTest, ParseRoundsLikeStrtod)
         "1e400", "-1e400", "1e-400", "-1e-400",
         "0.00000000000000000000000000000000000000000000000000001e-280",
         "17976931348623157e292", "17976931348623159e292"};
-    for (const char *text : texts) {
+    std::vector<std::string> corpus(std::begin(texts), std::end(texts));
+    // Plain integers of up to 15 digits take the exact-integer path;
+    // longer ones (and every fraction or exponent) go through from_chars.
+    // Every digit count on both sides of that boundary must match strtod.
+    const std::string digits = "9876543210987654";
+    for (std::size_t n = 1; n <= digits.size(); ++n) {
+        std::string power(n, '0');
+        power[0] = '1';
+        corpus.push_back(power);
+        corpus.push_back(digits.substr(0, n));
+        corpus.push_back(std::string("-").append(digits, 0, n));
+    }
+    for (const char *text : {"-0", "0", "999999999999999",
+                             "-999999999999999", "1000000000000000",
+                             "9007199254740993", "-9007199254740993"})
+        corpus.push_back(text);
+    for (const std::string &text : corpus) {
         JsonValue parsed;
         ASSERT_TRUE(JsonValue::parse(text, &parsed)) << text;
         EXPECT_EQ(bitsOf(parsed.asDouble()),
-                  bitsOf(std::strtod(text, nullptr)))
+                  bitsOf(std::strtod(text.c_str(), nullptr)))
             << text;
+        EXPECT_TRUE(JsonValue::scan(text)) << text;
     }
 }
 
@@ -348,6 +367,55 @@ TEST(JsonNumberTest, StrictGrammar)
     for (const auto &[text, value] : good) {
         ASSERT_TRUE(JsonValue::parse(text, &v)) << text;
         EXPECT_EQ(bitsOf(v.asDouble()), bitsOf(value)) << text;
+    }
+}
+
+TEST(JsonNumberTest, U64GateAcceptsOnlyExactCounts)
+{
+    JsonValue v;
+    for (const char *good : {"0", "-0", "1", "4096", "9007199254740993",
+                             "18446744073709549568"}) {
+        ASSERT_TRUE(JsonValue::parse(good, &v)) << good;
+        EXPECT_TRUE(v.isU64()) << good;
+    }
+    EXPECT_EQ(JsonValue(std::uint64_t{18446744073709549568ull}).asU64(),
+              18446744073709549568ull);
+    for (const char *bad : {"-1", "-1e-300", "0.5", "1e300", "1e400",
+                            "18446744073709551616", "\"1\"", "true",
+                            "null", "[1]"}) {
+        ASSERT_TRUE(JsonValue::parse(bad, &v)) << bad;
+        EXPECT_FALSE(v.isU64()) << bad;
+    }
+}
+
+// ------------------------------------------------------- no-tree scan
+
+TEST(JsonScanTest, ReportsTopLevelMembersAsRawBytes)
+{
+    // Any member order and whitespace parse() accepts, an escaped key,
+    // and a duplicate: every member is reported in order, its value's
+    // bytes exactly as written; nested members are not reported.
+    const std::string text =
+        " {\t\"b\" : [1, {\"x\":2}] ,\"\\u0061\":\"s\\n\", \"b\":-0 ,"
+        "\"o\":{\"k\" :null}}\r\n";
+    std::vector<std::pair<std::string, std::string>> seen;
+    auto record = [&seen](const std::string &key, std::string_view raw) {
+        seen.emplace_back(key, std::string(raw));
+    };
+    ASSERT_TRUE(JsonValue::scan(text, record));
+    const std::vector<std::pair<std::string, std::string>> expected = {
+        {"b", "[1, {\"x\":2}]"},
+        {"a", "\"s\\n\""},
+        {"b", "-0"},
+        {"o", "{\"k\" :null}"}};
+    EXPECT_EQ(seen, expected);
+
+    // Other documents report no members.
+    for (const char *doc :
+         {"[{\"a\":1}]", "\"{}\"", " -12.5e3 ", "false", "null", "{}"}) {
+        seen.clear();
+        ASSERT_TRUE(JsonValue::scan(doc, record)) << doc;
+        EXPECT_TRUE(seen.empty()) << doc;
     }
 }
 
@@ -469,8 +537,9 @@ TEST(JsonParseLimitsTest, DuplicateKeysKeepLastValueAtFirstPosition)
  * Seeded mutations of valid documents: byte flips, structural-byte
  * overwrites, truncations, bracket-run insertions, balanced wrapping
  * past the depth cap, and splices across seeds. parse() must return on
- * every case, and every accepted document must reach a fixed point
- * under dump -> parse -> dump.
+ * every case, scan() must give the same verdict and error, and every
+ * accepted document must reach a fixed point under dump -> parse ->
+ * dump.
  */
 TEST(JsonMutationTest, MutatedDocumentsParseOrFailAndReachAFixedPoint)
 {
@@ -529,10 +598,32 @@ TEST(JsonMutationTest, MutatedDocumentsParseOrFailAndReachAFixedPoint)
               }
             }
         }
+        // The no-tree mode must agree with parse() on every mutant: the
+        // same verdict, the same error, and object members whose raw
+        // bytes rebuild the parsed object.
         JsonValue v;
-        if (!JsonValue::parse(doc, &v))
+        std::string parse_error;
+        const bool parsed = JsonValue::parse(doc, &v, &parse_error);
+        JsonValue rebuilt = JsonValue::object();
+        bool members_ok = true;
+        std::string scan_error;
+        const bool scanned = JsonValue::scan(
+            doc,
+            [&](const std::string &key, std::string_view raw) {
+                JsonValue member;
+                members_ok = members_ok && JsonValue::parse(raw, &member);
+                rebuilt.set(key, std::move(member));
+            },
+            &scan_error);
+        ASSERT_EQ(scanned, parsed) << doc;
+        ASSERT_EQ(scan_error, parse_error) << doc;
+        if (!parsed)
             continue;
         ++accepted;
+        ASSERT_TRUE(members_ok) << doc;
+        if (v.isObject()) {
+            ASSERT_TRUE(rebuilt == v) << doc;
+        }
         const std::string once = v.dump();
         JsonValue again;
         ASSERT_TRUE(JsonValue::parse(once, &again)) << once;

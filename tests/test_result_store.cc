@@ -6,7 +6,10 @@
  * bit-identical JSON), schema-version mismatches triggering recompute
  * rather than corruption, torn-line tolerance, stores that still hold
  * interval-sampled records, shard-merge equivalence with an unsharded
- * run, and solo-IPC persistence. "Cross-process" is
+ * run, solo-IPC persistence, and untrusted bytes: damaged lines and
+ * out-of-range counts read as skipped or missed, lines in any member
+ * order load, and a seeded mutation test holds open() to a full-parse
+ * reference decode. "Cross-process" is
  * modeled by destroying one store and opening another on the same
  * directory — the disk file is the only state they share.
  */
@@ -15,6 +18,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <random>
+#include <sstream>
 
 #include "sim/result_store.h"
 #include "stats/json_stats.h"
@@ -514,6 +521,339 @@ TEST(ResultStoreTest, SoloIpcRunsPersistAndReload)
     warm.prefetch({cfg});
     EXPECT_EQ(warm.stats().computed, 0u);
     EXPECT_EQ(warm.stats().soloComputed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Untrusted bytes: damaged lines and payloads, the loader's grammar.
+// ---------------------------------------------------------------------
+
+/** Write @p text as the whole results.jsonl of a fresh store @p tag. */
+std::string
+storeWithFile(const std::string &tag, const std::string &text)
+{
+    std::string dir = storeDir(tag);
+    std::filesystem::create_directories(dir);
+    std::ofstream(resultsPath(dir), std::ios::trunc) << text;
+    return dir;
+}
+
+/** @p text with the value after the first @p prefix replaced by
+ *  @p value (a number or literal, up to the next ',', ']' or '}'). */
+std::string
+withValue(const std::string &text, const std::string &prefix,
+          const std::string &value)
+{
+    std::size_t at = text.find(prefix);
+    EXPECT_NE(at, std::string::npos) << prefix;
+    at += prefix.size();
+    return text.substr(0, at) + value +
+           text.substr(text.find_first_of(",]}", at));
+}
+
+TEST(ResultStoreTest, DamagedLinesAreSkippedNotFatal)
+{
+    // The first four lines aborted open() through a panicking accessor:
+    // a wrong-typed solo member, a negative count, a negative schema
+    // version. A fractional version and a count no u64 holds were read
+    // through an inexact cast.
+    const std::string v = std::to_string(ResultStore::kSchemaVersion);
+    std::string dir = storeWithFile(
+        "damaged",
+        "{\"v\":" + v + ",\"kind\":\"solo\",\"app\":1,\"insts\":1,"
+        "\"ipc\":1}\n"
+        "{\"v\":" + v + ",\"kind\":\"solo\",\"app\":\"a\",\"insts\":-1,"
+        "\"ipc\":1}\n"
+        "{\"v\":" + v + ",\"kind\":\"solo\",\"app\":\"a\",\"insts\":5,"
+        "\"ipc\":\"x\"}\n"
+        "{\"v\":-" + v + ",\"kind\":\"solo\"}\n"
+        "{\"v\":" + v + ".5,\"kind\":\"solo\",\"app\":\"a\",\"insts\":5,"
+        "\"ipc\":1}\n"
+        "{\"v\":" + v + ",\"kind\":\"solo\",\"app\":\"a\",\"insts\":1e300,"
+        "\"ipc\":1}\n");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    EXPECT_EQ(store.stats().skipped, 6u);
+    EXPECT_EQ(store.stats().soloLoaded, 0u);
+    EXPECT_EQ(store.stats().loaded, 0u);
+}
+
+TEST(ResultStoreTest, CountsOutsideU64AreRefusedNotCast)
+{
+    ExperimentConfig cfg =
+        smallConfig("MMLL", MitigationType::kNone, 1024, false);
+    const std::string doc =
+        experimentResultToJson(cfg, runExperiment(cfg)).dump();
+    ExperimentResult out;
+    JsonValue parsed;
+    ASSERT_TRUE(JsonValue::parse(doc, &parsed));
+    ASSERT_TRUE(experimentResultFromJson(parsed, &out));
+
+    const std::pair<const char *, const char *> damage[] = {
+        {"\"bins\":[[", "-1"},     // a bin index
+        {"\"bins\":[[", "1.5"},    // a fractional bin index
+        {"\"retired\":", "-1"},    // a per-core count
+        {"\"cycles\":", "1e300"},  // a count no u64 holds
+        {"\"cycles\":", "2.5"},
+        {"\"num_bins\":", "-4096"},
+        {"\"oracle_max_count\":", "18446744073709551616"},
+        {"\"preventive_actions\":", "-0.5"},
+    };
+    for (const auto &[prefix, value] : damage) {
+        const std::string bad = withValue(doc, prefix, value);
+        ASSERT_TRUE(JsonValue::parse(bad, &parsed)) << prefix;
+        EXPECT_FALSE(experimentResultFromJson(parsed, &out))
+            << prefix << value;
+    }
+
+    // The same damage on disk: the record loads, its lookup misses (and
+    // counts as skipped) instead of aborting, and a get() recomputes.
+    const std::string key = experimentKey(resolveExperimentConfig(cfg));
+    JsonValue rec = JsonValue::object();
+    rec.set("v", ResultStore::kSchemaVersion);
+    rec.set("kind", "experiment");
+    rec.set("key", key);
+    rec.set("payload", JsonValue());
+    std::string line = rec.dump();
+    line.replace(line.find("null"), 4, withValue(doc, "\"retired\":", "-1"));
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(storeWithFile("negative", line + "\n"), &error))
+        << error;
+    EXPECT_EQ(store.stats().loaded, 1u);
+    EXPECT_EQ(store.lookup(cfg), nullptr);
+    EXPECT_EQ(store.stats().skipped, 1u);
+    expectIdentical(runExperiment(cfg), store.get(cfg));
+}
+
+TEST(ResultStoreTest, OpenAcceptsAnyMemberOrderAndWhitespace)
+{
+    // The loader reads a line with the same grammar as parse(): members
+    // in any order, whitespace between tokens, escaped keys, and
+    // duplicate members (the last one wins).
+    std::string dir = storeDir("member-order");
+    ExperimentConfig cfg =
+        smallConfig("HHMA", MitigationType::kGraphene, 512, true);
+    std::string cold_json;
+    {
+        ResultStore store(1);
+        std::string error;
+        ASSERT_TRUE(store.open(dir, &error)) << error;
+        store.prefetch({cfg});
+        cold_json = store.toJson().dump();
+    }
+    const std::string key = experimentKey(resolveExperimentConfig(cfg));
+    const std::string payload =
+        experimentResultToJson(resolveExperimentConfig(cfg),
+                               runExperiment(cfg))
+            .dump();
+    const std::string line =
+        " {\t\"payload\":{}, \"payload\" : " + payload + " , \"key\":\"" +
+        key + "\",\"v\":0,\"kind\" :\"experiment\", \"\\u0076\": " +
+        std::to_string(ResultStore::kSchemaVersion) + " }\r";
+    ResultStore warm(1);
+    std::string error;
+    ASSERT_TRUE(warm.open(storeWithFile("member-order", line + "\n"), &error))
+        << error;
+    EXPECT_EQ(warm.stats().loaded, 1u);
+    EXPECT_EQ(warm.stats().skipped, 0u);
+    warm.prefetch({cfg});
+    EXPECT_EQ(warm.stats().hits, 1u);
+    EXPECT_EQ(warm.stats().computed, 0u);
+    EXPECT_EQ(warm.toJson().dump(), cold_json);
+}
+
+/** What open() must report for a results.jsonl, decoded the slow way:
+ *  every line parsed into a tree, as the loader did before it learned
+ *  to check lines without one. */
+struct ReferenceLoad
+{
+    std::size_t loaded = 0;
+    std::size_t skipped = 0;
+    std::size_t soloLoaded = 0;
+    std::map<std::string, JsonValue> payloads; ///< First record per key.
+};
+
+ReferenceLoad
+referenceLoad(const std::string &text)
+{
+    ReferenceLoad ref;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        JsonValue rec;
+        if (!JsonValue::parse(line, &rec) || !rec.isObject()) {
+            bool recovered = false;
+            for (std::size_t pos = line.find("{\"v\":", 1);
+                 pos != std::string::npos && !recovered;
+                 pos = line.find("{\"v\":", pos + 1)) {
+                JsonValue tail;
+                recovered = JsonValue::parse(line.substr(pos), &tail) &&
+                            tail.isObject();
+                if (recovered)
+                    rec = std::move(tail);
+            }
+            ++ref.skipped;
+            if (!recovered)
+                continue;
+        }
+        const JsonValue *version = rec.find("v");
+        const JsonValue *kind = rec.find("kind");
+        if (version == nullptr || !version->isU64() ||
+            version->asU64() != ResultStore::kSchemaVersion ||
+            kind == nullptr || !kind->isString()) {
+            ++ref.skipped;
+        } else if (kind->asString() == "experiment") {
+            const JsonValue *key = rec.find("key");
+            const JsonValue *payload = rec.find("payload");
+            if (key == nullptr || !key->isString() || payload == nullptr)
+                ++ref.skipped;
+            else if (ref.payloads.emplace(key->asString(), *payload).second)
+                ++ref.loaded;
+        } else if (kind->asString() == "solo") {
+            const JsonValue *app = rec.find("app");
+            const JsonValue *insts = rec.find("insts");
+            const JsonValue *ipc = rec.find("ipc");
+            if (app == nullptr || !app->isString() || insts == nullptr ||
+                !insts->isU64() || ipc == nullptr || !ipc->isNumber())
+                ++ref.skipped;
+            else
+                ++ref.soloLoaded;
+        } else {
+            ++ref.skipped;
+        }
+    }
+    return ref;
+}
+
+/**
+ * Seeded mutations of a real multi-record results.jsonl: bit flips,
+ * torn tails, torn records fused with the next line, dropped newlines,
+ * spliced record starts and duplicated lines. open() must never crash,
+ * its counters must equal a reference decode that parses every line
+ * into a tree, and every point the reference holds must resolve to the
+ * reference's result (or miss when the reference payload is unreadable).
+ */
+TEST(ResultStoreTest, MutatedStoreFilesLoadLikeAFullParse)
+{
+    // A horizon no other test uses: a mutated solo line may prime the
+    // process-wide solo cache with a wrong IPC for its (app, insts).
+    std::vector<ExperimentConfig> grid = {
+        smallConfig("HHMA", MitigationType::kGraphene, 512, true),
+        smallConfig("LLLA", MitigationType::kPara, 1024, false),
+        smallConfig("MMLA", MitigationType::kBlockHammer, 256, true),
+    };
+    for (ExperimentConfig &cfg : grid)
+        cfg.instructions = 2600;
+    std::string dir = storeDir("mutation");
+    {
+        ResultStore store(2);
+        std::string error;
+        ASSERT_TRUE(store.open(dir, &error)) << error;
+        store.prefetch(grid);
+    }
+    std::string base;
+    {
+        std::ifstream in(resultsPath(dir));
+        base.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_EQ(referenceLoad(base).loaded, grid.size());
+
+    std::mt19937_64 rng(0x70a4e5);
+    auto below = [&rng](std::size_t n) {
+        return n ? static_cast<std::size_t>(rng() % n) : 0;
+    };
+    /** Offsets of @p text's newlines. */
+    auto newlines = [](const std::string &text) {
+        std::vector<std::size_t> at;
+        for (std::size_t i = 0; i < text.size(); ++i)
+            if (text[i] == '\n')
+                at.push_back(i);
+        return at;
+    };
+    const char *kStarts[] = {"{\"v\":", "{\"v\":2,\"kind\":\"experiment\",",
+                             "{\"v\":2,\"kind\":\"solo\",\"app\":\""};
+
+    constexpr int kMutants = 300;
+    std::size_t misses = 0;    // Loaded records whose payload is unreadable.
+    std::size_t recovered = 0; // Mutants with a skipped line, all loaded.
+    for (int c = 0; c < kMutants; ++c) {
+        std::string text = base;
+        for (std::size_t e = 1 + below(3); e > 0; --e) {
+            const std::vector<std::size_t> nl = newlines(text);
+            switch (below(6)) {
+              case 0: // bit flip
+                if (!text.empty())
+                    text[below(text.size())] ^=
+                        static_cast<char>(1u << below(8));
+                break;
+              case 1: // torn tail
+                text.resize(below(text.size() + 1));
+                break;
+              case 2: // a torn record fused with the next line
+                if (!nl.empty()) {
+                    const std::size_t end = nl[below(nl.size())];
+                    const std::size_t begin =
+                        text.rfind('\n', end ? end - 1 : 0) + 1;
+                    const std::size_t cut =
+                        begin + below(end > begin ? end - begin : 1);
+                    text.erase(cut, end + 1 - cut);
+                }
+                break;
+              case 3: // dropped newline
+                if (!nl.empty())
+                    text.erase(nl[below(nl.size())], 1);
+                break;
+              case 4: // spliced record start
+                text.insert(below(text.size() + 1), kStarts[below(3)]);
+                break;
+              default: { // a line repeated elsewhere (first record wins)
+                if (nl.size() < 2)
+                    break;
+                const std::size_t i = below(nl.size() - 1);
+                const std::string copy =
+                    text.substr(nl[i] + 1, nl[i + 1] - nl[i]);
+                text.insert(nl[below(nl.size())] + 1, copy);
+                break;
+              }
+            }
+        }
+
+        const ReferenceLoad ref = referenceLoad(text);
+        ResultStore store(1);
+        std::string error;
+        ASSERT_TRUE(store.open(storeWithFile("mutation", text), &error))
+            << error;
+        const ResultStoreStats got = store.stats();
+        ASSERT_EQ(got.loaded, ref.loaded) << text;
+        ASSERT_EQ(got.skipped, ref.skipped) << text;
+        ASSERT_EQ(got.soloLoaded, ref.soloLoaded) << text;
+        if (ref.skipped > 0 && ref.loaded == grid.size())
+            ++recovered;
+
+        for (const ExperimentConfig &cfg : grid) {
+            const ExperimentConfig resolved = store.resolve(cfg);
+            auto it = ref.payloads.find(experimentKey(resolved));
+            ExperimentResult expected;
+            const bool readable = it != ref.payloads.end() &&
+                                  experimentResultFromJson(it->second,
+                                                           &expected);
+            if (it != ref.payloads.end() && !readable)
+                ++misses;
+            const ExperimentResult *result = store.lookup(cfg);
+            ASSERT_EQ(result != nullptr, readable) << text;
+            if (readable) {
+                ASSERT_EQ(experimentResultToJson(resolved, *result).dump(),
+                          experimentResultToJson(resolved, expected).dump());
+            }
+        }
+    }
+    // Both kinds of damage must be well exercised for the test to mean
+    // much: torn lines recovered whole, and loaded-but-unreadable records.
+    EXPECT_GT(recovered, 10u);
+    EXPECT_GT(misses, 10u);
 }
 
 } // namespace

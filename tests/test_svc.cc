@@ -9,7 +9,8 @@
  * produces a store byte-identical to a local run of the same grid, a
  * client that takes a lease and goes silent forfeits it at the deadline,
  * and a client that drops its connection forfeits immediately — in both
- * cases the unit is re-leased and the sweep still completes.
+ * cases the unit is re-leased and the sweep still completes. A client
+ * that sends negative counts is refused without stopping the sweep.
  */
 #include <gtest/gtest.h>
 
@@ -653,6 +654,82 @@ TEST(SweepServiceTest, LateResultForARequeuedUnitDoesNotFakeCompletion)
     EXPECT_EQ(m.unitsDone, 2u);
     EXPECT_EQ(m.recordsIngested, 2u);
     EXPECT_EQ(store.toJson().dump(), local_json);
+}
+
+TEST(SweepServiceTest, HostileCountsAreRefusedAndTheCoordinatorRuns)
+{
+    // A worker's result payload with a negative count, a solo with a
+    // negative instruction count and a hello with a negative protocol
+    // version each reached a panicking accessor in the coordinator. Each
+    // must be refused while the sweep goes on to finish with the honest
+    // result.
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("MMLL", 0);
+    cfg.mechanism = MitigationType::kNone;
+    cfg.nRh = 1024;
+    cfg.instructions = 2000;
+
+    std::string dir = freshDir("hostile");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    CoordinatorOptions copts;
+    copts.port = 0;
+    SweepCoordinator coordinator(copts, &store, {cfg});
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] {
+        std::string serve_error;
+        EXPECT_TRUE(coordinator.serve(&serve_error)) << serve_error;
+    });
+
+    {
+        int fd = connectTo(coordinator.port());
+        FrameReader reader;
+        sendAll(fd, encodeFrame("{\"type\":\"hello\",\"proto\":-1,"
+                                "\"schema\":-2}"));
+        EXPECT_EQ(messageType(JsonValue::parseOrDie(readFrame(fd, &reader))),
+                  "error");
+        ::close(fd);
+    }
+
+    int fd = connectTo(coordinator.port());
+    FrameReader reader;
+    sendAll(fd, encodeFrame(makeHello(1, "hostile").dump()));
+    JsonValue msg = JsonValue::parseOrDie(readFrame(fd, &reader));
+    ASSERT_EQ(messageType(msg), "hello_ok");
+    sendAll(fd, encodeFrame(makeLeaseRequest().dump()));
+    msg = JsonValue::parseOrDie(readFrame(fd, &reader));
+    ASSERT_EQ(messageType(msg), "lease");
+    const std::string key = msg.get("key").asString();
+    ExperimentConfig leased;
+    ASSERT_TRUE(experimentConfigFromJson(msg.get("config"), &leased));
+
+    const std::string honest =
+        experimentResultToJson(leased, runExperiment(leased)).dump();
+    const std::size_t at = honest.find("\"retired\":") + 10;
+    const std::string hostile = honest.substr(0, at) + "-1" +
+                                honest.substr(honest.find(',', at));
+    sendAll(fd, encodeFrame("{\"type\":\"solo\",\"app\":\"mcf_like\","
+                            "\"insts\":-1,\"ipc\":0.5}"));
+    sendAll(fd, encodeFrame(
+                    makeResult(key, JsonValue::parseOrDie(hostile)).dump()));
+    sendAll(fd, encodeFrame(
+                    makeResult(key, JsonValue::parseOrDie(honest)).dump()));
+
+    // Frames on one connection are handled in order: "done" arrives only
+    // once the honest result has been ingested.
+    msg = JsonValue::parseOrDie(readFrame(fd, &reader));
+    EXPECT_EQ(messageType(msg), "done");
+    ::close(fd); // Before join: an open conn holds the done grace.
+    serve.join();
+
+    CoordinatorMetrics m = coordinator.metrics();
+    EXPECT_TRUE(m.complete);
+    EXPECT_EQ(m.unitsDone, 1u);
+    EXPECT_EQ(m.recordsIngested, 1u);
+    EXPECT_EQ(store.stats().ingested, 1u);
+    EXPECT_EQ(experimentLines(dir).size(), 1u);
+    EXPECT_EQ(store.toJson().at(0).dump(), honest);
 }
 
 TEST(SweepServiceTest, CompletionWaitsForWorkersToDisconnect)
