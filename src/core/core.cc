@@ -34,8 +34,11 @@ Core::issueOne(Cycle now)
         pendingBubbles = rec.bubbles;
     }
 
-    unsigned slot =
-        static_cast<unsigned>(issueCounter % window.size());
+    // The window holds [head, head + occupancy), so the next free slot
+    // is their sum, wrapped without a division.
+    unsigned slot = head + occupancy;
+    if (slot >= window.size())
+        slot -= static_cast<unsigned>(window.size());
 
     if (pendingBubbles > 0) {
         // Non-memory instruction: occupies a window slot, retires freely.
@@ -160,14 +163,15 @@ Core::nextEventCycle(Cycle now) const
 }
 
 void
-Core::tick(Cycle now)
+Core::retireAndIssue(Cycle now)
 {
     // Retire in order from the window head.
     for (unsigned i = 0; i < config_.width && occupancy > 0; ++i) {
         WindowEntry &entry = window[head];
         if (entry.doneAt == kNeverCycle || entry.doneAt > now)
             break;
-        head = (head + 1) % static_cast<unsigned>(window.size());
+        if (++head == window.size())
+            head = 0;
         --occupancy;
         ++retired_;
         if (target_ != 0 && retired_ == target_ && finishCycle_ == 0)

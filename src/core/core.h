@@ -68,7 +68,15 @@ class Core
          const CoreConfig &config, bool benign);
 
     /** Advance one CPU cycle. */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        // A full window whose head is still waiting can neither retire
+        // nor issue: most ticks of a memory-bound core end here.
+        if (occupancy == window.size() && window[head].doneAt > now)
+            return;
+        retireAndIssue(now);
+    }
 
     /** Completion callback for a queued load. */
     void completeLoad(std::uint64_t token, Cycle now);
@@ -152,6 +160,7 @@ class Core
         Cycle doneAt = 0; ///< kNeverCycle while waiting on a fill.
     };
 
+    void retireAndIssue(Cycle now);
     bool issueOne(Cycle now);
 
     ThreadId id_;         // bh-audit: skip(id_) -- construction identity, fixed for the run

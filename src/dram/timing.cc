@@ -11,27 +11,12 @@ TimingEngine::TimingEngine(const DramSpec &spec)
       banks(spec.org.totalBanks()),
       ranks(spec.org.ranks),
       energy_(spec.energy)
-{}
-
-bool
-TimingEngine::actAllowedByRank(const RankState &rank, unsigned bank_group,
-                               Cycle now) const
 {
-    if (now < rank.blockedUntil)
-        return false;
-    if (rank.hasLastAct) {
-        Cycle spacing = (bank_group == rank.lastActBankGroup)
-                            ? spec_.timing.tRRD_L
-                            : spec_.timing.tRRD_S;
-        if (now < rank.lastAct + spacing)
-            return false;
+    for (unsigned fb = 0; fb < spec.org.totalBanks(); ++fb) {
+        rankOf_.push_back(fb / spec.org.banksPerRank());
+        groupOf_.push_back((fb % spec.org.banksPerRank()) /
+                           spec.org.banksPerGroup);
     }
-    if (rank.fawCount >= 4) {
-        Cycle oldest = rank.fawWindow[rank.fawHead];
-        if (now < oldest + spec_.timing.tFAW)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -44,63 +29,23 @@ TimingEngine::recordAct(RankState &rank, unsigned bank_group, Cycle now)
     rank.fawHead = (rank.fawHead + 1) % 4;
     if (rank.fawCount < 4)
         ++rank.fawCount;
+    deriveActBounds(rank);
 }
 
-bool
-TimingEngine::canIssue(DramCommand cmd, unsigned flat_bank, Cycle now) const
+void
+TimingEngine::deriveActBounds(RankState &rank) const
 {
-    const BankState &b = banks[flat_bank];
-    const RankState &r = ranks[rankOf(flat_bank)];
-    if (now < b.blockedUntil || now < r.blockedUntil)
-        return false;
-
-    switch (cmd) {
-      case DramCommand::kAct:
-        return !b.open && now >= b.nextAct &&
-               actAllowedByRank(r, bankGroupOf(flat_bank), now);
-      case DramCommand::kPre:
-        return b.open && now >= b.nextPre;
-      case DramCommand::kRead:
-        return b.open && now >= b.nextRdWr && now >= bus.nextRead;
-      case DramCommand::kWrite:
-        return b.open && now >= b.nextRdWr && now >= bus.nextWrite;
+    Cycle faw_at = rank.fawCount >= 4
+                       ? rank.fawWindow[rank.fawHead] + spec_.timing.tFAW
+                       : 0;
+    rank.sameGroupActAt = faw_at;
+    rank.otherGroupActAt = faw_at;
+    if (rank.hasLastAct) {
+        rank.sameGroupActAt =
+            std::max(faw_at, rank.lastAct + spec_.timing.tRRD_L);
+        rank.otherGroupActAt =
+            std::max(faw_at, rank.lastAct + spec_.timing.tRRD_S);
     }
-    return false;
-}
-
-Cycle
-TimingEngine::earliestIssue(DramCommand cmd, unsigned flat_bank,
-                            Cycle now) const
-{
-    const BankState &b = banks[flat_bank];
-    const RankState &r = ranks[rankOf(flat_bank)];
-    Cycle at = std::max({now, b.blockedUntil, r.blockedUntil});
-
-    switch (cmd) {
-      case DramCommand::kAct: {
-        if (b.open)
-            return kNeverCycle;
-        at = std::max(at, b.nextAct);
-        if (r.hasLastAct) {
-            Cycle spacing = (bankGroupOf(flat_bank) == r.lastActBankGroup)
-                                ? spec_.timing.tRRD_L
-                                : spec_.timing.tRRD_S;
-            at = std::max(at, r.lastAct + spacing);
-        }
-        if (r.fawCount >= 4)
-            at = std::max(at, r.fawWindow[r.fawHead] + spec_.timing.tFAW);
-        return at;
-      }
-      case DramCommand::kPre:
-        return b.open ? std::max(at, b.nextPre) : kNeverCycle;
-      case DramCommand::kRead:
-        return b.open ? std::max({at, b.nextRdWr, bus.nextRead})
-                      : kNeverCycle;
-      case DramCommand::kWrite:
-        return b.open ? std::max({at, b.nextRdWr, bus.nextWrite})
-                      : kNeverCycle;
-    }
-    return kNeverCycle;
 }
 
 Cycle
@@ -129,7 +74,7 @@ TimingEngine::issueAct(unsigned flat_bank, unsigned row, Cycle now)
     b.nextRdWr = now + spec_.timing.tRCD;
     b.nextPre = now + spec_.timing.tRAS;
     b.nextAct = now + spec_.timing.tRC;
-    recordAct(ranks[rankOf(flat_bank)], bankGroupOf(flat_bank), now);
+    recordAct(ranks[rankOf_[flat_bank]], groupOf_[flat_bank], now);
     energy_.addAct();
 }
 
@@ -298,6 +243,8 @@ TimingEngine::loadState(StateReader &r)
     }
     banks = std::move(bank_state);
     ranks = std::move(rank_state);
+    for (RankState &rank : ranks)
+        deriveActBounds(rank);
     bus.nextRead = r.u64();
     bus.nextWrite = r.u64();
     energy_.loadState(r);

@@ -8,11 +8,13 @@
  * windows (tRFM), and arbitrary maintenance blackouts used to model victim-
  * row refreshes, AQUA row migrations, and PRAC alert back-off.
  *
- * The controller asks `canIssue()` and then calls the matching `issue*()`;
- * the engine never schedules on its own.
+ * The controller asks `canIssue()` or `earliestIssue()` (inline: the
+ * scheduler's walks make them tens of millions of times per run) and then
+ * calls the matching `issue*()`; the engine never schedules on its own.
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -54,6 +56,10 @@ struct RankState
     unsigned fawCount = 0;            ///< ACTs recorded so far (saturates).
     unsigned fawHead = 0;
     Cycle blockedUntil = 0; ///< Rank-wide blackout (REF, alert back-off).
+    /** Earliest next ACT by tRRD_L and tFAW, to the last ACT's bank
+     *  group and to any other (derived from the fields above). */
+    Cycle sameGroupActAt = 0;
+    Cycle otherGroupActAt = 0;
 };
 
 /** Channel-level data/command bus state. */
@@ -69,9 +75,6 @@ class TimingEngine
   public:
     explicit TimingEngine(const DramSpec &spec);
 
-    /** Whether @p cmd to @p flat_bank is legal at cycle @p now. */
-    bool canIssue(DramCommand cmd, unsigned flat_bank, Cycle now) const;
-
     /**
      * Earliest cycle >= @p now at which @p cmd to @p flat_bank becomes
      * legal, assuming no further commands are issued in between. Returns
@@ -81,8 +84,59 @@ class TimingEngine
      * true at it. The skip-ahead loop in System::run uses this to jump
      * straight to the next cycle the controller can make progress.
      */
-    Cycle earliestIssue(DramCommand cmd, unsigned flat_bank,
-                        Cycle now) const;
+    Cycle
+    earliestIssue(DramCommand cmd, unsigned flat_bank, Cycle now) const
+    {
+        const BankState &b = banks[flat_bank];
+        unsigned rank = rankOf_[flat_bank];
+        Cycle at = std::max({now, b.blockedUntil, ranks[rank].blockedUntil});
+        switch (cmd) {
+          case DramCommand::kAct:
+            return b.open ? kNeverCycle
+                          : std::max({at, b.nextAct,
+                                      rankActAt(rank, groupOf_[flat_bank])});
+          case DramCommand::kPre:
+            return b.open ? std::max(at, b.nextPre) : kNeverCycle;
+          case DramCommand::kRead:
+          case DramCommand::kWrite:
+            return b.open ? std::max({at, b.nextRdWr,
+                                      columnBusAt(cmd == DramCommand::kRead)})
+                          : kNeverCycle;
+        }
+        return kNeverCycle;
+    }
+
+    /**
+     * Whether @p cmd to @p flat_bank is legal at cycle @p now: each
+     * constraint is a lower bound on the issue cycle, so this is exactly
+     * earliestIssue() having nothing to wait for.
+     */
+    bool
+    canIssue(DramCommand cmd, unsigned flat_bank, Cycle now) const
+    {
+        return earliestIssue(cmd, flat_bank, now) == now;
+    }
+
+    /**
+     * Earliest cycle the rank-level ACT constraints allow an ACT to bank
+     * group @p bank_group of @p rank: tRRD_L/tRRD_S after the rank's last
+     * ACT and tFAW after its fourth-most-recent one. The rank blackout is
+     * not included (earliestIssue() adds it for every command).
+     */
+    Cycle
+    rankActAt(unsigned rank, unsigned bank_group) const
+    {
+        const RankState &r = ranks[rank];
+        return bank_group == r.lastActBankGroup ? r.sameGroupActAt
+                                                : r.otherGroupActAt;
+    }
+
+    /** Earliest cycle the channel's data bus takes a RD or a WR. */
+    Cycle
+    columnBusAt(bool is_read) const
+    {
+        return is_read ? bus.nextRead : bus.nextWrite;
+    }
 
     /**
      * Earliest cycle >= @p now at which @p rank is fully quiesced (every
@@ -135,19 +189,16 @@ class TimingEngine
         return banks[flat_bank];
     }
 
+    const RankState &rank(unsigned rank) const { return ranks[rank]; }
+
     /** Rank index of a flat bank. */
-    unsigned
-    rankOf(unsigned flat_bank) const
-    {
-        return flat_bank / spec_.org.banksPerRank();
-    }
+    unsigned rankOf(unsigned flat_bank) const { return rankOf_[flat_bank]; }
 
     /** Bank-group index (within its rank) of a flat bank. */
     unsigned
     bankGroupOf(unsigned flat_bank) const
     {
-        return (flat_bank % spec_.org.banksPerRank()) /
-               spec_.org.banksPerGroup;
+        return groupOf_[flat_bank];
     }
 
     EnergyAccounting &energy() { return energy_; }
@@ -162,11 +213,15 @@ class TimingEngine
     void loadState(StateReader &r);
 
   private:
-    bool actAllowedByRank(const RankState &rank, unsigned bank_group,
-                          Cycle now) const;
     void recordAct(RankState &rank, unsigned bank_group, Cycle now);
+    void deriveActBounds(RankState &rank) const;
 
     DramSpec spec_;  // bh-audit: skip(spec_) -- constructor config, keyed by ExperimentConfig
+    /** Per flat bank: rank and bank group, so lookups never divide. */
+    // bh-audit: skip(rankOf_) -- derived from spec_ at construction
+    std::vector<unsigned> rankOf_;
+    // bh-audit: skip(groupOf_) -- derived from spec_ at construction
+    std::vector<unsigned> groupOf_;
     std::vector<BankState> banks;
     std::vector<RankState> ranks;
     ChannelBusState bus;

@@ -6,13 +6,6 @@
 
 namespace bh {
 
-namespace {
-
-/** Sentinel sequence number meaning "no candidate". */
-constexpr std::uint64_t kNoSeq = static_cast<std::uint64_t>(-1);
-
-} // namespace
-
 MemoryController::MemoryController(const DramSpec &spec,
                                    const AddressMap &mapper,
                                    const McConfig &config, unsigned channel)
@@ -20,13 +13,13 @@ MemoryController::MemoryController(const DramSpec &spec,
       engine_(spec),
       readQ(spec.org.totalBanks()),
       writeQ(spec.org.totalBanks()),
-      readScan(spec.org.totalBanks()),
-      writeScan(spec.org.totalBanks()),
+      bank_(spec.org.totalBanks()),
       maintQ(spec.org.totalBanks()),
       nextRefAt(spec.org.ranks, spec.timing.tREFI),
-      refSweepPos(spec.org.ranks, 0),
-      hitStreak(spec.org.totalBanks(), 0)
-{}
+      refSweepPos(spec.org.ranks, 0)
+{
+    syncAllBanks();
+}
 
 void
 MemoryController::setMitigation(IMitigation *m)
@@ -45,7 +38,8 @@ MemoryController::enqueueRead(Request req, Cycle now)
     req.flatBank = mapper.flatBank(req.da);
     req.enqueueCycle = now;
     readQ.push(req);
-    invalidateScan(true, req.flatBank);
+    bank_[req.flatBank].scanValid[scanIndex(true)] = false;
+    cmdBoundValid_ = false;
     wakeAt_ = now;
     wakeDirty_ = false;
 }
@@ -59,74 +53,94 @@ MemoryController::enqueueWrite(Request req, Cycle now)
     req.flatBank = mapper.flatBank(req.da);
     req.enqueueCycle = now;
     writeQ.push(req);
-    invalidateScan(false, req.flatBank);
+    bank_[req.flatBank].scanValid[scanIndex(false)] = false;
+    cmdBoundValid_ = false;
     wakeAt_ = now;
     wakeDirty_ = false;
 }
 
-// --- Scan-cache maintenance -------------------------------------------
+// --- Per-bank records ---------------------------------------------------
 
 const MemoryController::BankScan &
-MemoryController::scanOf(bool is_read, unsigned fb) const
+MemoryController::rescan(bool is_read, unsigned fb) const
 {
-    BankScan &scan = (is_read ? readScan : writeScan)[fb];
-    if (scan.valid)
-        return scan;
-    scan.hitPos = kNoPos;
-    scan.confPos = kNoPos;
-    const BankState &bank = engine_.bank(fb);
+    BankRecord &rec = bank_[fb];
+    BankScan &scan = rec.scan[scanIndex(is_read)];
+    scan = BankScan{};
+    rec.scanValid[scanIndex(is_read)] = true;
     const std::deque<QueuedRequest> &fifo =
         (is_read ? readQ : writeQ).bank(fb);
-    if (!bank.open) {
+    if (fifo.empty())
+        return scan;
+    if (!rec.open) {
         // No open row: every entry is a conflict, the oldest leads.
-        if (!fifo.empty())
-            scan.confPos = 0;
-        scan.valid = true;
+        scan.confPos = 0;
+        scan.confSeq = fifo.front().seq;
         return scan;
     }
-    for (std::size_t i = 0; i < fifo.size(); ++i) {
-        if (fifo[i].req.da.row == bank.openRow) {
-            if (scan.hitPos == kNoPos)
+    std::uint32_t i = 0;
+    for (const QueuedRequest &qr : fifo) {
+        if (qr.req.da.row == rec.openRow) {
+            if (scan.hitPos == kNoPos) {
                 scan.hitPos = i;
+                scan.hitSeq = qr.seq;
+            }
         } else if (scan.confPos == kNoPos) {
             scan.confPos = i;
+            scan.confSeq = qr.seq;
         }
         if (scan.hitPos != kNoPos && scan.confPos != kNoPos)
             break;
+        ++i;
     }
-    scan.valid = true;
     return scan;
 }
 
 void
-MemoryController::invalidateScan(bool is_read, unsigned fb)
+MemoryController::syncBank(unsigned fb)
 {
-    (is_read ? readScan : writeScan)[fb].valid = false;
+    BankRecord &rec = bank_[fb];
+    const BankState &b = engine_.bank(fb);
+    rec.rank = engine_.rankOf(fb);
+    rec.group = engine_.bankGroupOf(fb);
+    if (rec.open != b.open || rec.openRow != b.openRow)
+        rec.invalidateScans();
+    rec.open = b.open;
+    rec.openRow = b.openRow;
+    rec.blockedUntil = b.blockedUntil;
+    // Every command waits out both blackouts: fold them in once here.
+    Cycle gate =
+        std::max(b.blockedUntil, engine_.rank(rec.rank).blockedUntil);
+    rec.actAt = std::max(gate, b.nextAct);
+    rec.preAt = std::max(gate, b.nextPre);
+    rec.colAt = std::max(gate, b.nextRdWr);
 }
 
 void
-MemoryController::invalidateRowState(unsigned fb)
-{
-    readScan[fb].valid = false;
-    writeScan[fb].valid = false;
-}
-
-void
-MemoryController::invalidateRank(unsigned rank)
+MemoryController::syncRank(unsigned rank)
 {
     unsigned base = rank * spec_.org.banksPerRank();
     for (unsigned i = 0; i < spec_.org.banksPerRank(); ++i)
-        invalidateRowState(base + i);
+        syncBank(base + i);
 }
 
 void
-MemoryController::invalidateAllRowState()
+MemoryController::syncAllBanks()
 {
-    for (unsigned r = 0; r < spec_.org.ranks; ++r)
-        invalidateRank(r);
+    for (unsigned fb = 0; fb < bank_.size(); ++fb)
+        syncBank(fb);
 }
 
 // --- IMitigationHost -------------------------------------------------
+
+void
+MemoryController::queueMaintenance(unsigned fb, const MaintOp &op)
+{
+    maintQ[fb].push_back(op);
+    ++maintOpsPending_;
+    bank_[fb].maintPending = true;
+    cmdBoundValid_ = false;
+}
 
 void
 MemoryController::performVictimRefresh(unsigned flat_bank, unsigned row,
@@ -136,8 +150,7 @@ MemoryController::performVictimRefresh(unsigned flat_bank, unsigned row,
     op.victimRows = config_.victimRowsPerRefresh;
     op.duration = spec_.timing.tRC * op.victimRows;
     op.protectedRow = static_cast<long>(row);
-    maintQ[flat_bank].push_back(op);
-    ++maintOpsPending_;
+    queueMaintenance(flat_bank, op);
     ++preventiveActions_;
     if (observer != nullptr)
         observer->onPreventiveAction(weight, lastSeenCycle);
@@ -150,8 +163,7 @@ MemoryController::performMigration(unsigned flat_bank, unsigned row)
     op.isMigration = true;
     op.duration = nsToCycles(config_.migrationLatencyNs);
     op.protectedRow = static_cast<long>(row);
-    maintQ[flat_bank].push_back(op);
-    ++maintOpsPending_;
+    queueMaintenance(flat_bank, op);
     ++preventiveActions_;
     if (observer != nullptr)
         observer->onPreventiveAction(1.0, lastSeenCycle);
@@ -162,8 +174,7 @@ MemoryController::performRfm(unsigned flat_bank, double weight)
 {
     MaintOp op;
     op.duration = spec_.timing.tRFM;
-    maintQ[flat_bank].push_back(op);
-    ++maintOpsPending_;
+    queueMaintenance(flat_bank, op);
     engine_.energy().addRfm();
     ++preventiveActions_;
     if (observer != nullptr)
@@ -181,7 +192,8 @@ MemoryController::performAlertBackoff(unsigned rfms, double weight)
         for (unsigned i = 0; i < rfms; ++i)
             engine_.energy().addRfm();
     }
-    invalidateAllRowState(); // blockRank closes every open row.
+    syncAllBanks(); // blockRank closes every open row.
+    cmdBoundValid_ = false;
     ++preventiveActions_;
     if (observer != nullptr)
         observer->onPreventiveAction(weight, lastSeenCycle);
@@ -193,8 +205,7 @@ MemoryController::performTrackerAccess(unsigned flat_bank, Cycle duration,
 {
     MaintOp op;
     op.duration = duration;
-    maintQ[flat_bank].push_back(op);
-    ++maintOpsPending_;
+    queueMaintenance(flat_bank, op);
     ++preventiveActions_;
     if (observer != nullptr)
         observer->onPreventiveAction(weight, lastSeenCycle);
@@ -230,12 +241,6 @@ MemoryController::processCompletions(Cycle now)
 }
 
 bool
-MemoryController::rankHasRefreshPending(unsigned rank, Cycle now) const
-{
-    return now >= nextRefAt[rank];
-}
-
-bool
 MemoryController::serviceRefresh(Cycle now)
 {
     for (unsigned rank = 0; rank < spec_.org.ranks; ++rank) {
@@ -243,7 +248,7 @@ MemoryController::serviceRefresh(Cycle now)
             continue;
         if (engine_.rankQuiesced(rank, now)) {
             engine_.issueRefresh(rank, now);
-            invalidateRank(rank);
+            syncRank(rank);
             useCommandSlot(now);
             nextRefAt[rank] += spec_.timing.tREFI;
 
@@ -262,12 +267,8 @@ MemoryController::serviceRefresh(Cycle now)
         unsigned base = rank * spec_.org.banksPerRank();
         for (unsigned i = 0; i < spec_.org.banksPerRank(); ++i) {
             unsigned fb = base + i;
-            if (engine_.bank(fb).open &&
-                engine_.canIssue(DramCommand::kPre, fb, now)) {
-                engine_.issuePre(fb, now);
-                hitStreak[fb] = 0;
-                invalidateRowState(fb);
-                useCommandSlot(now);
+            if (bank_[fb].open && now >= bank_[fb].preAt) {
+                issuePrecharge(fb, now);
                 return true;
             }
         }
@@ -280,30 +281,29 @@ MemoryController::serviceMaintenance(Cycle now)
 {
     if (maintOpsPending_ == 0)
         return false;
-    for (unsigned fb = 0; fb < maintQ.size(); ++fb) {
-        if (maintQ[fb].empty())
+    for (unsigned fb = 0; fb < bank_.size(); ++fb) {
+        BankRecord &rec = bank_[fb];
+        if (!rec.maintPending)
             continue;
         // Never start a blackout on a rank that is quiescing for REF;
         // otherwise a stream of preventive actions could starve refresh.
-        if (rankHasRefreshPending(engine_.rankOf(fb), now))
+        if (rankHasRefreshPending(rec.rank, now))
             continue;
-        const BankState &bank = engine_.bank(fb);
-        if (bank.open) {
-            if (engine_.canIssue(DramCommand::kPre, fb, now)) {
-                engine_.issuePre(fb, now);
-                hitStreak[fb] = 0;
-                invalidateRowState(fb);
-                useCommandSlot(now);
+        if (rec.open) {
+            if (now >= rec.preAt) {
+                issuePrecharge(fb, now);
                 return true;
             }
             continue;
         }
-        if (now < bank.blockedUntil)
+        if (now < rec.blockedUntil)
             continue;
         MaintOp op = maintQ[fb].front();
         maintQ[fb].pop_front();
         --maintOpsPending_;
+        rec.maintPending = !maintQ[fb].empty();
         engine_.blockBank(fb, now, op.duration);
+        syncBank(fb);
         if (op.isMigration)
             engine_.energy().addMigration();
         else if (op.victimRows > 0)
@@ -317,11 +317,20 @@ MemoryController::serviceMaintenance(Cycle now)
 }
 
 void
+MemoryController::issuePrecharge(unsigned fb, Cycle now)
+{
+    engine_.issuePre(fb, now);
+    bank_[fb].hitStreak = 0;
+    syncBank(fb);
+    useCommandSlot(now);
+}
+
+void
 MemoryController::issueDemandAct(const Request &req, Cycle now)
 {
     engine_.issueAct(req.flatBank, req.da.row, now);
-    invalidateRowState(req.flatBank);
-    hitStreak[req.flatBank] = 0;
+    bank_[req.flatBank].hitStreak = 0;
+    syncBank(req.flatBank);
     ++demandActs_;
     if (onDemandAct)
         onDemandAct(req.flatBank, req.da.row, req.thread, now);
@@ -333,7 +342,7 @@ MemoryController::issueDemandAct(const Request &req, Cycle now)
 
 void
 MemoryController::issueColumn(BankedRequestQueue &queue, bool is_read,
-                              unsigned fb, std::size_t pos,
+                              unsigned fb, std::uint32_t pos,
                               bool counts_against_cap, Cycle now)
 {
     const QueuedRequest &qr = queue.bank(fb)[pos];
@@ -354,10 +363,12 @@ MemoryController::issueColumn(BankedRequestQueue &queue, bool is_read,
         engine_.issueWrite(fb, now);
         ++writesServed_;
     }
+    BankRecord &rec = bank_[fb];
     if (counts_against_cap)
-        ++hitStreak[fb];
+        ++rec.hitStreak;
     queue.erase(fb, pos);
-    invalidateScan(is_read, fb);
+    rec.scanValid[scanIndex(is_read)] = false;
+    syncBank(fb);
     useCommandSlot(now);
 }
 
@@ -365,136 +376,130 @@ bool
 MemoryController::tryIssueForQueue(BankedRequestQueue &queue, bool is_read,
                                    Cycle now)
 {
-    DramCommand col_cmd = is_read ? DramCommand::kRead : DramCommand::kWrite;
-
-    // Pass 1: oldest row-hit request whose bank's hit streak is under the
-    // cap (FR-FCFS+Cap: row hits first, but no more than `cap` younger
-    // hits may bypass an older row-conflict request to the same bank).
-    // Within a bank only the oldest hit can fire (younger hits share its
-    // bank timing and inherit its conflict), so the globally oldest
-    // eligible hit is the min-seq per-bank candidate.
-    {
-        std::uint64_t best_seq = kNoSeq;
-        unsigned best_fb = 0;
-        std::size_t best_pos = 0;
-        bool best_conflict = false;
-        for (unsigned fb : queue.activeBanks()) {
-            const BankState &bank = engine_.bank(fb);
-            if (!bank.open)
-                continue;
-            if (!maintQ[fb].empty())
-                continue;
-            if (rankHasRefreshPending(engine_.rankOf(fb), now))
-                continue;
-            const BankScan &scan = scanOf(is_read, fb);
-            if (scan.hitPos == kNoPos)
-                continue;
-            if (!engine_.canIssue(col_cmd, fb, now))
-                continue;
-            // Entries ahead of the oldest hit are all row conflicts.
-            bool older_conflict = scan.hitPos > 0;
-            if (older_conflict && hitStreak[fb] >= config_.frfcfsCap)
-                continue;
-            std::uint64_t seq = queue.bank(fb)[scan.hitPos].seq;
-            if (seq < best_seq) {
-                best_seq = seq;
-                best_fb = fb;
-                best_pos = scan.hitPos;
-                best_conflict = older_conflict;
-            }
-        }
-        if (best_seq != kNoSeq) {
-            issueColumn(queue, is_read, best_fb, best_pos, best_conflict,
-                        now);
-            return true;
-        }
-    }
-
-    // Pass 2: oldest request that needs an ACT or a PRE. Per bank the
+    // One walk collects two candidates; the second counts only when no
+    // bank offers the first.
+    //
+    // First: the oldest row hit whose bank's hit streak is under the cap
+    // (FR-FCFS+Cap: row hits first, but no more than `cap` younger hits
+    // may bypass an older row-conflict request to the same bank). Within
+    // a bank only the oldest hit can fire (younger hits share its bank
+    // timing and inherit its conflict), so the globally oldest eligible
+    // hit is the min-seq per-bank candidate.
+    //
+    // Second: the oldest request that needs an ACT or a PRE. Per bank the
     // first actionable entry is unique: a closed bank's candidate is its
     // oldest request whose row the mitigation has released (probes are
-    // const, so a delayed older entry is simply skipped — exactly the
-    // linear reference scan's behaviour), an open bank's is its oldest
-    // row conflict, precharging only when no same-row hit is pending or
-    // the hit streak hit the reordering cap.
-    bool delays = mitigation != nullptr && mitigation->delaysActs();
+    // const, so a delayed older entry is simply skipped, exactly as the
+    // linear reference scan does), an open bank's is its oldest row
+    // conflict, precharging only when no same-row hit is pending or the
+    // hit streak reached the reordering cap. Once some bank offers a hit,
+    // the walk stops looking for this one.
+    //
+    // While the bound behind the current wake holds, nothing this walk
+    // reads has changed since the wake walk recorded every bank's
+    // candidates with their first legal cycles: pick from those instead.
+    if (planComplete_[scanIndex(is_read)] && commandBoundHolds(now))
+        return issueFromPlan(queue, is_read, now);
+    const bool delays = mitigation != nullptr && mitigation->delaysActs();
+    const bool bus_free = now >= engine_.columnBusAt(is_read);
+    const bool refresh_due = anyRefreshPending(now);
+    const unsigned cap = config_.frfcfsCap;
 
-    std::uint64_t best_seq = kNoSeq;
-    unsigned best_fb = 0;
-    std::size_t best_pos = 0;
-    bool best_is_pre = false;
+    std::uint64_t hit_seq = kNoSeq;
+    unsigned hit_fb = 0;
+    std::uint32_t hit_pos = 0;
+    bool hit_conflict = false;
+
+    std::uint64_t cmd_seq = kNoSeq;
+    unsigned cmd_fb = 0;
+    std::uint32_t cmd_pos = 0;
+    bool cmd_is_pre = false;
 
     for (unsigned fb : queue.activeBanks()) {
-        if (!maintQ[fb].empty())
+        const BankRecord &rec = bank_[fb];
+        if (rec.maintPending ||
+            (refresh_due && rankHasRefreshPending(rec.rank, now)))
             continue;
-        if (rankHasRefreshPending(engine_.rankOf(fb), now))
-            continue;
-        const BankState &bank = engine_.bank(fb);
-        const std::deque<QueuedRequest> &fifo = queue.bank(fb);
 
-        if (!bank.open) {
-            if (!engine_.canIssue(DramCommand::kAct, fb, now))
+        if (!rec.open) {
+            if (hit_seq != kNoSeq || now < rec.actAt ||
+                now < engine_.rankActAt(rec.rank, rec.group))
                 continue;
-            std::size_t pos = 0;
+            std::uint32_t pos = 0;
+            std::uint64_t seq = scanOf(is_read, fb).confSeq; // The oldest.
             if (delays) {
+                const std::deque<QueuedRequest> &fifo = queue.bank(fb);
                 pos = kNoPos;
-                for (std::size_t i = 0; i < fifo.size(); ++i) {
-                    const Request &r = fifo[i].req;
+                std::uint32_t i = 0;
+                for (const QueuedRequest &qr : fifo) {
                     if (mitigation->probeActReleaseCycle(
-                            fb, r.da.row, r.thread, now) <= now) {
+                            fb, qr.req.da.row, qr.req.thread, now) <= now) {
                         pos = i;
+                        seq = qr.seq;
                         break;
                     }
+                    ++i;
                 }
                 if (pos == kNoPos)
                     continue; // Every queued row is delayed right now.
             }
-            if (fifo[pos].seq < best_seq) {
-                best_seq = fifo[pos].seq;
-                best_fb = fb;
-                best_pos = pos;
-                best_is_pre = false;
+            if (seq < cmd_seq) {
+                cmd_seq = seq;
+                cmd_fb = fb;
+                cmd_pos = pos;
+                cmd_is_pre = false;
             }
             continue;
         }
 
         const BankScan &scan = scanOf(is_read, fb);
-        if (scan.confPos == kNoPos)
-            continue; // Only same-row entries: column not legal yet.
-        bool hit_pending = scan.hitPos != kNoPos;
-        if (hit_pending && hitStreak[fb] < config_.frfcfsCap)
-            continue; // Keep the row open for the pending hit.
-        if (!engine_.canIssue(DramCommand::kPre, fb, now))
+        const bool hit_pending = scan.hitPos != kNoPos;
+        // Entries ahead of the oldest hit are all row conflicts.
+        const bool older_conflict = hit_pending && scan.hitPos > 0;
+        if (hit_pending && bus_free && now >= rec.colAt &&
+            !(older_conflict && rec.hitStreak >= cap)) {
+            if (scan.hitSeq < hit_seq) {
+                hit_seq = scan.hitSeq;
+                hit_fb = fb;
+                hit_pos = scan.hitPos;
+                hit_conflict = older_conflict;
+            }
             continue;
-        std::uint64_t seq = fifo[scan.confPos].seq;
-        if (seq < best_seq) {
-            best_seq = seq;
-            best_fb = fb;
-            best_pos = scan.confPos;
-            best_is_pre = true;
+        }
+        if (hit_seq != kNoSeq || scan.confPos == kNoPos)
+            continue; // Only same-row entries: column not legal yet.
+        if (hit_pending && rec.hitStreak < cap)
+            continue; // Keep the row open for the pending hit.
+        if (now < rec.preAt)
+            continue;
+        if (scan.confSeq < cmd_seq) {
+            cmd_seq = scan.confSeq;
+            cmd_fb = fb;
+            cmd_pos = scan.confPos;
+            cmd_is_pre = true;
         }
     }
 
-    if (best_seq == kNoSeq)
-        return false;
-    if (!best_is_pre) {
-        const Request &req = queue.bank(best_fb)[best_pos].req;
-        // Guard the delaysActs() contract: a mechanism that overrides
-        // probeActReleaseCycle() without also overriding delaysActs()
-        // would silently lose its ACT delays on this fast path. Probes
-        // are const, so re-asking here is always safe.
-        BH_ASSERT(mitigation == nullptr ||
-                      mitigation->probeActReleaseCycle(best_fb, req.da.row,
-                                                       req.thread, now) <=
-                          now,
-                  "mitigation delays ACTs but delaysActs() returns false");
-        issueDemandAct(req, now);
-        useCommandSlot(now);
+    if (hit_seq != kNoSeq) {
+        issueColumn(queue, is_read, hit_fb, hit_pos, hit_conflict, now);
         return true;
     }
-    engine_.issuePre(best_fb, now);
-    hitStreak[best_fb] = 0;
-    invalidateRowState(best_fb);
+    if (cmd_seq == kNoSeq)
+        return false;
+    if (cmd_is_pre) {
+        issuePrecharge(cmd_fb, now);
+        return true;
+    }
+    const Request &req = queue.bank(cmd_fb)[cmd_pos].req;
+    // Guard the delaysActs() contract: a mechanism that overrides
+    // probeActReleaseCycle() without also overriding delaysActs() would
+    // silently lose its ACT delays on this fast path. Probes are const,
+    // so re-asking here is always safe.
+    BH_ASSERT(mitigation == nullptr ||
+                  mitigation->probeActReleaseCycle(cmd_fb, req.da.row,
+                                                   req.thread, now) <= now,
+              "mitigation delays ACTs but delaysActs() returns false");
+    issueDemandAct(req, now);
     useCommandSlot(now);
     return true;
 }
@@ -509,14 +514,8 @@ MemoryController::stepDrainFlag(bool draining) const
 }
 
 void
-MemoryController::accountSkippedCycles(Cycle first, Cycle last)
+MemoryController::replayDrainSteps(Cycle steps)
 {
-    // Dense ticks in [first, last] did nothing (the skip loop proved it),
-    // but each one with a free command slot stepped the drain hysteresis.
-    Cycle start = std::max(first, nextCommandAt);
-    if (start > last)
-        return;
-    Cycle steps = last - start + 1;
     bool f1 = stepDrainFlag(drainingWrites);
     if (f1 == drainingWrites)
         return; // Fixed point.
@@ -561,6 +560,13 @@ MemoryController::tick(Cycle now)
     processCompletions(now);
     if (!commandSlotFree(now))
         return;
+    if (commandBoundHolds(now) && cmdBound_ > now) {
+        // Nothing has changed since the bound was taken, and it says no
+        // command is legal yet: only the drain hysteresis steps, exactly
+        // as the failing walks below would have left it.
+        drainingWrites = stepDrainFlag(drainingWrites);
+        return;
+    }
     if (serviceRefresh(now))
         return;
     if (serviceMaintenance(now))
@@ -709,7 +715,10 @@ MemoryController::saveState(StateWriter &w) const
 
     saveVector(w, nextRefAt, [](StateWriter &sw, Cycle c) { sw.u64(c); });
     saveUnsignedVector(w, refSweepPos);
-    saveUnsignedVector(w, hitStreak);
+    std::vector<unsigned> streak;
+    for (const BankRecord &rec : bank_)
+        streak.push_back(rec.hitStreak);
+    saveUnsignedVector(w, streak);
     w.u64(nextCommandAt);
     w.u64(lastSeenCycle);
     w.u64(preventiveActions_);
@@ -776,13 +785,12 @@ MemoryController::loadState(StateReader &r)
     loadUnsignedVector(r, &streak);
     if (!r.ok() || ref_at.size() != nextRefAt.size() ||
         sweep.size() != refSweepPos.size() ||
-        streak.size() != hitStreak.size()) {
+        streak.size() != bank_.size()) {
         r.fail();
         return;
     }
     nextRefAt = std::move(ref_at);
     refSweepPos = std::move(sweep);
-    hitStreak = std::move(streak);
     nextCommandAt = r.u64();
     lastSeenCycle = r.u64();
     preventiveActions_ = r.u64();
@@ -790,13 +798,18 @@ MemoryController::loadState(StateReader &r)
     readsServed_ = r.u64();
     writesServed_ = r.u64();
 
-    // The scan caches and the wake memo are pure accelerations of
-    // scanOf() and nextEventCycle(); recompute lazily rather than
-    // serializing them.
-    for (BankScan &scan : readScan)
-        scan.valid = false;
-    for (BankScan &scan : writeScan)
-        scan.valid = false;
+    // The per-bank records and the wake memo are pure accelerations:
+    // apart from the hit streak, rebuild them from the restored engine,
+    // maintenance queues and FIFOs rather than serializing them.
+    for (unsigned fb = 0; fb < bank_.size(); ++fb) {
+        BankRecord &rec = bank_[fb];
+        rec.hitStreak = streak[fb];
+        rec.maintPending = !maintQ[fb].empty();
+        rec.invalidateScans();
+        syncBank(fb);
+    }
+    cmdBoundValid_ = false;
+    planComplete_[0] = planComplete_[1] = false;
     wakeDirty_ = true;
 }
 
@@ -804,23 +817,44 @@ MemoryController::loadState(StateReader &r)
 
 Cycle
 MemoryController::demandEventCycle(const BankedRequestQueue &queue,
-                                   bool is_read, Cycle now) const
+                                   bool is_read, Cycle now, Cycle floor,
+                                   bool plan) const
 {
-    DramCommand col_cmd = is_read ? DramCommand::kRead : DramCommand::kWrite;
-    bool delays = mitigation != nullptr && mitigation->delaysActs();
+    // nextEventCycle() clamps the command bound to the command slot and
+    // to now+1, so once the running minimum reaches @p floor (the larger
+    // of the two) no later bank can change its answer. With @p plan, the
+    // walk also records each bank's candidates for tryIssueForQueue();
+    // they are complete only if the walk visited every bank and no ACT
+    // delays (which move with time alone) are in play.
+    const bool delays = mitigation != nullptr && mitigation->delaysActs();
+    const Cycle bus_at = engine_.columnBusAt(is_read);
+    const bool refresh_due = anyRefreshPending(now);
+    const unsigned cap = config_.frfcfsCap;
     Cycle at = kNeverCycle;
+    std::vector<PlanEntry> *entries = nullptr;
+    if (plan) {
+        entries = &plan_[scanIndex(is_read)];
+        entries->clear();
+    }
     for (unsigned fb : queue.activeBanks()) {
+        const BankRecord &rec = bank_[fb];
         // Banks gated by maintenance or refresh wake through those paths'
         // own events (computed in nextEventCycle), not through demand.
-        if (!maintQ[fb].empty())
+        if (rec.maintPending ||
+            (refresh_due && rankHasRefreshPending(rec.rank, now)))
             continue;
-        if (rankHasRefreshPending(engine_.rankOf(fb), now))
-            continue;
-        const BankState &bank = engine_.bank(fb);
-        if (!bank.open) {
-            Cycle issue_at =
-                engine_.earliestIssue(DramCommand::kAct, fb, now);
-            if (delays) {
+        if (!rec.open) {
+            Cycle issue_at = std::max(
+                {now, rec.actAt, engine_.rankActAt(rec.rank, rec.group)});
+            if (entries != nullptr) {
+                PlanEntry e;
+                e.fb = fb;
+                e.rowAt = issue_at;
+                e.rowPos = 0;
+                e.rowSeq = scanOf(is_read, fb).confSeq;
+                entries->push_back(e);
+            }
+            if (delays && issue_at < at) {
                 // Mitigation row delays (BlockHammer) postpone the ACT
                 // beyond the bank timing: the bank's next chance is the
                 // earliest release among its queued rows. Probes are
@@ -828,7 +862,9 @@ MemoryController::demandEventCycle(const BankedRequestQueue &queue,
                 // clearing every delay, so this stays a valid lower
                 // bound; delays added by *future* commits only move the
                 // true event later, making an early wake a harmless
-                // no-op tick.
+                // no-op tick. (A bank whose timing alone is no earlier
+                // than the running minimum cannot lower it, so it is not
+                // probed.)
                 Cycle release = kNeverCycle;
                 for (const QueuedRequest &qr : queue.bank(fb)) {
                     Cycle r = mitigation->probeActReleaseCycle(
@@ -842,29 +878,77 @@ MemoryController::demandEventCycle(const BankedRequestQueue &queue,
                 issue_at = std::max(issue_at, release);
             }
             at = std::min(at, issue_at);
-            continue;
+        } else {
+            const BankScan &scan = scanOf(is_read, fb);
+            const bool capped = rec.hitStreak >= cap;
+            PlanEntry e;
+            e.fb = fb;
+            if (scan.hitPos != kNoPos && !(scan.hitPos > 0 && capped)) {
+                e.hitAt = std::max({now, rec.colAt, bus_at});
+                e.hitSeq = scan.hitSeq;
+                e.hitPos = scan.hitPos;
+                e.hitConflict = scan.hitPos > 0;
+            }
+            if (scan.confPos != kNoPos && (scan.hitPos == kNoPos || capped)) {
+                e.rowAt = std::max(now, rec.preAt);
+                e.rowSeq = scan.confSeq;
+                e.rowPos = scan.confPos;
+                e.rowIsPre = true;
+            }
+            at = std::min({at, e.hitAt, e.rowAt});
+            if (entries != nullptr)
+                entries->push_back(e);
         }
-        const BankScan &scan = scanOf(is_read, fb);
-        bool hit_capped =
-            scan.hitPos != kNoPos && scan.hitPos > 0 &&
-            hitStreak[fb] >= config_.frfcfsCap;
-        if (scan.hitPos != kNoPos && !hit_capped)
-            at = std::min(at, engine_.earliestIssue(col_cmd, fb, now));
-        if (scan.confPos != kNoPos &&
-            (scan.hitPos == kNoPos || hitStreak[fb] >= config_.frfcfsCap))
-            at = std::min(at,
-                          engine_.earliestIssue(DramCommand::kPre, fb, now));
+        if (at <= floor) {
+            if (plan)
+                planComplete_[scanIndex(is_read)] = false;
+            return at;
+        }
     }
+    if (plan)
+        planComplete_[scanIndex(is_read)] = !delays;
     return at;
 }
 
-Cycle
-MemoryController::nextEventCycle(Cycle now) const
+bool
+MemoryController::issueFromPlan(BankedRequestQueue &queue, bool is_read,
+                                Cycle now)
 {
-    // Read completions fire before the command-slot gate in tick().
-    Cycle completion_at =
-        completions.empty() ? kNeverCycle : completions.top().readyAt;
+    const PlanEntry *hit = nullptr;
+    const PlanEntry *row = nullptr;
+    for (const PlanEntry &e : plan_[scanIndex(is_read)]) {
+        if (e.hitAt <= now && (hit == nullptr || e.hitSeq < hit->hitSeq))
+            hit = &e;
+        if (e.rowAt <= now && (row == nullptr || e.rowSeq < row->rowSeq))
+            row = &e;
+    }
+    if (hit != nullptr) {
+        issueColumn(queue, is_read, hit->fb, hit->hitPos, hit->hitConflict,
+                    now);
+        return true;
+    }
+    if (row == nullptr)
+        return false;
+    if (row->rowIsPre) {
+        issuePrecharge(row->fb, now);
+        return true;
+    }
+    const Request &req = queue.bank(row->fb)[row->rowPos].req;
+    // The delaysActs() contract guard of tryIssueForQueue().
+    BH_ASSERT(mitigation == nullptr ||
+                  mitigation->probeActReleaseCycle(row->fb, req.da.row,
+                                                   req.thread, now) <= now,
+              "mitigation delays ACTs but delaysActs() returns false");
+    issueDemandAct(req, now);
+    useCommandSlot(now);
+    return true;
+}
 
+Cycle
+MemoryController::commandBound(Cycle now, bool plan) const
+{
+    if (plan)
+        planComplete_[0] = planComplete_[1] = false;
     Cycle cmd_at = kNeverCycle;
 
     // Refresh: upcoming deadlines, or quiesce progress of a pending REF.
@@ -882,34 +966,44 @@ MemoryController::nextEventCycle(Cycle now) const
         // Some bank still open: the next quiesce step is its PRE.
         unsigned base = rank * spec_.org.banksPerRank();
         for (unsigned i = 0; i < spec_.org.banksPerRank(); ++i) {
-            unsigned fb = base + i;
-            if (engine_.bank(fb).open)
-                cmd_at = std::min(cmd_at, engine_.earliestIssue(
-                                              DramCommand::kPre, fb, now));
+            const BankRecord &rec = bank_[base + i];
+            if (rec.open)
+                cmd_at = std::min(cmd_at, std::max(now, rec.preAt));
         }
     }
 
     // Maintenance: pending ops start when their bank is closed and clear.
     if (maintOpsPending_ > 0) {
-        for (unsigned fb = 0; fb < maintQ.size(); ++fb) {
-            if (maintQ[fb].empty())
+        for (const BankRecord &rec : bank_) {
+            if (!rec.maintPending)
                 continue;
-            if (rankHasRefreshPending(engine_.rankOf(fb), now))
+            if (rankHasRefreshPending(rec.rank, now))
                 continue; // Wakes through the refresh path above.
-            const BankState &bank = engine_.bank(fb);
-            if (bank.open)
-                cmd_at = std::min(cmd_at, engine_.earliestIssue(
-                                              DramCommand::kPre, fb, now));
-            else
-                cmd_at = std::min(cmd_at,
-                                  std::max(now + 1, bank.blockedUntil));
+            cmd_at = std::min(cmd_at,
+                              rec.open ? std::max(now, rec.preAt)
+                                       : std::max(now + 1, rec.blockedUntil));
         }
     }
 
     // Demand scheduling on both queues (drain-mode hysteresis only picks
-    // the order; considering both directions is a safe lower bound).
-    cmd_at = std::min(cmd_at, demandEventCycle(readQ, true, now));
-    cmd_at = std::min(cmd_at, demandEventCycle(writeQ, false, now));
+    // the order; considering both directions is a safe lower bound). A
+    // bound at or below `floor` already pins wakeFrom()'s result.
+    const Cycle floor = std::max(now + 1, nextCommandAt);
+    if (cmd_at > floor)
+        cmd_at = std::min(cmd_at,
+                          demandEventCycle(readQ, true, now, floor, plan));
+    if (cmd_at > floor)
+        cmd_at = std::min(cmd_at,
+                          demandEventCycle(writeQ, false, now, floor, plan));
+    return cmd_at;
+}
+
+Cycle
+MemoryController::wakeFrom(Cycle now, Cycle cmd_at) const
+{
+    // Read completions fire before the command-slot gate in tick().
+    Cycle completion_at =
+        completions.empty() ? kNeverCycle : completions.top().readyAt;
 
     // Every command waits for the command-bus slot; completions do not.
     if (cmd_at != kNeverCycle)
@@ -928,15 +1022,44 @@ MemoryController::nextEventCycle(Cycle now) const
 }
 
 Cycle
-MemoryController::wakeAt() const
+MemoryController::nextEventCycle(Cycle now) const
+{
+    return wakeFrom(now, commandBound(now, false));
+}
+
+bool
+MemoryController::commandBoundHolds(Cycle now) const
+{
+    // Each term of commandBound() is a refresh deadline or max(now, X)
+    // (max(now + 1, X) for a maintenance start) over state that only
+    // commands, enqueues, host actions and restores change, and each of
+    // those clears cmdBoundValid_. A bound taken at an earlier cycle
+    // therefore gives wakeFrom() the same answer, and when it exceeds
+    // @p now no command is legal at @p now. Two things move with time
+    // alone and void it: a refresh deadline passing (it regates a rank's
+    // banks) and a mechanism's ACT delays.
+    if (!cmdBoundValid_ || (mitigation != nullptr && mitigation->delaysActs()))
+        return false;
+    for (Cycle ref_at : nextRefAt)
+        if (cmdBoundAt_ < ref_at && ref_at <= now)
+            return false;
+    return true;
+}
+
+Cycle
+MemoryController::recomputeWake() const
 {
     // Anchored at the last tick, not at the (possibly later) cycle of the
     // recompute: the bound covers every cycle since the state was last
     // mutated, and its value does not depend on when it is recomputed.
-    if (wakeDirty_) {
-        wakeAt_ = nextEventCycle(lastSeenCycle);
-        wakeDirty_ = false;
+    const Cycle now = lastSeenCycle;
+    if (!commandBoundHolds(now)) {
+        cmdBound_ = commandBound(now, true);
+        cmdBoundAt_ = now;
+        cmdBoundValid_ = true;
     }
+    wakeAt_ = wakeFrom(now, cmdBound_);
+    wakeDirty_ = false;
     return wakeAt_;
 }
 

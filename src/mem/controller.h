@@ -13,27 +13,43 @@
  * (the RowHammer oracle in tests).
  *
  * Requests are indexed per bank: each queue keeps one age-ordered FIFO per
- * flat bank plus a global enqueue sequence number, so the FR-FCFS scan
- * touches only non-empty banks instead of walking the whole queue per
- * candidate. Per bank, the scheduler caches the oldest row-hit and oldest
- * row-conflict positions; the cache is invalidated only on enqueue, issue,
- * or a row-state change of that bank. Selection order is provably
- * identical to a linear oldest-first scan: within a bank the eligible
- * candidate is unique, so picking the globally smallest sequence number
- * among per-bank candidates reproduces the linear scan's choice. ACT-
- * delaying mechanisms (BlockHammer) are queried through the const
- * probeActReleaseCycle() — a closed bank's candidate is its oldest
- * *released* entry — and commit their tracking state only when the ACT
- * actually issues, so probing is free of side effects and the scan stays
+ * flat bank plus a global enqueue sequence number, so the FR-FCFS walk
+ * touches only non-empty banks. Everything a walk reads about a bank sits
+ * in one packed record per flat bank: its row state and bank-local
+ * earliest ACT/PRE/column cycles (mirrored from the timing engine after
+ * every command to the bank or its rank, with the blackouts folded in),
+ * its rank and bank group, a maintenance-pending flag, the FR-FCFS hit
+ * streak, and per queue a cached scan (oldest row-hit and oldest
+ * row-conflict position and sequence number) that is invalidated only on
+ * enqueue, issue, or a row-state change of that bank. A visit is then a
+ * few comparisons against the record, the rank's ACT spacing and the bus.
+ *
+ * Each issue attempt is one walk per queue. It collects both the oldest
+ * eligible row hit (FR-FCFS+Cap's first choice) and the oldest
+ * ACT/PRE candidate (used only when no hit is eligible), so it picks what
+ * two oldest-first passes over the queue would. Within a bank the eligible
+ * candidate of each kind is unique, so picking the globally smallest
+ * sequence number among per-bank candidates reproduces a linear scan's
+ * choice. ACT-delaying mechanisms (BlockHammer) are queried through the
+ * const probeActReleaseCycle() (a closed bank's candidate is its oldest
+ * *released* entry) and commit their tracking state only when the ACT
+ * actually issues, so probing is free of side effects and the scans stay
  * cached.
  *
  * nextEventCycle() exposes a conservative lower bound on the next cycle
  * tick() can do anything, which System::run's skip-ahead loop uses to jump
  * over dead cycles. wakeAt() memoizes it between the controller's own
- * ticks, so System ticks each controller only at its own wake.
+ * ticks, so System ticks each controller only at its own wake. Its demand
+ * walk stops at the first bank that pins the answer to the command slot,
+ * and its command-side part is itself memoized until the next command,
+ * enqueue or host action: a tick that finds that bound still in the
+ * future skips the walks it could not pass, and a tick at or past it
+ * picks from the per-bank candidates the wake walk recorded instead of
+ * walking the records again.
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -201,7 +217,11 @@ class MemoryController : public IMitigationHost
      * replays. Mitigation host actions arrive only from inside tick(),
      * so they need no reset.
      */
-    Cycle wakeAt() const;
+    Cycle
+    wakeAt() const
+    {
+        return wakeDirty_ ? recomputeWake() : wakeAt_;
+    }
 
     /**
      * Replay the tick-granular bookkeeping of the dead cycles
@@ -212,7 +232,16 @@ class MemoryController : public IMitigationHost
      * watermark — so its final state depends on how many evaluations
      * ran, not just on the frozen queue sizes.
      */
-    void accountSkippedCycles(Cycle first, Cycle last);
+    void
+    accountSkippedCycles(Cycle first, Cycle last)
+    {
+        // Dense ticks in [first, last] did nothing (the skip loop proved
+        // it), but each one with a free command slot stepped the drain
+        // hysteresis.
+        Cycle start = std::max(first, nextCommandAt);
+        if (start <= last)
+            replayDrainSteps(last - start + 1);
+    }
 
     /** Fires when read data is fully returned. */
     // bh-audit: skip(onReadComplete) -- wiring callback installed by System
@@ -249,7 +278,8 @@ class MemoryController : public IMitigationHost
     void creditDirectScore(ThreadId thread, double amount) override;
 
     // --- Introspection ---
-    TimingEngine &engine() { return engine_; }
+    /** Read-only: every engine command goes through the controller,
+     *  which mirrors the bank state it schedules from. */
     const TimingEngine &engine() const { return engine_; }
 
     /** Total preventive actions performed (Fig 10's metric). */
@@ -293,24 +323,72 @@ class MemoryController : public IMitigationHost
         }
     };
 
-    static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
+    static constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
+    static constexpr std::uint64_t kNoSeq = static_cast<std::uint64_t>(-1);
 
     /**
-     * Cached scan summary of one bank's FIFO against its current open
-     * row: the oldest row-hit and oldest row-conflict positions. Valid
-     * only while the bank FIFO and the bank's row state are unchanged.
+     * Cached scan of one bank's FIFO in one queue against the bank's open
+     * row: the oldest row-hit and oldest row-conflict entries. Valid only
+     * while that FIFO and the bank's row state are unchanged.
      */
     struct BankScan
     {
-        bool valid = false;
-        std::size_t hitPos = kNoPos;  ///< Oldest entry, row == openRow.
-        std::size_t confPos = kNoPos; ///< Oldest entry, row != openRow.
+        std::uint64_t hitSeq = kNoSeq;  ///< Sequence number at hitPos.
+        std::uint64_t confSeq = kNoSeq; ///< Sequence number at confPos.
+        std::uint32_t hitPos = kNoPos;  ///< Oldest entry, row == openRow.
+        std::uint32_t confPos = kNoPos; ///< Oldest entry, row != openRow.
     };
 
+    /**
+     * Everything one scheduling visit reads about a flat bank, laid out
+     * so a visit to the read queue touches one cache line. syncBank()
+     * copies the row and timing fields from the engine after every
+     * command to the bank or its rank; each `*At` already includes both
+     * the bank's and the rank's blackout.
+     */
+    struct alignas(64) BankRecord
+    {
+        // bh-audit: skip(actAt) -- derived, rebuilt in loadState
+        Cycle actAt = 0; ///< Bank-local earliest ACT (nextAct, blackouts).
+        // bh-audit: skip(preAt) -- derived, rebuilt in loadState
+        Cycle preAt = 0; ///< Bank-local earliest PRE (nextPre, blackouts).
+        // bh-audit: skip(colAt) -- derived, rebuilt in loadState
+        Cycle colAt = 0; ///< Bank-local earliest RD/WR (nextRdWr, ...).
+        /** Consecutive row hits served while an older row conflict
+         *  waits (FR-FCFS cap state; serialized). */
+        unsigned hitStreak = 0;
+        // bh-audit: skip(rank) -- derived, rebuilt in loadState
+        unsigned rank = 0;
+        // bh-audit: skip(group) -- derived, rebuilt in loadState
+        unsigned group = 0; ///< Bank group within the rank.
+        // bh-audit: skip(open) -- derived, rebuilt in loadState
+        bool open = false;
+        // bh-audit: skip(maintPending) -- derived, rebuilt in loadState
+        bool maintPending = false; ///< maintQ of the bank is non-empty.
+        // bh-audit: skip(scanValid) -- derived, rebuilt in loadState
+        bool scanValid[2] = {false, false}; ///< Per scan[] entry.
+        // bh-audit: skip(scan) -- derived, rebuilt in loadState
+        BankScan scan[2]; ///< Read queue first (see scanIndex()).
+        // bh-audit: skip(openRow) -- derived, rebuilt in loadState
+        unsigned openRow = 0;
+        // bh-audit: skip(blockedUntil) -- derived, rebuilt in loadState
+        Cycle blockedUntil = 0; ///< The bank's own blackout.
+
+        void invalidateScans() { scanValid[0] = scanValid[1] = false; }
+    };
+
+    static unsigned scanIndex(bool is_read) { return is_read ? 0 : 1; }
+
     bool commandSlotFree(Cycle now) const { return now >= nextCommandAt; }
-    void useCommandSlot(Cycle now) { nextCommandAt = now + config_.commandSpacing; }
+    void
+    useCommandSlot(Cycle now)
+    {
+        nextCommandAt = now + config_.commandSpacing;
+        cmdBoundValid_ = false;
+    }
 
     bool stepDrainFlag(bool draining) const;
+    void replayDrainSteps(Cycle steps);
     void processCompletions(Cycle now);
     bool serviceRefresh(Cycle now);
     bool serviceMaintenance(Cycle now);
@@ -318,18 +396,62 @@ class MemoryController : public IMitigationHost
     bool tryIssueForQueue(BankedRequestQueue &queue, bool is_read,
                           Cycle now);
     void issueColumn(BankedRequestQueue &queue, bool is_read, unsigned fb,
-                     std::size_t pos, bool counts_against_cap, Cycle now);
+                     std::uint32_t pos, bool counts_against_cap, Cycle now);
     void issueDemandAct(const Request &req, Cycle now);
-    bool rankHasRefreshPending(unsigned rank, Cycle now) const;
+    void issuePrecharge(unsigned fb, Cycle now);
+    void queueMaintenance(unsigned fb, const MaintOp &op);
+    bool rankHasRefreshPending(unsigned rank, Cycle now) const
+    {
+        return now >= nextRefAt[rank];
+    }
+    /** Whether any rank has a refresh pending: the walks test each
+     *  bank's rank only then. */
+    bool
+    anyRefreshPending(Cycle now) const
+    {
+        return now >= *std::min_element(nextRefAt.begin(), nextRefAt.end());
+    }
 
-    const BankScan &scanOf(bool is_read, unsigned fb) const;
-    void invalidateScan(bool is_read, unsigned fb);
-    void invalidateRowState(unsigned fb);
-    void invalidateRank(unsigned rank);
-    void invalidateAllRowState();
+    /** The bank's cached scan in one queue, rescanning if stale. */
+    const BankScan &
+    scanOf(bool is_read, unsigned fb) const
+    {
+        const BankRecord &rec = bank_[fb];
+        unsigned i = scanIndex(is_read);
+        return rec.scanValid[i] ? rec.scan[i] : rescan(is_read, fb);
+    }
+    const BankScan &rescan(bool is_read, unsigned fb) const;
+
+    /** Refresh @p fb's record from the engine; drop its scans if the
+     *  row state changed. */
+    void syncBank(unsigned fb);
+    void syncRank(unsigned rank);
+    void syncAllBanks();
+
+    /**
+     * One bank's demand candidates as a wake walk found them, each legal
+     * from its cycle on while nothing changes (kNeverCycle: none).
+     */
+    struct PlanEntry
+    {
+        Cycle hitAt = kNeverCycle; ///< Column to the oldest hit, if allowed.
+        Cycle rowAt = kNeverCycle; ///< ACT (closed) or PRE (open), if allowed.
+        std::uint64_t hitSeq = kNoSeq;
+        std::uint64_t rowSeq = kNoSeq;
+        unsigned fb = 0;
+        std::uint32_t hitPos = kNoPos;
+        std::uint32_t rowPos = kNoPos;
+        bool hitConflict = false; ///< Older row conflicts wait.
+        bool rowIsPre = false;
+    };
 
     Cycle demandEventCycle(const BankedRequestQueue &queue, bool is_read,
-                           Cycle now) const;
+                           Cycle now, Cycle floor, bool plan) const;
+    bool issueFromPlan(BankedRequestQueue &queue, bool is_read, Cycle now);
+    Cycle commandBound(Cycle now, bool plan) const;
+    Cycle wakeFrom(Cycle now, Cycle cmd_at) const;
+    bool commandBoundHolds(Cycle now) const;
+    Cycle recomputeWake() const;
 
     DramSpec spec_;            // bh-audit: skip(spec_) -- constructor config, keyed by ExperimentConfig
     const AddressMap &mapper;  // bh-audit: skip(mapper) -- non-owning wiring, owned by System
@@ -339,11 +461,8 @@ class MemoryController : public IMitigationHost
 
     BankedRequestQueue readQ;
     BankedRequestQueue writeQ;
-    /** Lazily refreshed scan caches, per flat bank (see scanOf()). */
-    // bh-audit: skip(readScan) -- lazy cache, invalidated in loadState
-    mutable std::vector<BankScan> readScan;
-    // bh-audit: skip(writeScan) -- lazy cache, invalidated in loadState
-    mutable std::vector<BankScan> writeScan;
+    /** Per flat bank; scans are refreshed lazily (see scanOf()). */
+    mutable std::vector<BankRecord> bank_;
     bool drainingWrites = false;
 
     std::vector<std::deque<MaintOp>> maintQ; ///< Per flat bank.
@@ -362,10 +481,6 @@ class MemoryController : public IMitigationHost
     std::vector<Cycle> nextRefAt;     ///< Per rank.
     std::vector<unsigned> refSweepPos; ///< Per rank, row sweep pointer.
 
-    // FR-FCFS cap state: consecutive row hits served per bank while an
-    // older row-conflict request waits.
-    std::vector<unsigned> hitStreak;
-
     IMitigation *mitigation = nullptr;   // bh-audit: skip(mitigation) -- non-owning wiring installed by System
     IActionObserver *observer = nullptr; // bh-audit: skip(observer) -- non-owning wiring installed by System
 
@@ -377,6 +492,27 @@ class MemoryController : public IMitigationHost
     mutable bool wakeDirty_ = true;
     // bh-audit: skip(wakeAt_) -- lazy cache, reset in loadState
     mutable Cycle wakeAt_ = 0;
+
+    /**
+     * The last commandBound() and the cycle it was taken at; every
+     * command, enqueue and host action clears cmdBoundValid_ (see
+     * commandBoundHolds()).
+     */
+    // bh-audit: skip(cmdBound_) -- lazy cache, reset in loadState
+    mutable Cycle cmdBound_ = 0;
+    // bh-audit: skip(cmdBoundAt_) -- lazy cache, reset in loadState
+    mutable Cycle cmdBoundAt_ = 0;
+    // bh-audit: skip(cmdBoundValid_) -- lazy cache, reset in loadState
+    mutable bool cmdBoundValid_ = false;
+    /**
+     * Per queue (scanIndex()), every ungated bank's candidates from the
+     * walk behind cmdBound_, when that walk visited every bank: while the
+     * bound holds, they decide a tick without walking the records.
+     */
+    // bh-audit: skip(plan_) -- lazy cache, reset in loadState
+    mutable std::vector<PlanEntry> plan_[2];
+    // bh-audit: skip(planComplete_) -- lazy cache, reset in loadState
+    mutable bool planComplete_[2] = {false, false};
 
     std::uint64_t preventiveActions_ = 0;
     std::uint64_t demandActs_ = 0;

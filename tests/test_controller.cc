@@ -313,24 +313,6 @@ TEST_F(ControllerFixture, WakeMemoIsForcedByEnqueueAndRecomputedAfterTick)
     EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(now));
 }
 
-TEST_F(ControllerFixture, WakeMemoResetsOnRestore)
-{
-    // An idle controller's wake is its first refresh deadline, far past
-    // the enqueue cycle a stale forced wake would still report.
-    runUntil(50);
-    const Cycle last = now - 1;
-    StateWriter saved;
-    mc.saveState(saved);
-
-    mc.enqueueRead(readReq(addrOf(5)), now);
-    ASSERT_EQ(mc.wakeAt(), now);
-    StateReader r(saved.take());
-    mc.loadState(r);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
-    EXPECT_GT(mc.wakeAt(), now);
-}
-
 /** One scripted request arrival of the wake-memo equivalence test. */
 struct Arrival
 {
@@ -379,14 +361,132 @@ controllerState(const MemoryController &mc, const IMitigation *mitigation)
     return w.take();
 }
 
+/** Every mechanism, in MitigationType order. */
+constexpr MitigationType kAllMechanisms[] = {
+    MitigationType::kNone,     MitigationType::kPara,
+    MitigationType::kGraphene, MitigationType::kHydra,
+    MitigationType::kTwice,    MitigationType::kAqua,
+    MitigationType::kRega,     MitigationType::kRfm,
+    MitigationType::kPrac,     MitigationType::kBlockHammer,
+};
+
+/**
+ * Drive scriptedArrivals through one controller per mechanism (N_RH=64,
+ * four threads), ticking it only at its wake as System does, and digest
+ * every decision it makes: each demand ACT (cycle, bank, row, thread),
+ * each read completion (token, cycle), and the final controller and
+ * mechanism state. With @p restore_at inside the horizon, each run is
+ * saved at that cycle and continues in a freshly built controller and
+ * mechanism, which must make the same decisions.
+ */
+std::uint64_t
+scheduleDigest(Cycle restore_at)
+{
+    constexpr Cycle kHorizon = 27000;
+    constexpr unsigned kThreads = 4;
+    const unsigned n_rh = 64;
+    StateWriter log;
+    for (MitigationType type : kAllMechanisms) {
+        DramSpec spec = DramSpec::ddr5();
+        applyTimingSideEffects(type, n_rh, &spec);
+        AddressMap map(spec.org);
+        std::unique_ptr<MemoryController> mc;
+        std::unique_ptr<IMitigation> mitigation;
+        auto build = [&]() {
+            mc = std::make_unique<MemoryController>(spec, map, McConfig{});
+            mitigation = createMitigation(type, n_rh, spec, kThreads);
+            mc->setMitigation(mitigation.get());
+            mc->onDemandAct = [&log](unsigned bank, unsigned row,
+                                     ThreadId thread, Cycle c) {
+                log.u64(c);
+                log.u64(bank);
+                log.u64(row);
+                log.u64(thread);
+            };
+            mc->onReadComplete = [&log](const Request &r, Cycle c) {
+                log.u64(r.token);
+                log.u64(c);
+            };
+        };
+        build();
+
+        std::vector<Arrival> arrivals = scriptedArrivals(map, kHorizon);
+        std::size_t next = 0;
+        std::uint64_t token = 0;
+        for (Cycle t = 0; t < kHorizon; ++t) {
+            if (t == restore_at) {
+                StateReader r(controllerState(*mc, mitigation.get()));
+                build();
+                mc->loadState(r);
+                if (mitigation != nullptr)
+                    mitigation->loadState(r);
+                EXPECT_TRUE(r.atEnd()) << mitigationName(type);
+            }
+            for (; next < arrivals.size() && arrivals[next].at == t; ++next) {
+                Request req;
+                req.addr = arrivals[next].addr;
+                req.thread = static_cast<ThreadId>(next % kThreads);
+                if (arrivals[next].write) {
+                    req.type = Request::Type::kWrite;
+                    if (mc->canEnqueueWrite())
+                        mc->enqueueWrite(req, t);
+                } else {
+                    req.type = Request::Type::kRead;
+                    req.token = token++;
+                    if (mc->canEnqueueRead())
+                        mc->enqueueRead(req, t);
+                }
+            }
+            if (t >= mc->wakeAt())
+                mc->tick(t);
+            else
+                mc->accountSkippedCycles(t, t);
+        }
+        log.str(controllerState(*mc, mitigation.get()));
+    }
+    return fnv1a64(log.data().data(), log.data().size());
+}
+
+/** scheduleDigest() of the scheduler these tests pin. */
+constexpr std::uint64_t kPinnedScheduleDigest = 0xbd910f8bed4641b4ull;
+
+TEST(ControllerDecisionTest, ScriptedDecisionsArePinnedForEveryMechanism)
+{
+    // The dense==event test below runs one scheduler on both sides, so a
+    // change to which request gets picked would still pass it. This
+    // digest pins the picks themselves: any scheduler rewrite must
+    // reproduce every ACT, every completion and the final state.
+    EXPECT_EQ(scheduleDigest(kNeverCycle), kPinnedScheduleDigest);
+}
+
+TEST_F(ControllerFixture, WakeMemoResetsOnRestore)
+{
+    // An idle controller's wake is its first refresh deadline, far past
+    // the enqueue cycle a stale forced wake would still report.
+    runUntil(50);
+    const Cycle last = now - 1;
+    StateWriter saved;
+    mc.saveState(saved);
+
+    mc.enqueueRead(readReq(addrOf(5)), now);
+    ASSERT_EQ(mc.wakeAt(), now);
+    StateReader r(saved.take());
+    mc.loadState(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
+    EXPECT_GT(mc.wakeAt(), now);
+
+    // Mid-run, in the mixed-traffic phase with both queues busy: a
+    // restore into a fresh controller rebuilds every derived per-bank
+    // field and continues with the uninterrupted run's decisions.
+    EXPECT_EQ(scheduleDigest(4321), kPinnedScheduleDigest);
+}
+
 TEST(ControllerWakeMemoTest, TickingOnlyAtWakeMatchesTickingEveryCycle)
 {
     constexpr Cycle kHorizon = 27000;
     constexpr Cycle kStateCheckEvery = 997;
-    for (MitigationType type :
-         {MitigationType::kNone, MitigationType::kGraphene,
-          MitigationType::kAqua, MitigationType::kPrac,
-          MitigationType::kBlockHammer}) {
+    for (MitigationType type : kAllMechanisms) {
         SCOPED_TRACE(mitigationName(type));
         const unsigned n_rh = 64;
         DramSpec spec = DramSpec::ddr5();

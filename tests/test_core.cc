@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <queue>
 
@@ -193,6 +194,63 @@ TEST(CoreTest, TargetLatchesFinishCycleOnce)
         core.tick(t);
     EXPECT_EQ(core.finishCycle(), finish);
     EXPECT_GT(core.retired(), 100u);
+}
+
+TEST(CoreTest, OddWindowRingKeepsRetireOrderAndTokensAcrossWraps)
+{
+    // A 5-entry window with width 4 wraps at a different slot on every
+    // pass. Bubbles and loads alternate, so load tokens are the odd issue
+    // indices, and loads complete youngest first, so the head load holds
+    // up everything behind it. A reference model of the window predicts
+    // the tokens issued and the retire count after every tick.
+    ScriptedTrace trace({TraceRecord{1, false, false, 0x40}});
+    FakeMemory mem;
+    mem.outcome = AccessOutcome::kQueued;
+    CoreConfig cfg = smallCore();
+    cfg.windowSize = 5;
+    Core core(0, &trace, &mem, cfg, true);
+
+    struct Slot
+    {
+        std::uint64_t index;
+        bool done;
+    };
+    std::deque<Slot> model; // Window contents, oldest first.
+    std::uint64_t issued = 0;
+    std::uint64_t retired = 0;
+    for (Cycle t = 0; t < 200; ++t) {
+        if (t % 2 == 0) {
+            // Complete the youngest load still waiting for its fill.
+            for (auto it = model.rbegin(); it != model.rend(); ++it)
+                if (!it->done) {
+                    core.completeLoad(it->index, t);
+                    it->done = true;
+                    break;
+                }
+        }
+        core.tick(t);
+
+        for (unsigned i = 0; i < cfg.width && !model.empty() &&
+                             model.front().done;
+             ++i) {
+            model.pop_front();
+            ++retired;
+        }
+        for (unsigned i = 0; i < cfg.width && model.size() < cfg.windowSize;
+             ++i) {
+            bool is_load = issued % 2 == 1;
+            model.push_back({issued, !is_load});
+            if (is_load) {
+                ASSERT_FALSE(mem.pending.empty()) << t;
+                EXPECT_EQ(mem.pending.front(), issued) << t;
+                mem.pending.pop();
+            }
+            ++issued;
+        }
+        EXPECT_TRUE(mem.pending.empty()) << t;
+        ASSERT_EQ(core.retired(), retired) << t;
+    }
+    EXPECT_GT(retired, 10u * cfg.windowSize); // Ten wraps or more.
 }
 
 TEST(CoreTest, BenignFlagIsStored)
