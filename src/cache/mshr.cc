@@ -20,6 +20,7 @@ MshrFile::allocate(Addr line_addr, ThreadId thread, bool is_write)
     entry.anyStore = is_write;
     entries.emplace(line_addr, std::move(entry));
     ++inflight[thread];
+    ++changes_;
 }
 
 void
@@ -45,6 +46,7 @@ MshrFile::release(Addr line_addr, std::vector<MshrWaiter> *waiters)
     BH_ASSERT(inflight[owner] > 0, "MSHR inflight underflow");
     --inflight[owner];
     entries.erase(it);
+    ++changes_;
     return any_store;
 }
 

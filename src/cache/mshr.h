@@ -88,6 +88,7 @@ class MshrFile : public IThrottleTarget
         BH_ASSERT(thread < quotas.size(), "quota for unknown thread");
         quotas[thread] = q;
         ++quotaWrites_;
+        ++changes_;
     }
 
     /**
@@ -96,6 +97,13 @@ class MshrFile : public IThrottleTarget
      * values within one tick.
      */
     std::uint64_t quotaWrites() const { return quotaWrites_; }
+
+    /**
+     * Monotone count of allocate(), release() and setQuota() calls: the
+     * only calls that move an occupancy or a quota. The skip-ahead loop
+     * keys its reject snapshot on it.
+     */
+    std::uint64_t changes() const { return changes_; }
 
     unsigned fullQuota() const override { return numEntries; }
 
@@ -138,6 +146,8 @@ class MshrFile : public IThrottleTarget
     std::unordered_map<Addr, Entry> entries;
     std::uint64_t quotaRejections_ = 0;
     std::uint64_t quotaWrites_ = 0;
+    // bh-audit: skip(changes_) -- derived event key, never serialized; System invalidates its copy on restore
+    std::uint64_t changes_ = 0;
 };
 
 } // namespace bh

@@ -1,7 +1,5 @@
 #include "core/core.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace bh {
@@ -137,29 +135,6 @@ Core::loadState(StateReader &r)
     rejectStalls = r.u64();
     memAccesses = r.u64();
     trace->loadState(r);
-}
-
-Cycle
-Core::nextEventCycle(Cycle now) const
-{
-    // The earliest in-order retire the core can perform on its own: the
-    // head entry's completion time. A head waiting on a DRAM fill
-    // (kNeverCycle) is woken by the controller's completion event instead.
-    Cycle retire_at = kNeverCycle;
-    if (occupancy > 0) {
-        Cycle done = window[head].doneAt;
-        if (done != kNeverCycle)
-            retire_at = std::max(done, now + 1);
-    }
-
-    // Window slots remain and the last attempt was not a rejection: the
-    // very next cycle issues something (or discovers a rejection).
-    if (occupancy < window.size() && !stalledOnReject_)
-        return now + 1;
-
-    // Window full, or reject-blocked: while the memory system's state is
-    // frozen, ticks are no-ops apart from the batched stall accounting.
-    return retire_at;
 }
 
 void

@@ -13,6 +13,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -95,20 +96,6 @@ class Core
     /** Arm the retirement target that latches finishCycle(). */
     void setTarget(std::uint64_t target) { target_ = target; }
 
-    /**
-     * Arm a fresh retirement target AND clear the finishCycle() latch, so
-     * a core that already finished an earlier phase can be re-measured.
-     * System::runDelta() arms every phase this way; setTarget() never
-     * clears the latch (a resumed checkpoint run must keep the finish
-     * cycle a core latched before the snapshot).
-     */
-    void
-    setWindowTarget(std::uint64_t target)
-    {
-        target_ = target;
-        finishCycle_ = 0;
-    }
-
     bool
     reachedTarget() const
     {
@@ -125,7 +112,21 @@ class Core
      * (a load completion, a quota or queue state change) can unblock it.
      * Called by System::run's skip-ahead loop right after tick(now).
      */
-    Cycle nextEventCycle(Cycle now) const;
+    Cycle
+    nextEventCycle(Cycle now) const
+    {
+        if (issuesNextCycle())
+            return now + 1;
+        // Window full, or reject-blocked: while the memory system's state
+        // is frozen, ticks are no-ops apart from the batched stall
+        // accounting. The earliest in-order retire the core can perform
+        // on its own is the head entry's completion time; a head waiting
+        // on a DRAM fill (kNeverCycle) is woken by the controller's
+        // completion event instead.
+        if (occupancy == 0 || window[head].doneAt == kNeverCycle)
+            return kNeverCycle;
+        return std::max(window[head].doneAt, now + 1);
+    }
 
     /**
      * Whether the last issue attempt was rejected by the memory system
@@ -137,6 +138,17 @@ class Core
     stalledOnReject() const
     {
         return occupancy < window.size() && stalledOnReject_;
+    }
+
+    /**
+     * Whether the next cycle issues (or discovers a rejection): window
+     * slots remain and the last attempt was not rejected. Only tick()
+     * changes it, and while it holds nextEventCycle() is now + 1.
+     */
+    bool
+    issuesNextCycle() const
+    {
+        return occupancy < window.size() && !stalledOnReject_;
     }
 
     /** Account @p cycles skipped reject-stall cycles (skip-ahead loop). */

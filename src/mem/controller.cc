@@ -37,6 +37,7 @@ MemoryController::enqueueRead(Request req, Cycle now)
     BH_ASSERT(req.da.channel == channel_, "read routed to wrong channel");
     req.flatBank = mapper.flatBank(req.da);
     req.enqueueCycle = now;
+    replayBefore(now); // The drain step reads the queue sizes.
     readQ.push(req);
     bank_[req.flatBank].scanValid[scanIndex(true)] = false;
     cmdBoundValid_ = false;
@@ -52,6 +53,7 @@ MemoryController::enqueueWrite(Request req, Cycle now)
     BH_ASSERT(req.da.channel == channel_, "write routed to wrong channel");
     req.flatBank = mapper.flatBank(req.da);
     req.enqueueCycle = now;
+    replayBefore(now); // The drain step reads the queue sizes.
     writeQ.push(req);
     bank_[req.flatBank].scanValid[scanIndex(false)] = false;
     cmdBoundValid_ = false;
@@ -547,6 +549,10 @@ MemoryController::serviceDemand(Cycle now)
 void
 MemoryController::tick(Cycle now)
 {
+    // The cycles since the last visit replay first; this tick is the
+    // dense tick of `now` itself.
+    replayBefore(now);
+    replayFrom_ = std::max(replayFrom_, now + 1);
     lastSeenCycle = now;
     wakeDirty_ = true;
     // Roll time-based mitigation state (epoch boundaries) before any
@@ -798,7 +804,9 @@ MemoryController::loadState(StateReader &r)
     readsServed_ = r.u64();
     writesServed_ = r.u64();
 
-    // The per-bank records and the wake memo are pure accelerations:
+    // The replay anchor is left to the caller, which knows the cycle the
+    // saved drain flag was caught up to (see anchorReplayAt()). The
+    // per-bank records and the wake memo are pure accelerations:
     // apart from the hit streak, rebuild them from the restored engine,
     // maintenance queues and FIFOs rather than serializing them.
     for (unsigned fb = 0; fb < bank_.size(); ++fb) {

@@ -105,6 +105,8 @@ class BankedRequestQueue
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Requests ever pushed (each took the next sequence number). */
+    std::uint64_t pushes() const { return nextSeq_; }
 
     const std::deque<QueuedRequest> &bank(unsigned fb) const
     {
@@ -213,9 +215,10 @@ class MemoryController : public IMitigationHost
      * nextEventCycle(lastSeenCycle), recomputed lazily after tick() or
      * loadState(), and forced to the enqueue cycle by
      * enqueueRead()/enqueueWrite(). Until then every tick is a no-op
-     * apart from the drain-hysteresis step that accountSkippedCycles()
-     * replays. Mitigation host actions arrive only from inside tick(),
-     * so they need no reset.
+     * apart from the drain-hysteresis step, which the controller replays
+     * lazily (see catchUp()), so System need not visit it at all.
+     * Mitigation host actions arrive only from inside tick(), so they
+     * need no reset.
      */
     Cycle
     wakeAt() const
@@ -224,23 +227,33 @@ class MemoryController : public IMitigationHost
     }
 
     /**
-     * Replay the tick-granular bookkeeping of the dead cycles
-     * [first, last] the skip-ahead loop jumped over: every such cycle
-     * with a free command slot would have re-evaluated the write-drain
-     * hysteresis, whose flag can oscillate with period 2 when the read
-     * queue is empty and the write queue sits at/below the low
-     * watermark — so its final state depends on how many evaluations
-     * ran, not just on the frozen queue sizes.
+     * Apply the drain-hysteresis steps of every cycle from the replay
+     * anchor through @p last that the controller was not ticked at,
+     * leaving the state a tick at every one of those cycles would have
+     * left. tick() and enqueueRead()/enqueueWrite() replay up to their
+     * own cycle first; callers catch up before serializing the state.
+     * A no-op when @p last precedes the anchor (catchUp(now - 1) at
+     * now == 0 included).
      */
-    void
-    accountSkippedCycles(Cycle first, Cycle last)
+    void catchUp(Cycle last) { replayBefore(last + 1); }
+
+    /**
+     * Declare every drain step before @p cycle applied. loadState() does
+     * not know the cycle its state was caught up to, so whoever restores
+     * a controller re-anchors it at the restored cycle.
+     */
+    void anchorReplayAt(Cycle cycle) { replayFrom_ = cycle; }
+
+    /**
+     * Monotone count of the events that move a queue depth or a served
+     * count: enqueues (each push takes a sequence number) and column
+     * commands. The skip-ahead loop keys its reject snapshot on it.
+     */
+    std::uint64_t
+    queueEvents() const
     {
-        // Dense ticks in [first, last] did nothing (the skip loop proved
-        // it), but each one with a free command slot stepped the drain
-        // hysteresis.
-        Cycle start = std::max(first, nextCommandAt);
-        if (start <= last)
-            replayDrainSteps(last - start + 1);
+        return readQ.pushes() + writeQ.pushes() + readsServed_ +
+               writesServed_;
     }
 
     /** Fires when read data is fully returned. */
@@ -389,6 +402,29 @@ class MemoryController : public IMitigationHost
 
     bool stepDrainFlag(bool draining) const;
     void replayDrainSteps(Cycle steps);
+
+    /**
+     * Replay the cycles from the anchor through @p end - 1 that the
+     * controller sat out, and move the anchor to @p end. Each such cycle
+     * with a free command slot would have re-evaluated the write-drain
+     * hysteresis, whose flag can oscillate with period 2 when the read
+     * queue is empty and the write queue sits at/below the low watermark,
+     * so its final state depends on how many evaluations ran, not just on
+     * the frozen queue sizes. Exact because nothing the step reads
+     * (nextCommandAt, the queue sizes) moves outside tick() and enqueue,
+     * which both call this first.
+     */
+    void
+    replayBefore(Cycle end)
+    {
+        if (end <= replayFrom_)
+            return;
+        Cycle start = std::max(replayFrom_, nextCommandAt);
+        if (start < end)
+            replayDrainSteps(end - start);
+        replayFrom_ = end;
+    }
+
     void processCompletions(Cycle now);
     bool serviceRefresh(Cycle now);
     bool serviceMaintenance(Cycle now);
@@ -486,6 +522,10 @@ class MemoryController : public IMitigationHost
 
     Cycle nextCommandAt = 0;
     Cycle lastSeenCycle = 0;
+
+    /** First cycle whose drain step is not applied yet (replayBefore()). */
+    // bh-audit: skip(replayFrom_) -- derived replay anchor, never serialized; restorers re-anchor it
+    Cycle replayFrom_ = 0;
 
     /** wakeAt()'s memo; wakeDirty_ forces a recompute. */
     // bh-audit: skip(wakeDirty_) -- lazy cache, reset in loadState

@@ -405,8 +405,22 @@ System::accountSkippedCycles(Cycle skipped)
         if (rejectTouchesLlc[i])
             llc.addMisses(skipped); // Each retry probes and misses.
     }
+}
+
+void
+System::catchUpControllers(Cycle last)
+{
     for (auto &mc : mcs)
-        mc->accountSkippedCycles(now + 1, now + skipped);
+        mc->catchUp(last);
+}
+
+std::uint64_t
+System::rejectKey() const
+{
+    std::uint64_t key = mshr.changes();
+    for (const auto &mc : mcs)
+        key += mc->queueEvents();
+    return key;
 }
 
 RunResult
@@ -425,28 +439,11 @@ System::run(std::uint64_t benign_target, Cycle max_cycles)
     } else {
         if (!envFlag("BH_DENSE_TICK"))
             fillRejectSnapshot(&prevSnap);
+        snapKey_ = kNoRejectKey;
         now = 0;
     }
 
     return runLoop(max_cycles, benign_target);
-}
-
-RunResult
-System::runDelta(std::uint64_t delta_insts, Cycle max_extra_cycles)
-{
-    for (auto &core : cores)
-        if (core->benign())
-            core->setWindowTarget(core->retired() + delta_insts);
-
-    // The previous phase already ticked cycle `now` (its loop breaks
-    // after the ticks); re-entering at the same cycle would tick it
-    // twice.
-    if (now > 0)
-        ++now;
-    resumePending_ = false;
-    if (!envFlag("BH_DENSE_TICK"))
-        fillRejectSnapshot(&prevSnap);
-    return runLoop(now + max_extra_cycles, 0);
 }
 
 RunResult
@@ -495,6 +492,7 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
                          checkpoint_.progressEveryInsts
                    : 0;
 
+    bool all_done = false;
     while (now < max_cycles) {
         if (ckpt_armed) {
             // Top-of-iteration is the one place a snapshot can cut the
@@ -515,6 +513,9 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
                 }
             }
             if (due) {
+                // Controllers that sat out cycles replay their drain
+                // steps first: the saved state is the dense loop's.
+                catchUpControllers(now - 1);
                 std::string error;
                 if (!saveSnapshot(checkpoint_.path, &error))
                     std::fprintf(stderr, "checkpoint failed: %s\n",
@@ -530,20 +531,22 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             }
         }
 
-        bool all_done = true;
+        all_done = true;
+        bool any_reject = false;
+        bool core_issues_next = false;
         for (auto &core : cores) {
             core->tick(now);
             if (core->benign() && !core->reachedTarget())
                 all_done = false;
+            any_reject |= core->stalledOnReject();
+            core_issues_next |= core->issuesNextCycle();
         }
         // A controller before its own wake would run a no-op tick apart
-        // from the drain-hysteresis step, so only that step is replayed.
-        for (auto &mc : mcs) {
+        // from the drain-hysteresis step, which it replays itself at its
+        // next tick, enqueue or catch-up.
+        for (auto &mc : mcs)
             if (dense || now >= mc->wakeAt())
                 mc->tick(now);
-            else
-                mc->accountSkippedCycles(now, now);
-        }
         if (bh && isRollCycle(now))
             bh->rollWindows(now);
         if (all_done)
@@ -557,20 +560,22 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             // older snapshot sound: equality proves nothing happened in
             // between.
             bool retry_state_changed = false;
-            bool any_reject = false;
-            for (const auto &core : cores)
-                if (core->stalledOnReject()) {
-                    any_reject = true;
-                    break;
-                }
+            // prevSnap equals the state at the last fill, so while no
+            // event moved the key since then the fill would read equal.
             if (any_reject) {
-                fillRejectSnapshot(&curSnap);
-                if (!(curSnap == prevSnap)) {
-                    std::swap(curSnap, prevSnap);
-                    retry_state_changed = true;
+                std::uint64_t key = rejectKey();
+                if (key != snapKey_) {
+                    snapKey_ = key;
+                    fillRejectSnapshot(&curSnap);
+                    if (!(curSnap == prevSnap)) {
+                        std::swap(curSnap, prevSnap);
+                        retry_state_changed = true;
+                    }
                 }
             }
-            if (!retry_state_changed) {
+            // A core that issues at now + 1 pins the next wake there
+            // (only core ticks move either flag).
+            if (!retry_state_changed && !core_issues_next) {
                 // Jump to the next cycle anything can happen. Every
                 // skipped cycle is a no-op tick for every component
                 // except the batched reject-stall accounting.
@@ -583,6 +588,9 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
         }
         now = next;
     }
+    // Leave every controller as the dense loop would: the break came
+    // after ticking `now`, the cap after the cycles before it.
+    catchUpControllers(all_done ? now : now - 1);
 
     RunResult result;
     result.cycles = now;
@@ -814,6 +822,7 @@ System::loadState(StateReader &r)
     prevSnap.quotaWrites = r.u64();
     loadUnsignedVector(r, &prevSnap.quotas);
     loadUnsignedVector(r, &prevSnap.inflight);
+    snapKey_ = kNoRejectKey;
 
     llc.loadState(r);
     mshr.loadState(r);
@@ -825,6 +834,9 @@ System::loadState(StateReader &r)
     }
     for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
         mcs[ch]->loadState(r);
+        // A checkpoint is cut before cycle `now` runs, with every drain
+        // step before it applied.
+        mcs[ch]->anchorReplayAt(now);
         if (r.b() != (mitigations[ch] != nullptr)) {
             r.fail();
             return;

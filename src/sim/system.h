@@ -262,19 +262,6 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      */
     RunResult run(std::uint64_t benign_target, Cycle max_cycles);
 
-    /**
-     * Continue the simulation (detailed, same event-driven loop as
-     * run()) until every benign core retires @p delta_insts MORE
-     * instructions than it already has, or @p max_extra_cycles elapse.
-     * Unlike run() the clock is not reset and each core gets its own
-     * absolute target, so back-to-back calls chain phases — e.g. a caller
-     * polling state between fixed-size slices of one run. Per-core
-     * finishCycle() latches are cleared on entry; the returned CoreResult
-     * ipc fields are whole-run progress rates (callers derive window IPC
-     * from finishCycle deltas).
-     */
-    RunResult runDelta(std::uint64_t delta_insts, Cycle max_extra_cycles);
-
     // --- ICoreMemory ---
     AccessOutcome load(ThreadId thread, Addr addr, bool uncached,
                        std::uint64_t token) override;
@@ -296,13 +283,23 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     void handleReadComplete(const Request &req, Cycle done_cycle);
 
     /**
-     * The shared simulation loop + result assembly behind run() and
-     * runDelta(): ticks from the current `now` until every benign core
-     * reached its armed target or @p max_cycles is hit. @p ipc_target
-     * is the common benign instruction target run() reports IPC against;
-     * 0 (runDelta) reports whole-run progress rates instead.
+     * The simulation loop + result assembly behind run(): ticks from the
+     * current `now` until every benign core reached @p ipc_target (the
+     * instruction target IPC is reported against) or @p max_cycles is
+     * hit.
      */
     RunResult runLoop(Cycle max_cycles, std::uint64_t ipc_target);
+
+    /** Apply every controller's drain steps through @p last. */
+    void catchUpControllers(Cycle last);
+
+    /**
+     * Monotone count of every event that can move a RejectSnapshot
+     * field: MSHR allocate/release/setQuota (a read completion releases
+     * its entry) and controller enqueues and column commands. Equal keys
+     * prove equal snapshots, so the skip loop refills only when it moved.
+     */
+    std::uint64_t rejectKey() const;
 
     /**
      * Stable hash over every constructor input that shapes the object
@@ -370,7 +367,8 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * reject-blocked core repeats one identical rejected retry per cycle
      * (a reject-stall, plus a quota-rejection count when the rejection
      * was quota-caused). All other component state is provably frozen
-     * across the skipped range.
+     * across the skipped range; the controllers replay their drain steps
+     * themselves (MemoryController::catchUp()).
      */
     void accountSkippedCycles(Cycle skipped);
 
@@ -426,6 +424,10 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      *  allocation; only filled while some core is reject-blocked). */
     RejectSnapshot prevSnap;
     RejectSnapshot curSnap;  // bh-audit: skip(curSnap) -- scratch buffer refilled every comparison
+    /** rejectKey() at the last fill; kNoRejectKey forces the next one. */
+    static constexpr std::uint64_t kNoRejectKey = ~0ull;
+    // bh-audit: skip(snapKey_) -- derived event key, never serialized; run() and loadState invalidate it
+    std::uint64_t snapKey_ = kNoRejectKey;
 
     Cycle now = 0;
 

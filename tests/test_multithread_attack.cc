@@ -157,15 +157,15 @@ TEST(MultiThreadAttackTest, OwnerAccumulationCatchesRotatingAdaptive)
     for (unsigned i = 6; i < cores; ++i)
         monitor.bind(i, attack_owner); // One process owns both threads.
 
-    // Scheduler-tick polling: run in phases, poll between them so score
-    // increases are accredited before window resets wipe the per-thread
-    // counters.
-    sys.run(4000, 15000000);
+    // Scheduler-tick polling: poll every 4000 instructions of the slowest
+    // benign core, so score increases are accredited before window resets
+    // wipe the per-thread counters.
+    System::CheckpointConfig polling;
+    polling.onProgress = [&monitor](std::uint64_t) { monitor.poll(); };
+    polling.progressEveryInsts = 4000;
+    sys.setCheckpoint(polling);
+    sys.run(48000, 15000000);
     monitor.poll();
-    for (int tick = 0; tick < 11; ++tick) {
-        sys.runDelta(4000, 15000000);
-        monitor.poll();
-    }
 
     // The owner total crosses the threat threshold and dominates every
     // benign owner: the monitor's top suspect is the rotating pair's

@@ -721,6 +721,104 @@ TEST(SystemSnapshotTest, FourChannelKillResumeIsFieldExactPerChannel)
     std::remove(snap.c_str());
 }
 
+TEST(SystemSnapshotTest, FourChannelWriteHeavyKillResumeIsByteExact)
+{
+    // Store-streaming cores behind a 16 KiB LLC on four channels: while a
+    // controller's read queue is empty and a few writes wait out a
+    // blackout, its write-drain flag flips every cycle, and the skip loop
+    // leaves the controller unvisited, behind its replay anchor. A
+    // checkpoint cut then must catch it up before saving, and the resume
+    // must re-anchor it at the restored cycle. Each kill point below
+    // resumes and runs a few cycles on, still inside such a span, and
+    // must serialize exactly like the uninterrupted run at that cycle.
+    SystemConfig sys;
+    sys.numCores = 3;
+    sys.spec.org.channels = 4;
+    sys.llc.sizeBytes = 16 << 10;
+    sys.mitigation = MitigationType::kHydra;
+    sys.nRh = 512;
+    std::vector<WorkloadSlot> slots(sys.numCores);
+    const char *apps[] = {"lbm_like", "lbm_like", "namd_like"};
+    for (unsigned i = 0; i < sys.numCores; ++i)
+        slots[i].appName = apps[i];
+    const std::uint64_t insts = 20000;
+    const Cycle cap = insts * 150;
+    constexpr Cycle kProbeCycles = 20;
+
+    std::string snap = tempPath("sys_four_channel_writes.snap");
+    std::string error;
+    unsigned resumed = 0;
+    unsigned anchor_sensitive = 0;
+    for (Cycle at = 15000; at < 23000; at += 97) {
+        SCOPED_TRACE(at);
+        std::remove(snap.c_str());
+        {
+            // The checkpoint falls on the first simulated cycle at or
+            // after `at`; the run is killed a few cycles later.
+            System system(sys, slots);
+            System::CheckpointConfig ckpt;
+            ckpt.path = snap;
+            ckpt.everyCycles = at;
+            system.setCheckpoint(ckpt);
+            (void)system.run(insts, at + kProbeCycles);
+        }
+        System probe(sys, slots);
+        if (!probe.resumeFromSnapshot(snap, nullptr))
+            continue; // The loop skipped every cycle before the kill.
+        ++resumed;
+        std::string expected;
+        {
+            System system(sys, slots);
+            (void)system.run(insts, at + kProbeCycles);
+            expected = system.snapshotBlob();
+        }
+        for (bool late_anchor : {false, true}) {
+            System system(sys, slots);
+            ASSERT_TRUE(system.resumeFromSnapshot(snap, &error)) << error;
+            // A resume anchored at the probe cycle skips the drain steps
+            // since the checkpoint; when that shows in the bytes, the
+            // checkpoint left a controller behind its anchor.
+            if (late_anchor)
+                for (unsigned ch = 0; ch < system.numChannels(); ++ch)
+                    system.controller(ch).anchorReplayAt(at + kProbeCycles);
+            (void)system.run(insts, at + kProbeCycles);
+            if (!late_anchor)
+                EXPECT_EQ(system.snapshotBlob(), expected);
+            else if (system.snapshotBlob() != expected)
+                ++anchor_sensitive;
+        }
+    }
+    EXPECT_GT(resumed, 40u);
+    EXPECT_GT(anchor_sensitive, 0u);
+
+    // Killed mid-run off any natural grid, a resumed run finishes exactly
+    // like the uninterrupted one, results and final state alike.
+    RunResult reference;
+    std::string reference_state;
+    {
+        System system(sys, slots);
+        reference = system.run(insts, cap);
+        reference_state = system.snapshotBlob();
+    }
+    std::remove(snap.c_str());
+    {
+        System system(sys, slots);
+        System::CheckpointConfig ckpt;
+        ckpt.path = snap;
+        ckpt.everyCycles = 7001;
+        system.setCheckpoint(ckpt);
+        (void)system.run(insts, reference.cycles / 2);
+    }
+    {
+        System system(sys, slots);
+        ASSERT_TRUE(system.resumeFromSnapshot(snap, &error)) << error;
+        RunResult resumed = system.run(insts, cap);
+        expectRunResultsIdentical(reference, resumed);
+        EXPECT_EQ(system.snapshotBlob(), reference_state);
+    }
+    std::remove(snap.c_str());
+}
+
 TEST(SystemSnapshotTest, MidRunSnapshotBytesArePinned)
 {
     // The snapshot layout is a compatibility contract (kSnapshotVersion):

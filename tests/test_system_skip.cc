@@ -48,7 +48,7 @@ mixConfig(const char *pattern, MitigationType mech, unsigned n_rh,
     return cfg;
 }
 
-/** Eight mixes spanning the interesting regimes: a benign mix under a
+/** Nine mixes spanning the interesting regimes: a benign mix under a
  *  maintenance-heavy mechanism, an attack mix with BreakHammer throttling
  *  (reject-blocked attacker, batched stall accounting), an attack mix
  *  whose mechanism issues rank-wide blackouts (PRAC alert back-off), and
@@ -63,7 +63,9 @@ mixConfig(const char *pattern, MitigationType mech, unsigned n_rh,
  *  The Graphene + BreakHammer attack mix on four channels leaves idle
  *  controllers to the per-controller wake skip while busy ones tick, and
  *  an AQUA attack mix puts long migration blackouts on the maintenance
- *  wake path. */
+ *  wake path. With 20k-cycle BreakHammer windows, a window end that
+ *  gives a throttled thread its quota back is often the only event that
+ *  frees its reject-blocked retry. */
 std::vector<ExperimentConfig>
 skipGrid()
 {
@@ -73,6 +75,10 @@ skipGrid()
     ExperimentConfig four_channels =
         mixConfig("HHMA", MitigationType::kGraphene, 512, true);
     four_channels.channels = 4;
+    ExperimentConfig short_windows =
+        mixConfig("HHMA", MitigationType::kRfm, 128, true);
+    short_windows.bh = scaledBreakHammerConfig(kInsts);
+    short_windows.bh.window = 20000;
     return {
         mixConfig("HHMM", MitigationType::kHydra, 512, false),
         mixConfig("HHMA", MitigationType::kGraphene, 512, true),
@@ -82,6 +88,7 @@ skipGrid()
         redteam,
         four_channels,
         mixConfig("MMLA", MitigationType::kAqua, 256, true),
+        short_windows,
     };
 }
 
@@ -161,19 +168,19 @@ TEST(SystemSkipTest, RawRunResultsMatchDenseTickFieldByField)
 }
 
 /** The raw result and per-channel writes served of one System run. */
-struct WriteHeavyRun
+struct SystemRun
 {
     RunResult raw;
     std::vector<std::uint64_t> writesServed;
 };
 
-WriteHeavyRun
-runWriteHeavy(const SystemConfig &sys,
-              const std::vector<WorkloadSlot> &slots, bool dense)
+SystemRun
+runSystem(const SystemConfig &sys, const std::vector<WorkloadSlot> &slots,
+          bool dense)
 {
     DenseTickGuard guard(dense);
     System system(sys, slots);
-    WriteHeavyRun out;
+    SystemRun out;
     out.raw = system.run(kInsts, kInsts * 150);
     for (unsigned ch = 0; ch < system.numChannels(); ++ch)
         out.writesServed.push_back(system.controller(ch).writesServed());
@@ -185,23 +192,27 @@ TEST(SystemSkipTest, WriteHeavyRunMatchesDenseTick)
     // A store-streaming core (lbm_like writes 40% of its accesses) behind
     // a 16 KiB LLC: dirty evictions keep a few writes queued while the
     // read queue runs dry between the core's misses. That is where the
-    // write-drain flag oscillates every cycle, so the skip loop has to
-    // replay it for every cycle it leaves a controller unticked
-    // (MemoryController::accountSkippedCycles). The regimes above are
-    // read-dominated at this horizon and never reach that state.
+    // write-drain flag oscillates every cycle, so each controller has to
+    // replay it for every cycle the skip loop leaves it unticked
+    // (MemoryController::catchUp). The regimes above are read-dominated
+    // at this horizon and never reach that state. On four channels most
+    // controllers sit out most wakes, so the replay spans are long.
     struct Regime
     {
         std::vector<const char *> apps;
         MitigationType mechanism;
+        unsigned channels = 1;
     };
     const Regime regimes[] = {
         {{"lbm_like"}, MitigationType::kNone},
         {{"lbm_like", "namd_like"}, MitigationType::kGraphene},
+        {{"lbm_like", "lbm_like", "namd_like"}, MitigationType::kHydra, 4},
     };
     for (const Regime &regime : regimes) {
         SCOPED_TRACE(mitigationName(regime.mechanism));
         SystemConfig sys;
         sys.numCores = static_cast<unsigned>(regime.apps.size());
+        sys.spec.org.channels = regime.channels;
         sys.llc.sizeBytes = 16 << 10;
         sys.mitigation = regime.mechanism;
         sys.nRh = 512;
@@ -211,13 +222,30 @@ TEST(SystemSkipTest, WriteHeavyRunMatchesDenseTick)
             slots[i].appName = regime.apps[i];
         }
 
-        WriteHeavyRun event_r = runWriteHeavy(sys, slots, false);
-        WriteHeavyRun dense_r = runWriteHeavy(sys, slots, true);
-        ASSERT_EQ(event_r.writesServed.size(), 1u);
-        EXPECT_GT(event_r.writesServed[0], sys.mc.wqHighWatermark);
+        SystemRun event_r = runSystem(sys, slots, false);
+        SystemRun dense_r = runSystem(sys, slots, true);
+        ASSERT_EQ(event_r.writesServed.size(), regime.channels);
+        for (std::uint64_t served : event_r.writesServed)
+            EXPECT_GT(served, sys.mc.wqHighWatermark);
         EXPECT_EQ(event_r.writesServed, dense_r.writesServed);
         expectRunResultsMatch(event_r.raw, dense_r.raw);
     }
+}
+
+TEST(SystemSkipTest, FullQueueRejectionsMatchDenseTick)
+{
+    // With four-entry read queues, cores are rejected on a full queue
+    // more often than on their MSHR quota, and a column command that
+    // frees a queue slot can be the only event that lets the retry in:
+    // the skip loop must notice the dequeue itself.
+    MixSpec mix = makeMix("HHMA", 0);
+    SystemConfig sys;
+    sys.numCores = static_cast<unsigned>(mix.slots.size());
+    sys.mc.readQueueSize = 4;
+    SystemRun event_r = runSystem(sys, mix.slots, false);
+    SystemRun dense_r = runSystem(sys, mix.slots, true);
+    EXPECT_EQ(event_r.writesServed, dense_r.writesServed);
+    expectRunResultsMatch(event_r.raw, dense_r.raw);
 }
 
 TEST(SystemSkipTest, SkipLoopIsNotSlowerInCycleCount)
