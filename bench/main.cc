@@ -20,8 +20,6 @@
  * canonical experiment key, so its bytes are identical no matter how many
  * jobs — or machines — produced it.
  */
-#include <unistd.h>
-
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -35,8 +33,6 @@
 #include "bench/registry.h"
 #include "common/env.h"
 #include "sim/redteam.h"
-#include "svc/coordinator.h"
-#include "svc/worker.h"
 
 namespace {
 
@@ -76,26 +72,7 @@ usage()
         "                POP strategies from the given seed; probes\n"
         "                persist in --store (required) under |rt= keys,\n"
         "                so a re-run simulates 0 and reports identical\n"
-        "                results. Takes no figures\n"
-        "  --serve=PORT  coordinator mode: expand the selected figures'\n"
-        "                grids into work units and lease them to --worker\n"
-        "                processes over TCP; requires --store (every\n"
-        "                result ingests into it). The same port answers\n"
-        "                HTTP GET /progress and /metrics. Rendering is\n"
-        "                skipped, like --shard\n"
-        "  --lease-timeout=SECS\n"
-        "                serve mode: lease lifetime between worker\n"
-        "                heartbeats (default 30); a worker silent this\n"
-        "                long forfeits its unit, which is re-leased\n"
-        "  --linger=SECS serve mode: keep answering HTTP this long after\n"
-        "                the last unit completes (default 0)\n"
-        "  --worker=HOST:PORT\n"
-        "                worker mode: lease work units from a coordinator\n"
-        "                and stream results back; --jobs sets the compute\n"
-        "                threads. Takes no figures and no --store\n"
-        "                (--checkpoint-every snapshots into\n"
-        "                ./bh-worker-snapshots so re-leased units "
-        "resume)\n\n"
+        "                results. Takes no figures\n\n"
         "scale knobs (environment): BH_INSTS, BH_MIXES, BH_FULL\n");
 }
 
@@ -129,40 +106,6 @@ parseShardSpec(const char *text, unsigned *index, unsigned *count)
     *index = static_cast<unsigned>(i);
     *count = static_cast<unsigned>(n);
     return true;
-}
-
-/** Parse a TCP port (1..65535). */
-bool
-parsePort(const char *text, std::uint16_t *out)
-{
-    std::uint64_t parsed = 0;
-    if (!bh::parsePositiveU64(text, &parsed) || parsed > 65535)
-        return false;
-    *out = static_cast<std::uint16_t>(parsed);
-    return true;
-}
-
-/** Parse a worker's "HOST:PORT" coordinator address. */
-bool
-parseHostPort(const char *text, std::string *host, std::uint16_t *port)
-{
-    const char *colon = std::strrchr(text, ':');
-    if (colon == nullptr || colon == text || colon[1] == '\0')
-        return false;
-    if (!parsePort(colon + 1, port))
-        return false;
-    host->assign(text, colon);
-    return true;
-}
-
-/** This machine's name + pid, the worker label /metrics reports. */
-std::string
-workerName()
-{
-    char host[256] = "worker";
-    ::gethostname(host, sizeof(host) - 1);
-    host[sizeof(host) - 1] = '\0';
-    return std::string(host) + ":" + std::to_string(::getpid());
 }
 
 /**
@@ -211,12 +154,6 @@ main(int argc, char **argv)
     std::uint64_t checkpoint_cycles = 0;
     ConfigDefaults defaults;
     unsigned shard_index = 0, shard_count = 0;
-    std::uint16_t serve_port = 0;
-    std::string worker_host;
-    std::uint16_t worker_port = 0;
-    std::uint64_t lease_timeout_s = 30;
-    std::uint64_t linger_s = 0;
-    bool lease_timeout_given = false, linger_given = false;
     RedteamSpec redteam_spec;
     bool redteam_mode = false;
     bool run_all = false;
@@ -315,41 +252,6 @@ main(int argc, char **argv)
                 return 2;
             }
             redteam_mode = true;
-        } else if (flag_value(arg, "--serve", &i, &value)) {
-            if (!parsePort(value, &serve_port)) {
-                std::fprintf(stderr,
-                             "error: --serve wants a TCP port (1..65535), "
-                             "got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        } else if (flag_value(arg, "--worker", &i, &value)) {
-            if (!parseHostPort(value, &worker_host, &worker_port)) {
-                std::fprintf(stderr,
-                             "error: --worker wants HOST:PORT (e.g. "
-                             "--worker=10.0.0.1:18573), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        } else if (flag_value(arg, "--lease-timeout", &i, &value)) {
-            if (!parsePositiveU64(value, &lease_timeout_s) ||
-                lease_timeout_s > 86400) {
-                std::fprintf(stderr,
-                             "error: --lease-timeout wants a positive "
-                             "number of seconds (1..86400), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-            lease_timeout_given = true;
-        } else if (flag_value(arg, "--linger", &i, &value)) {
-            if (!parseU64Strict(value, &linger_s) || linger_s > 86400) {
-                std::fprintf(stderr,
-                             "error: --linger wants a number of seconds "
-                             "(0..86400), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-            linger_given = true;
         } else if (flag_value(arg, "--shard", &i, &value)) {
             if (!parseShardSpec(value, &shard_index, &shard_count)) {
                 std::fprintf(stderr,
@@ -369,55 +271,11 @@ main(int argc, char **argv)
         }
     }
 
-    // Mode sanity: --serve and --worker are the two halves of the sweep
-    // service, and each contradicts flags the other half owns. Reject
-    // the contradictions loudly instead of guessing.
-    const bool serve_mode = serve_port != 0;
-    const bool worker_mode = !worker_host.empty();
-    if (serve_mode && worker_mode) {
-        std::fprintf(stderr,
-                     "error: --serve and --worker are different "
-                     "processes; pick one (try --help)\n");
-        return 2;
-    }
-    if (worker_mode &&
-        (!store_dir.empty() || shard_count != 0 || !json_path.empty() ||
-         defaults.channels != 0 || defaults.ranks != 0 || run_all ||
-         !names.empty())) {
-        std::fprintf(stderr,
-                     "error: a worker takes its work (and every "
-                     "simulation parameter) from the coordinator's "
-                     "leases; drop --store/--shard/--json/--channels/"
-                     "--ranks and figure names (try --help)\n");
-        return 2;
-    }
-    if ((lease_timeout_given || linger_given) && !serve_mode) {
-        std::fprintf(stderr,
-                     "error: --lease-timeout and --linger only apply to "
-                     "--serve (try --help)\n");
-        return 2;
-    }
-    if (serve_mode && store_dir.empty()) {
-        std::fprintf(stderr,
-                     "error: --serve requires --store: the coordinator "
-                     "is the single writer every worker's results "
-                     "ingest into (try --help)\n");
-        return 2;
-    }
-    if (serve_mode && shard_count != 0) {
-        std::fprintf(stderr,
-                     "error: --serve replaces --shard: the coordinator "
-                     "leases the whole grid, unit by unit (try "
-                     "--help)\n");
-        return 2;
-    }
-    if (redteam_mode &&
-        (serve_mode || worker_mode || shard_count != 0 || run_all ||
-         !names.empty())) {
+    if (redteam_mode && (shard_count != 0 || run_all || !names.empty())) {
         std::fprintf(stderr,
                      "error: --redteam is its own mode: it drives the "
-                     "search grid itself; drop --serve/--worker/--shard "
-                     "and figure names (try --help)\n");
+                     "search grid itself; drop --shard and figure "
+                     "names (try --help)\n");
         return 2;
     }
     if (redteam_mode && store_dir.empty()) {
@@ -426,45 +284,6 @@ main(int argc, char **argv)
                      "under |rt= keys so re-runs simulate 0 (try "
                      "--help)\n");
         return 2;
-    }
-
-    if (worker_mode) {
-        svc::WorkerOptions wopts;
-        if (checkpoint_insts || checkpoint_cycles) {
-            // Workers have no --store; snapshots live in a local
-            // directory so a re-leased unit resumes instead of
-            // restarting (same bit-exact resume as a local run).
-            CheckpointSpec &spec = wopts.checkpoint;
-            spec.dir = "bh-worker-snapshots";
-            spec.everyInsts = checkpoint_insts;
-            spec.everyCycles = checkpoint_cycles;
-            std::error_code ec;
-            std::filesystem::create_directories(spec.dir, ec);
-            if (ec) {
-                std::fprintf(stderr,
-                             "error: cannot create snapshot directory "
-                             "%s: %s\n",
-                             spec.dir.c_str(), ec.message().c_str());
-                return 2;
-            }
-        }
-        wopts.host = worker_host;
-        wopts.port = worker_port;
-        wopts.jobs = jobs;
-        wopts.name = workerName();
-        svc::SweepWorker worker(wopts);
-        std::printf("==== worker %s: coordinator %s:%u, jobs=%u ====\n",
-                    wopts.name.c_str(), worker_host.c_str(), worker_port,
-                    jobs);
-        std::string error;
-        bool ok = worker.run(&error);
-        std::printf("worker: %zu unit(s) simulated\n",
-                    worker.completedUnits());
-        if (!ok) {
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-            return 1;
-        }
-        return 0;
     }
 
     // Validate explicit names even when "all" is also given, so typos
@@ -542,19 +361,6 @@ main(int argc, char **argv)
     bench::Context ctx{&store};
 
     auto total_start = Clock::now();
-    // --serve and --shard both work on the union of the selected
-    // figures' declarative sweeps; rendering is skipped in both (tables
-    // need the whole grid — render from the warm or merged store).
-    std::vector<ExperimentConfig> grid;
-    if (serve_mode || shard_count) {
-        for (const bench::Figure &figure : selected) {
-            if (!figure.sweep)
-                continue;
-            std::vector<ExperimentConfig> points =
-                figure.sweep().expand();
-            grid.insert(grid.end(), points.begin(), points.end());
-        }
-    }
     if (redteam_mode) {
         std::printf("==== red-team fuzzer: seed=%llu rounds=%u pop=%u "
                     "====\n",
@@ -573,38 +379,18 @@ main(int argc, char **argv)
                     "(lower = more evasive)\n");
         std::printf("probes=%zu improved_any=%d\n", report.probes,
                     report.improvedAny ? 1 : 0);
-    } else if (serve_mode) {
-        // Coordinator mode: lease the grid's units to workers and ingest
-        // their results.
-        svc::CoordinatorOptions copts;
-        copts.port = serve_port;
-        copts.leaseTimeoutMs = lease_timeout_s * 1000;
-        copts.lingerMs = linger_s * 1000;
-        svc::SweepCoordinator coordinator(copts, &store, grid);
-        std::string error;
-        if (!coordinator.start(&error)) {
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-            return 1;
-        }
-        svc::CoordinatorMetrics m = coordinator.metrics();
-        std::printf("==== serving %zu work unit(s) (%zu warm) across "
-                    "%zu figure(s) on port %u ====\n",
-                    m.unitsTotal, m.unitsWarm, selected.size(),
-                    coordinator.port());
-        std::printf("progress: http://localhost:%u/progress  metrics: "
-                    "http://localhost:%u/metrics\n",
-                    coordinator.port(), coordinator.port());
-        if (!coordinator.serve(&error)) {
-            std::fprintf(stderr, "error: %s\n", error.c_str());
-            return 1;
-        }
-        m = coordinator.metrics();
-        std::printf("==== sweep complete: %zu unit(s) (%zu warm, %zu "
-                    "ingested), %zu lease(s) expired ====\n",
-                    m.unitsDone, m.unitsWarm, m.recordsIngested,
-                    m.leasesExpired);
     } else if (shard_count) {
-        // Shard mode: compute this shard's points of the grid.
+        // Shard mode: compute this shard's points of the union of the
+        // selected figures' sweeps. Rendering is skipped (tables need
+        // the whole grid — render from the merged store).
+        std::vector<ExperimentConfig> grid;
+        for (const bench::Figure &figure : selected) {
+            if (!figure.sweep)
+                continue;
+            std::vector<ExperimentConfig> points =
+                figure.sweep().expand();
+            grid.insert(grid.end(), points.begin(), points.end());
+        }
         std::printf("==== shard %u/%u: %zu grid point(s) across %zu "
                     "figure(s) ====\n",
                     shard_index, shard_count, grid.size(),
@@ -634,9 +420,9 @@ main(int argc, char **argv)
                 "%.2f s, jobs=%u ====\n",
                 selected.size(), store.size(), total_secs, jobs);
     std::printf("store: simulated=%zu solo_simulated=%zu hits=%zu "
-                "loaded=%zu shard_skipped=%zu ingested=%zu\n",
+                "loaded=%zu shard_skipped=%zu\n",
                 stats.computed, stats.soloComputed, stats.hits,
-                stats.loaded, stats.shardSkipped, stats.ingested);
+                stats.loaded, stats.shardSkipped);
 
     if (!json_path.empty()) {
         JsonValue doc = JsonValue::object();

@@ -250,13 +250,18 @@ class StateReader
         return ok_;
     }
 
-    /** Copy @p n raw bytes out; false (and sticky-fail) when short. */
+    /**
+     * Copy @p n raw bytes out; false (and sticky-fail) when short. An
+     * empty vector's data() may be null, which memcpy must never see,
+     * even for zero bytes.
+     */
     bool
     bytes(void *p, std::size_t n)
     {
         if (!take(n))
             return false;
-        std::memcpy(p, buf.data() + pos - n, n);
+        if (n > 0)
+            std::memcpy(p, buf.data() + pos - n, n);
         return true;
     }
 
@@ -479,6 +484,15 @@ saveUnorderedMap(StateWriter &w, const Map &m, SaveKey save_key,
 }
 
 /**
+ * Largest bucket count loadUnorderedMap() rebuilds (128 MB of bucket
+ * array). Snapshotted tables hold the rows, lines or threads one run
+ * touches, far fewer than this, so a larger count is read as corrupt:
+ * rejecting it costs a recompute, while honoring it would allocate
+ * whatever a damaged count asks for.
+ */
+constexpr std::uint64_t kMaxSnapshotBuckets = 1ull << 24;
+
+/**
  * Rebuild a map saved by saveUnorderedMap() with identical contents,
  * bucket count, AND iteration order (reverse-insertion reconstruction).
  */
@@ -491,7 +505,7 @@ loadUnorderedMap(StateReader &r, Map *m, LoadKey load_key,
     using Val = typename Map::mapped_type;
     std::uint64_t buckets = r.u64();
     std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() || buckets > (1ull << 40)) {
+    if (!r.ok() || n > r.remaining() || buckets > kMaxSnapshotBuckets) {
         r.fail();
         return false;
     }

@@ -204,8 +204,6 @@ runExperiment(const ExperimentConfig &config, const RunContext &ctx)
     auto system = std::make_unique<System>(sys, cfg.mix.slots);
 
     const CheckpointSpec &ckpt = ctx.checkpoint;
-    const ProgressHook &hook = ctx.progress;
-    System::CheckpointConfig cc;
     std::string snap_path;
     if (ckpt.enabled()) {
         // The identity ties a snapshot to the exact simulation semantics:
@@ -214,24 +212,13 @@ runExperiment(const ExperimentConfig &config, const RunContext &ctx)
         // stale snapshot therefore falls back to recompute, exactly like
         // a stale store record.
         snap_path = snapshotPath(ckpt.dir, cfg);
+        System::CheckpointConfig cc;
         cc.path = snap_path;
         cc.everyInsts = ckpt.everyInsts;
         cc.everyCycles = ckpt.everyCycles;
         cc.identity = experimentKey(cfg) + "|store_schema=" +
                       std::to_string(ResultStore::kSchemaVersion);
-    }
-    if (hook.enabled()) {
-        // The heartbeat rides the checkpoint cadence machinery but is
-        // armed independently: snapshots and progress each work alone.
-        cc.progressEveryInsts = hook.everyInsts;
-        cc.onProgress = [fn = hook.fn, cfg,
-                         insts](std::uint64_t retired) {
-            fn(cfg, retired, insts);
-        };
-    }
-    if (ckpt.enabled() || hook.enabled())
         system->setCheckpoint(cc);
-    if (ckpt.enabled()) {
         std::string resume_error;
         if (!system->resumeFromSnapshot(snap_path, &resume_error)) {
             BH_LOG("snapshot %s: %s; computing from scratch",

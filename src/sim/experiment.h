@@ -11,11 +11,10 @@
  * from the environment: BH_INSTS (instructions per benign core), BH_MIXES
  * (mixes per class), BH_FULL (full N_RH sweep).
  *
- * How a point runs — checkpointing, a progress callback, and where
- * freshly simulated solo IPCs go — is a RunContext the caller passes to
- * runExperiment() and soloIpc(). None of it changes a result. The
- * ResultStore owns the context its figures, shards and coordinator run
- * under; the sweep worker builds one per lease.
+ * How a point runs — checkpointing, and where freshly simulated solo
+ * IPCs go — is a RunContext the caller passes to runExperiment() and
+ * soloIpc(). None of it changes a result. The ResultStore owns the
+ * context its figures and shards run under.
  */
 #pragma once
 
@@ -112,30 +111,6 @@ struct CheckpointSpec
 };
 
 /**
- * Mid-simulation progress callback. When set, a runExperiment()
- * simulation invokes @p fn from inside the run loop each time the
- * slowest benign core's retired-instruction count crosses a multiple of
- * everyInsts — observation only, results are bit-identical with or
- * without it. The sweep-service worker (svc/worker.h) uses this to
- * heartbeat its coordinator lease while a long simulation blocks the
- * thread; the fn must therefore be cheap and must not call back into
- * runExperiment().
- */
-struct ProgressHook
-{
-    std::function<void(const ExperimentConfig &config,
-                       std::uint64_t retired, std::uint64_t target)>
-        fn;
-    std::uint64_t everyInsts = 0; ///< Callback cadence; 0 disables.
-
-    bool
-    enabled() const
-    {
-        return static_cast<bool>(fn) && everyInsts > 0;
-    }
-};
-
-/**
  * Receives each solo IPC that soloIpc() actually simulates (primed and
  * re-requested values never reach it). It may be called from any
  * prefetch worker thread and must not call back into soloIpc().
@@ -145,13 +120,11 @@ using SoloSink = std::function<void(const std::string &app,
 
 /**
  * How one runExperiment() / soloIpc() call runs, passed explicitly. The
- * default context runs uncheckpointed and unobserved. No member changes
- * a result.
+ * default context runs uncheckpointed. No member changes a result.
  */
 struct RunContext
 {
     CheckpointSpec checkpoint;
-    ProgressHook progress;
     SoloSink soloSink;
 };
 

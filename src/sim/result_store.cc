@@ -68,14 +68,13 @@ ResultStore::open(const std::string &dir, std::string *error)
 
     // Advisory single-writer lock, held until the store is destroyed.
     // Two concurrent appenders would be *mostly* safe (whole-line
-    // O_APPEND writes), but they would duplicate simulations and — more
-    // importantly — a second sweep coordinator on the same store would
-    // split one fleet's results across two ingest paths. Fail fast with
-    // a clear message instead of interleaving.
+    // O_APPEND writes), but they would duplicate simulations, and a
+    // torn line from one could fuse with the other's next record. Fail
+    // fast with a clear message instead of interleaving.
     if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
         if (error)
             *error = "store " + dir + " is locked by another process " +
-                     "(a coordinator or --store run already owns it): " +
+                     "(another --store run already owns it): " +
                      std::strerror(errno);
         ::close(fd);
         fd = -1;
@@ -92,7 +91,6 @@ ResultStore::open(const std::string &dir, std::string *error)
         rec.set("ipc", ipc);
         appendLine(rec.dump());
         std::lock_guard<std::mutex> lock(mutex);
-        soloIngested.emplace(std::make_pair(app, insts), true);
         ++counters.soloComputed;
     };
     return true;
@@ -192,11 +190,6 @@ ResultStore::loadFile(const std::string &path)
             }
             primeSoloIpc(app->asString(), insts->asU64(),
                          ipc->asDouble());
-            // Mark the pair as already persisted so a later ingestSolo()
-            // (a warm coordinator's workers recompute their own
-            // denominators) does not append a duplicate line.
-            soloIngested.emplace(
-                std::make_pair(app->asString(), insts->asU64()), true);
             ++counters.soloLoaded;
         } else {
             ++counters.skipped;
@@ -409,45 +402,16 @@ ResultStore::ingest(const ExperimentConfig &config,
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (cache.count(key))
-            return true; // First record won already (re-leased unit).
+            return true; // First record won already.
         diskPayloads.erase(key);
         cache.emplace(key, Entry{resolved, parsed});
-        ++counters.ingested;
     }
     // Re-serialize through the canonical encoder rather than appending
-    // the wire payload verbatim: the stored line is then byte-identical
-    // to what a local simulation of the same point would have written
-    // (the round trip is exact — experiment.h documents it).
-    JsonValue rec = JsonValue::object();
-    rec.set("v", kSchemaVersion);
-    rec.set("kind", "experiment");
-    rec.set("key", key);
-    rec.set("payload", experimentResultToJson(resolved, parsed));
-    appendLine(rec.dump());
+    // the caller's payload verbatim: the stored line is then
+    // byte-identical to what a local simulation of the same point would
+    // have written (the round trip is exact — experiment.h documents it).
+    appendExperiment(resolved, parsed);
     return true;
-}
-
-void
-ResultStore::ingestSolo(const std::string &app, std::uint64_t insts,
-                        double ipc)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!soloIngested.emplace(std::make_pair(app, insts), true)
-                 .second)
-            return; // Another worker already delivered this pair.
-    }
-    // Prime the process-wide cache (so a coordinator-side render never
-    // recomputes a denominator) WITHOUT tripping the solo sink: the sink
-    // fires on computation only, and this value was computed elsewhere.
-    primeSoloIpc(app, insts, ipc);
-    JsonValue rec = JsonValue::object();
-    rec.set("v", kSchemaVersion);
-    rec.set("kind", "solo");
-    rec.set("app", app);
-    rec.set("insts", insts);
-    rec.set("ipc", ipc);
-    appendLine(rec.dump());
 }
 
 std::size_t

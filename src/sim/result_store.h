@@ -54,7 +54,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -85,7 +84,6 @@ struct ResultStoreStats
     std::size_t shardSkipped = 0; ///< Prefetch points owned by other shards.
     std::size_t soloLoaded = 0;  ///< Solo IPCs primed from disk.
     std::size_t soloComputed = 0; ///< Solo IPCs simulated and appended.
-    std::size_t ingested = 0;    ///< Records ingested from sweep workers.
 };
 
 /** Content-addressed experiment cache with optional JSONL persistence. */
@@ -117,9 +115,9 @@ class ResultStore
      * Attach @p dir (created if absent): load its results.jsonl, prime
      * the solo-IPC cache from it, and append future misses to it. The
      * backing file is guarded by an advisory exclusive flock() for the
-     * lifetime of the store — a second live writer (another coordinator,
-     * or a local --store run racing one) would interleave appends and
-     * break the single-writer invariant, so it fails fast here instead.
+     * lifetime of the store — a second live writer (another --store run
+     * on the same directory) would interleave appends and break the
+     * single-writer invariant, so it fails fast here instead.
      * @return false (with @p error set) when the directory cannot be
      *         created, the file cannot be opened for append, or another
      *         process holds the store.
@@ -141,8 +139,8 @@ class ResultStore
     /**
      * @p config with this store's ConfigDefaults folded into its unset
      * fields, then resolveExperimentConfig(): the content address every
-     * store method keys by. The sweep coordinator expands its grid
-     * through this so leases carry the same configs a local run would.
+     * store method keys by (lookup(), get(), prefetch() and ingest()
+     * all resolve through it).
      */
     ExperimentConfig resolve(const ExperimentConfig &config) const;
 
@@ -173,33 +171,24 @@ class ResultStore
 
     /**
      * Like get(), but never computes: resolves from the cache or a disk
-     * record, or returns nullptr. The sweep coordinator uses this to
-     * mark warm units done without leasing them.
+     * record, or returns nullptr. benchmark/bh_perf.cc uses this to
+     * serve warm points and to time the store's lookup path.
      */
     const ExperimentResult *lookup(const ExperimentConfig &config);
 
     /**
-     * Ingest an externally computed record (a sweep worker's `result`
-     * payload — experimentResultToJson() output for @p config): parse it,
-     * cache it, and append it to the backing file in the canonical
-     * serialization, exactly as if this process had simulated the point.
-     * A key already resolved is left untouched (first record wins, like
-     * concatenated shard files). The caller is the single writer — the
-     * coordinator's event loop — so ingest never races a local compute.
+     * Ingest an externally computed record (experimentResultToJson()
+     * output for @p config): parse it, cache it, and append it to the
+     * backing file in the canonical serialization, exactly as if this
+     * process had simulated the point. A key already resolved is left
+     * untouched (first record wins, like concatenated shard files).
+     * benchmark/bh_perf.cc stores the points it simulates on its traced
+     * path through this.
      * @return false (with @p error set) when @p payload does not parse
      *         as a result record.
      */
     bool ingest(const ExperimentConfig &config, const JsonValue &payload,
                 std::string *error);
-
-    /**
-     * Ingest a worker-computed solo IPC: prime the process-wide cache
-     * and persist a "solo" record, deduplicating repeats (every worker
-     * computes its own denominators, so the same pair arrives once per
-     * worker).
-     */
-    void ingestSolo(const std::string &app, std::uint64_t insts,
-                    double ipc);
 
     /** Number of distinct points resolved (hit or computed) so far. */
     std::size_t size() const;
@@ -239,8 +228,6 @@ class ResultStore
 
     mutable std::mutex mutex;
     std::map<std::string, Entry> cache;
-    /** (app, insts) solo pairs already persisted via ingestSolo(). */
-    std::map<std::pair<std::string, std::uint64_t>, bool> soloIngested;
     /** Loaded but not-yet-requested records: key -> payload bytes as
      *  stored, parsed lazily by resolveFromDisk(). */
     std::map<std::string, std::string> diskPayloads;

@@ -157,12 +157,12 @@ class SweepSpec
 };
 
 /**
- * Work-unit enumeration for the sweep service (svc/coordinator.h): the
- * resolved, content-address-deduplicated form of @p configs, in
- * first-occurrence order. Each returned config is a leasable unit —
- * fully explicit (resolveExperimentConfig()), so a worker can run it
- * without sharing this process's environment, and unique by
- * experimentKey(), so two figures sweeping the same point lease it once.
+ * The resolved, content-address-deduplicated form of @p configs, in
+ * first-occurrence order (benchmark/bh_perf.cc builds its workloads'
+ * point lists with it). Each returned config is fully explicit
+ * (resolveExperimentConfig()), so it runs the same under any
+ * environment, and unique by experimentKey(), so two figures sweeping
+ * the same point yield it once.
  */
 std::vector<ExperimentConfig>
 expandWorkUnits(const std::vector<ExperimentConfig> &configs);

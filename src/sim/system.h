@@ -195,9 +195,8 @@ class System : public ICoreMemory, public IThrottleFeedbackView
          * Observation-only progress callback, invoked at the same
          * top-of-iteration point snapshots are cut, whenever the slowest
          * benign core's retired count crosses a multiple of
-         * progressEveryInsts (0 disables it). The sweep-service worker
-         * hangs its lease heartbeats here; like checkpointing, invoking
-         * it must not (and does not) perturb the simulation.
+         * progressEveryInsts (0 disables it). Like checkpointing,
+         * invoking it must not (and does not) perturb the simulation.
          */
         std::function<void(std::uint64_t retired)> onProgress;
         std::uint64_t progressEveryInsts = 0;

@@ -23,17 +23,17 @@
 
 #include "sim/experiment.h"
 #include "sim/mixes.h"
+#include "sim/result_store.h"
 #include "stats/histogram.h"
 #include "stats/json.h"
 #include "stats/json_stats.h"
-#include "svc/protocol.h"
 
 namespace bh {
 namespace {
 
 static_assert(sizeof(JsonValue) <= 16, "JsonValue must stay 16 bytes");
 
-/** One real sweep record: what the store, svc and export all carry. */
+/** One real sweep record: what the store and the export both carry. */
 const JsonValue &
 realRecord()
 {
@@ -49,17 +49,16 @@ realRecord()
     return record;
 }
 
-/** A lease frame as the coordinator sends it. */
+/** A results.jsonl line as the store writes it: envelope + record. */
 std::string
-leaseFrame()
+storeLine()
 {
-    ExperimentConfig cfg;
-    cfg.mix = makeMix("HHMA", 1);
-    cfg.mechanism = MitigationType::kBlockHammer;
-    cfg.nRh = 1024;
-    cfg.instructions = 12345;
-    ExperimentConfig resolved = resolveExperimentConfig(cfg);
-    return svc::makeLease(experimentKey(resolved), resolved, 30000).dump();
+    JsonValue line = JsonValue::object();
+    line.set("v", ResultStore::kSchemaVersion);
+    line.set("kind", "experiment");
+    line.set("key", *realRecord().find("key"));
+    line.set("payload", realRecord());
+    return line.dump();
 }
 
 /** A small document with every kind of value, nested. */
@@ -544,7 +543,7 @@ TEST(JsonParseLimitsTest, DuplicateKeysKeepLastValueAtFirstPosition)
 TEST(JsonMutationTest, MutatedDocumentsParseOrFailAndReachAFixedPoint)
 {
     const std::vector<std::string> seeds = {
-        realRecord().dump(), leaseFrame(), nestedDocument().dump(),
+        realRecord().dump(), storeLine(), nestedDocument().dump(),
         nestedDocument().dump(2)};
     const char kStructural[] = "[]{}:,\"\\-+.eE019tfnu ";
     const char *kRunUnits[] = {"[", "{", "{\"k\":", "[{\"k\":"};

@@ -6,12 +6,14 @@
  * bit-identical JSON), schema-version mismatches triggering recompute
  * rather than corruption, torn-line tolerance, stores that still hold
  * interval-sampled records, shard-merge equivalence with an unsharded
- * run, solo-IPC persistence, and untrusted bytes: damaged lines and
- * out-of-range counts read as skipped or missed, lines in any member
+ * run, solo-IPC persistence, ingest() of an externally computed record
+ * (the same line a local run writes, first record wins, garbage
+ * refused), the single-writer flock, and untrusted bytes: damaged lines
+ * and out-of-range counts read as skipped or missed, lines in any member
  * order load, and a seeded mutation test holds open() to a full-parse
- * reference decode. "Cross-process" is
- * modeled by destroying one store and opening another on the same
- * directory — the disk file is the only state they share.
+ * reference decode. "Cross-process" is modeled by destroying one store
+ * and opening another on the same directory — the disk file is the only
+ * state they share.
  */
 #include <gtest/gtest.h>
 
@@ -521,6 +523,91 @@ TEST(ResultStoreTest, SoloIpcRunsPersistAndReload)
     warm.prefetch({cfg});
     EXPECT_EQ(warm.stats().computed, 0u);
     EXPECT_EQ(warm.stats().soloComputed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Externally computed records and the single-writer lock.
+// ---------------------------------------------------------------------
+
+/** The "experiment" lines of @p dir's results.jsonl, in file order.
+ *  Solo lines are left out: the process-wide solo cache means only
+ *  whichever store simulated a denominator first writes it. */
+std::vector<std::string>
+experimentLines(const std::string &dir)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(resultsPath(dir));
+    for (std::string line; std::getline(in, line);)
+        if (line.find("\"kind\":\"experiment\"") != std::string::npos)
+            lines.push_back(line);
+    return lines;
+}
+
+TEST(ResultStoreTest, IngestWritesTheLineALocalRunWouldAndFirstRecordWins)
+{
+    ExperimentConfig cfg =
+        smallConfig("HHMA", MitigationType::kPara, 256, true);
+
+    std::string dir_local = storeDir("ingest_local");
+    {
+        ResultStore store(1);
+        std::string error;
+        ASSERT_TRUE(store.open(dir_local, &error)) << error;
+        store.prefetch({cfg});
+    }
+    std::vector<std::string> local = experimentLines(dir_local);
+    ASSERT_EQ(local.size(), 1u);
+
+    // The same point computed elsewhere, handed over as its record.
+    const ExperimentConfig resolved = resolveExperimentConfig(cfg);
+    const ExperimentResult result = runExperiment(resolved);
+    std::string dir = storeDir("ingest");
+    ResultStore store(1);
+    std::string error;
+    ASSERT_TRUE(store.open(dir, &error)) << error;
+    ASSERT_TRUE(store.ingest(cfg, experimentResultToJson(resolved, result),
+                             &error))
+        << error;
+    EXPECT_EQ(experimentLines(dir), local);
+    EXPECT_EQ(store.stats().computed, 0u);
+
+    // A second record for the same key changes nothing.
+    ExperimentResult other = result;
+    other.weightedSpeedup += 1.0;
+    ASSERT_TRUE(store.ingest(cfg, experimentResultToJson(resolved, other),
+                             &error))
+        << error;
+    EXPECT_EQ(experimentLines(dir), local);
+    const ExperimentResult *served = store.lookup(cfg);
+    ASSERT_NE(served, nullptr);
+    expectIdentical(*served, result);
+
+    // A payload that is not a result record is refused, and neither
+    // cached nor written.
+    ExperimentConfig fresh =
+        smallConfig("LLLA", MitigationType::kRfm, 512, false);
+    JsonValue garbage = JsonValue::object();
+    garbage.set("weighted_speedup", "fast");
+    error.clear();
+    EXPECT_FALSE(store.ingest(fresh, garbage, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(store.lookup(fresh), nullptr);
+    EXPECT_EQ(experimentLines(dir), local);
+}
+
+TEST(ResultStoreTest, SecondStoreWriterIsRefused)
+{
+    std::string dir = storeDir("flock");
+    ResultStore first(1);
+    std::string error;
+    ASSERT_TRUE(first.open(dir, &error)) << error;
+
+    // Same process, second descriptor: flock is per-open-file, so this
+    // models a second --store run racing the first.
+    ResultStore second(1);
+    EXPECT_FALSE(second.open(dir, &error));
+    EXPECT_NE(error.find("locked"), std::string::npos) << error;
+    EXPECT_FALSE(second.persistent());
 }
 
 // ---------------------------------------------------------------------

@@ -20,7 +20,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,41 @@ TEST(SnapshotCodecTest, CorruptLengthDoesNotAllocate)
     std::vector<std::uint64_t> v;
     EXPECT_FALSE(loadU64Vector(r, &v));
     EXPECT_FALSE(r.ok());
+}
+
+TEST(SnapshotCodecTest, AbsurdBucketCountIsRefusedNotAllocated)
+{
+    // Regression (snapshot mutation test): a damaged bucket count of
+    // 2^40 passed the old bound and made rehash() throw bad_alloc.
+    for (std::uint64_t buckets :
+         {kMaxSnapshotBuckets + 1, std::uint64_t{1} << 40}) {
+        StateWriter w;
+        w.u64(buckets);
+        w.u64(0); // No elements.
+        StateReader r(w.take());
+        std::unordered_map<std::uint64_t, std::uint64_t> m;
+        EXPECT_FALSE(loadUnorderedMap(
+            r, &m, [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
+            [](StateReader &sr, std::uint64_t *v) { *v = sr.u64(); }));
+        EXPECT_FALSE(r.ok());
+    }
+}
+
+TEST(SnapshotCodecTest, EmptyBulkVectorsRoundTrip)
+{
+    // Regression (snapshot mutation test, UBSan): an empty vector's
+    // data() is null, and the bulk decoders passed it to memcpy.
+    StateWriter w;
+    saveU32VectorBulk(w, {});
+    saveU64VectorBulk(w, {});
+    StateReader r(w.take());
+    std::vector<std::uint32_t> v32; // Never allocated: data() is null.
+    std::vector<std::uint64_t> v64;
+    EXPECT_TRUE(loadU32VectorBulk(r, &v32));
+    EXPECT_TRUE(loadU64VectorBulk(r, &v64));
+    EXPECT_TRUE(v32.empty());
+    EXPECT_TRUE(v64.empty());
+    EXPECT_TRUE(r.atEnd());
 }
 
 TEST(SnapshotCodecTest, UnorderedMapPreservesIterationOrder)
@@ -985,6 +1022,170 @@ TEST(SystemSnapshotTest, RunExperimentResumesAndCleansUpItsSnapshot)
         snapshotPath(dir, cfg)));
 
     std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------ restore of hostile bytes
+
+/** A mid-run snapshot and the System shape that accepts it. */
+struct FuzzSeed
+{
+    SystemConfig sys;
+    std::vector<WorkloadSlot> slots;
+    std::string body; ///< The blob without its trailing checksum.
+};
+
+FuzzSeed
+midRunSeed(const char *pattern, MitigationType mechanism, unsigned n_rh,
+           bool break_hammer, bool oracle, unsigned channels,
+           const char *redteam = nullptr)
+{
+    ExperimentConfig cfg;
+    cfg.mix = makeMix(pattern, 0);
+    cfg.mechanism = mechanism;
+    cfg.nRh = n_rh;
+    cfg.breakHammer = break_hammer;
+    cfg.oracle = oracle;
+    cfg.instructions = 5000;
+    cfg.channels = channels;
+    if (redteam != nullptr) {
+        RedteamStrategy strategy;
+        EXPECT_TRUE(parseRedteamStrategy(redteam, &strategy));
+        applyRedteamStrategy(strategy, &cfg.mix.slots);
+    }
+    FuzzSeed seed{systemConfigFor(cfg), cfg.mix.slots, {}};
+    System system(seed.sys, seed.slots);
+    (void)system.run(cfg.instructions, 30000); // Stops mid-run.
+    seed.body = system.snapshotBlob();
+    seed.body.resize(seed.body.size() - 8);
+    return seed;
+}
+
+/** @p body sealed with the trailing checksum restore verifies first. */
+std::string
+sealed(std::string body)
+{
+    StateWriter tail;
+    tail.u64(fnv1a64Chunked(body.data(), body.size()));
+    return body + tail.data();
+}
+
+/**
+ * Seeded mutations of mid-run snapshots: bit flips, byte overwrites,
+ * truncations, u32/u64 field overwrites with boundary values (lengths,
+ * counts, indices, tags), and byte insertions and deletions that shift
+ * every later field. Each mutant is re-sealed, so the decoder rather
+ * than the checksum sees the bytes. restoreSnapshotBlob() must return
+ * false or succeed on every one; the ASan+UBSan build holds it to no
+ * crash and no out-of-bounds access.
+ */
+TEST(SystemSnapshotTest, MutatedSnapshotsRestoreOrFailCleanly)
+{
+    const std::vector<FuzzSeed> seeds = {
+        midRunSeed("HHMA", MitigationType::kGraphene, 512, true, false, 1),
+        midRunSeed("LLLA", MitigationType::kPrac, 256, true, true, 1),
+        midRunSeed("LLLA", MitigationType::kBlockHammer, 128, false, false,
+                   1),
+        midRunSeed("HHMM", MitigationType::kHydra, 512, false, false, 2),
+        midRunSeed("HHMA", MitigationType::kAqua, 256, true, false, 1),
+        midRunSeed("LLLA", MitigationType::kTwice, 512, false, false, 1),
+        midRunSeed("HHMA", MitigationType::kRega, 256, true, false, 1),
+        midRunSeed("LLLA", MitigationType::kRfm, 256, true, false, 1),
+        midRunSeed("MMAA", MitigationType::kPara, 512, true, false, 1,
+                   "pat=half,obs=32,bub=64,grp=2,ho=512")};
+
+    // Section tags: most of a blob is the LLC's dense tag store, so
+    // half the edits land just past a tag, where the headers, lengths
+    // and counts of each component live.
+    const char *kSections[] = {
+        "system", "rejectsnap", "llc", "mshr", "channels", "controller",
+        "bankq", "timing", "energy", "census", "oracle", "graphene",
+        "misra_gries", "prac", "blockhammer", "cbf", "hydra", "aqua",
+        "twice", "rega", "rfm", "para", "breakhammer", "hist", "core",
+        "benign_trace", "attacker_trace", "adaptive_trace"};
+    std::vector<std::vector<std::size_t>> tag_offsets(seeds.size());
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+        for (const char *name : kSections) {
+            StateWriter w;
+            w.tag(name);
+            const std::string &needle = w.data();
+            for (std::size_t at = seeds[i].body.find(needle);
+                 at != std::string::npos;
+                 at = seeds[i].body.find(needle, at + 1))
+                tag_offsets[i].push_back(at);
+        }
+        ASSERT_GT(tag_offsets[i].size(), 10u);
+        System intact(seeds[i].sys, seeds[i].slots);
+        std::string error;
+        ASSERT_TRUE(intact.restoreSnapshotBlob(sealed(seeds[i].body),
+                                               &error))
+            << error;
+    }
+
+    const std::uint64_t kBoundary[] = {
+        0, 1, 2, 3, 7, 8, 255, 256, 4095, 65536, 0x7fffffffull,
+        0xffffffffull, 1ull << 32, 1ull << 40, 1ull << 62, 1ull << 63,
+        ~0ull};
+    std::mt19937_64 rng(0x5eed5a9);
+    auto below = [&rng](std::size_t n) {
+        return n ? static_cast<std::size_t>(rng() % n) : 0;
+    };
+
+    constexpr int kCases = 1500;
+    int accepted = 0;
+    for (int c = 0; c < kCases; ++c) {
+        const std::size_t which = below(seeds.size());
+        const FuzzSeed &seed = seeds[which];
+        std::string body = seed.body;
+        const std::size_t edits = 1 + below(2);
+        for (std::size_t e = 0; e < edits && !body.empty(); ++e) {
+            const std::vector<std::size_t> &tags = tag_offsets[which];
+            std::size_t pos = below(2) ? below(body.size())
+                                       : tags[below(tags.size())] +
+                                             below(160);
+            pos = std::min(pos, body.size() - 1);
+            switch (below(6)) {
+              case 0: // bit flip
+                body[pos] ^= static_cast<char>(1u << below(8));
+                break;
+              case 1: // byte overwrite
+                body[pos] = static_cast<char>(rng());
+                break;
+              case 2: // truncation
+                body.resize(pos);
+                break;
+              case 3: { // u64 field edit: lengths, counts, cycles
+                StateWriter w;
+                w.u64(kBoundary[below(std::size(kBoundary))] +
+                      (below(4) == 0 ? body.size() - pos : 0));
+                body.replace(pos, 8, w.data());
+                break;
+              }
+              case 4: { // u32 field edit: tags, versions, indices
+                StateWriter w;
+                w.u32(static_cast<std::uint32_t>(
+                    kBoundary[below(std::size(kBoundary))]));
+                body.replace(pos, 4, w.data());
+                break;
+              }
+              default: // insert or delete bytes: shift later fields
+                if (below(2))
+                    body.insert(pos, 1 + below(8), static_cast<char>(rng()));
+                else
+                    body.erase(pos, 1 + below(8));
+                break;
+            }
+        }
+        System system(seed.sys, seed.slots);
+        std::string error;
+        if (system.restoreSnapshotBlob(sealed(body), &error)) {
+            ++accepted;
+        } else {
+            ASSERT_FALSE(error.empty());
+        }
+    }
+    // Both outcomes must be well exercised for the test to mean much.
+    EXPECT_GT(accepted, kCases / 20);
+    EXPECT_LT(accepted, kCases - kCases / 20);
 }
 
 } // namespace

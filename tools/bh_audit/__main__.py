@@ -6,7 +6,7 @@ dynamic guarantees:
   snapshot-coverage   every data member of a snapshottable class is
                       serialized in saveState() AND loadState()
   key-coverage        every ExperimentConfig field reaches the content
-                      address and both wire-codec directions
+                      address
   determinism         no wall clocks / global RNG / stray getenv /
                       hash-order-dependent output / pointer-keyed
                       ordering in simulation code

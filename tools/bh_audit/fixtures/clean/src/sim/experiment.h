@@ -1,6 +1,5 @@
-// Fixture: minimal ExperimentConfig whose every field reaches the key
-// and both codec directions. bh_audit --selftest pins the key-coverage
-// pass to report nothing here.
+// Fixture: minimal ExperimentConfig whose every field reaches the key.
+// bh_audit --selftest pins the key-coverage pass to report nothing here.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // Fixture: `stealthFactor` is injected — it reaches neither
-// experimentKey()/resolveExperimentConfig() nor either protocol codec
-// direction. The selftest requires the key-coverage pass to flag it
-// three times (key, encode, decode).
+// experimentKey() nor resolveExperimentConfig(). The selftest requires
+// the key-coverage pass to flag it.
 #pragma once
 
 #include <cstdint>

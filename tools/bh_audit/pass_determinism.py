@@ -13,8 +13,8 @@ This pass bans the constructs that silently break that:
   into the content address (a stray getenv is exactly the store-aliasing
   bug class PR 3 documents);
 - iteration over ``std::unordered_map`` / ``std::unordered_set`` inside
-  any function that feeds an ordered output (a StateWriter, the JSON
-  export, a wire frame): hash-table iteration order is
+  any function that feeds an ordered output (a StateWriter or the JSON
+  export): hash-table iteration order is
   implementation-defined, so bytes would differ across
   libraries/restarts. The snapshot codec's saveUnorderedMap() is the
   one sanctioned path — it records and reconstructs the order;
@@ -26,10 +26,10 @@ This pass bans the constructs that silently break that:
   ``RunContext``; a cache of a pure function is the one legitimate
   global and carries a reasoned skip.
 
-Wall-clock use that is deliberately outside the deterministic core (the
-sweep service's lease deadlines) is annotated in place::
+Wall-clock use that is deliberately outside the deterministic core (a
+host-side timeout, say) is annotated in place::
 
-    steadyNowMs(); // bh-audit: skip(clock) -- lease wall-clock, not sim
+    steadyNowMs(); // bh-audit: skip(clock) -- host timeout, not sim
 
 Rule names for skip(): rand, time, clock, getenv, unordered-iter,
 pointer-key, global-state.
@@ -109,8 +109,7 @@ def _global_state(sf: SourceFile):
 
 # A function participates in an ordered-output path when its body or
 # signature touches one of these.
-_ORDERED_MARKERS = ("StateWriter", "JsonValue", "encodeFrame",
-                    "appendFrame", "Frame")
+_ORDERED_MARKERS = ("StateWriter", "JsonValue")
 
 
 def _flag(report: Report, tree: SourceTree, sf: SourceFile, rule: str,

@@ -28,10 +28,6 @@ EXPECTED_VIOLATIONS = {
     ("snapshot-coverage", "member-not-serialized", "Widget::tuned"),
     ("key-coverage", "field-not-in-key",
      "ExperimentConfig::stealthFactor"),
-    ("key-coverage", "field-not-in-encode",
-     "ExperimentConfig::stealthFactor"),
-    ("key-coverage", "field-not-in-decode",
-     "ExperimentConfig::stealthFactor"),
     ("determinism", "clock", "steady_clock::now"),
     ("determinism", "unordered-iter", "saveState(): for(... : table)"),
     ("determinism", "global-state", "thread_local tlDepth"),
