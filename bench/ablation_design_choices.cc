@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablations of BreakHammer's design choices (DESIGN.md §4):
+ * Ablations of BreakHammer's design choices (paper §4):
  *  1. Score attribution: proportional (paper) vs winner-takes-all.
  *  2. Counter organization: two time-interleaved sets (paper, Fig 4) vs a
  *     single hard-reset set.
@@ -36,30 +36,30 @@ constexpr Variant kVariants[] = {
 
 /** The knob overrides shared by the sweep and the render lookups. */
 void
-applyVariant(ExperimentConfig &cfg, const Variant &v)
+applyVariant(ExperimentConfig &cfg, const Variant &v, std::uint64_t insts)
 {
-    cfg.bh = scaledBreakHammerConfig(defaultInstructions());
+    cfg.bh = scaledBreakHammerConfig(insts);
     cfg.bh.attribution = v.attribution;
     cfg.bh.singleCounterSet = v.singleSet;
     cfg.bluntThrottle = v.blunt;
 }
 
 ExperimentConfig
-variantConfig(const MixSpec &mix, const Variant &v)
+variantConfig(const MixSpec &mix, const Variant &v, std::uint64_t insts)
 {
     ExperimentConfig cfg;
     cfg.mix = mix;
     cfg.mechanism = kMech;
     cfg.nRh = kNrh;
     cfg.breakHammer = true;
-    applyVariant(cfg, v);
+    applyVariant(cfg, v, insts);
     return cfg;
 }
 
 } // namespace
 
 BH_BENCH_SWEEP_FIGURE("ablation", "Ablations: BreakHammer design choices",
-                      "DESIGN.md §4")
+                      "paper §4")
 {
     using namespace bh::benchutil;
 
@@ -70,7 +70,8 @@ BH_BENCH_SWEEP_FIGURE("ablation", "Ablations: BreakHammer design choices",
         std::uint64_t marks = 0, actions = 0;
         for (const std::string &pattern : attackMixPatterns()) {
             const ExperimentResult &r =
-                ctx.store->get(variantConfig(makeMix(pattern, 0), v));
+                ctx.store->get(
+                    variantConfig(makeMix(pattern, 0), v, ctx.instructions));
             ws.push_back(r.weightedSpeedup);
             marks += r.raw.suspectMarks;
             actions += r.preventiveActions;
@@ -84,15 +85,17 @@ BH_BENCH_SWEEP_FIGURE("ablation", "Ablations: BreakHammer design choices",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
+    const std::uint64_t insts = ctx.instructions;
     SweepSpec spec("ablation");
     spec.mixClasses(attackMixPatterns(), 1)
         .nRh(kNrh)
         .mechanism(kMech)
         .breakHammer(true);
     for (const Variant &v : kVariants)
-        spec.variant(v.name,
-                     [&v](ExperimentConfig &cfg) { applyVariant(cfg, v); });
+        spec.variant(v.name, [&v, insts](ExperimentConfig &cfg) {
+            applyVariant(cfg, v, insts);
+        });
     return spec;
 }

@@ -3,8 +3,9 @@
  * Shared helpers for the per-figure benchmark drivers.
  *
  * Every bench prints the same rows/series the paper's figure reports,
- * scaled by BH_INSTS / BH_MIXES / BH_FULL (see sim/experiment.h). Results
- * are raw text tables so diffs against EXPERIMENTS.md stay reviewable.
+ * at the scale of its Context (bh_bench's BH_INSTS, BH_MIXES and
+ * BH_FULL). Results are raw text tables so diffs between runs stay
+ * reviewable.
  *
  * Figures declare their grid as a SweepSpec (sim/sweep.h); the runner
  * prefetches it through the Context's shared ResultStore (parallel at
@@ -27,34 +28,34 @@ using bench::Context;
 
 /** Print the standard bench header with the scale knobs in effect. */
 inline void
-header(const std::string &title, const std::string &paper_ref)
+header(const Context &ctx, const std::string &title,
+       const std::string &paper_ref)
 {
     std::printf("==== %s ====\n", title.c_str());
     std::printf("reproduces: %s\n", paper_ref.c_str());
     std::printf("scale: BH_INSTS=%llu BH_MIXES=%u%s\n\n",
-                static_cast<unsigned long long>(defaultInstructions()),
-                mixesPerClass(),
-                nrhSweep().size() > 3 ? " (BH_FULL sweep)" : "");
+                static_cast<unsigned long long>(ctx.instructions),
+                ctx.mixesPerClass, ctx.fullSweep ? " (BH_FULL sweep)" : "");
 }
 
-/** All attack mixes at the configured mixes-per-class scale. */
+/** All attack mixes at the context's mixes-per-class scale. */
 inline std::vector<MixSpec>
-attackMixes()
+attackMixes(const Context &ctx)
 {
     std::vector<MixSpec> mixes;
     for (const std::string &pattern : attackMixPatterns())
-        for (unsigned i = 0; i < mixesPerClass(); ++i)
+        for (unsigned i = 0; i < ctx.mixesPerClass; ++i)
             mixes.push_back(makeMix(pattern, i));
     return mixes;
 }
 
-/** All benign mixes at the configured mixes-per-class scale. */
+/** All benign mixes at the context's mixes-per-class scale. */
 inline std::vector<MixSpec>
-benignMixes()
+benignMixes(const Context &ctx)
 {
     std::vector<MixSpec> mixes;
     for (const std::string &pattern : benignMixPatterns())
-        for (unsigned i = 0; i < mixesPerClass(); ++i)
+        for (unsigned i = 0; i < ctx.mixesPerClass; ++i)
             mixes.push_back(makeMix(pattern, i));
     return mixes;
 }

@@ -36,10 +36,10 @@ scalePattern(unsigned cores)
 
 /** The study's mixes at one core count (BH_MIXES instances). */
 std::vector<bh::MixSpec>
-scaleMixes(unsigned cores)
+scaleMixes(const bh::bench::Context &ctx, unsigned cores)
 {
     std::vector<bh::MixSpec> mixes;
-    for (unsigned i = 0; i < bh::mixesPerClass(); ++i)
+    for (unsigned i = 0; i < ctx.mixesPerClass; ++i)
         mixes.push_back(bh::makeMix(scalePattern(cores), i));
     return mixes;
 }
@@ -72,7 +72,7 @@ BH_BENCH_SWEEP_STUDY("chscale",
         std::printf("%-8u", cores);
         for (unsigned ch : kChannelCounts) {
             std::vector<double> ws, sd;
-            for (const MixSpec &mix : scaleMixes(cores)) {
+            for (const MixSpec &mix : scaleMixes(ctx, cores)) {
                 const ExperimentResult &r =
                     ctx.store->get(scalePoint(mix, ch));
                 ws.push_back(r.weightedSpeedup);
@@ -87,12 +87,12 @@ BH_BENCH_SWEEP_STUDY("chscale",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     SweepSpec spec("chscale");
     for (unsigned cores : kCoreCounts)
-        spec.mixes(scaleMixes(cores));
+        spec.mixes(scaleMixes(ctx, cores));
     spec.mechanism(MitigationType::kGraphene).breakHammer(true);
     for (unsigned ch : kChannelCounts)
         spec.variant(std::to_string(ch) + "ch",

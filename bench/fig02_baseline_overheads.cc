@@ -26,7 +26,7 @@ BH_BENCH_SWEEP_FIGURE("fig02", "Fig 2: baseline mitigation overheads (benign)",
     using namespace bh;
     using namespace bh::benchutil;
 
-    std::vector<MixSpec> mixes = benignMixes();
+    std::vector<MixSpec> mixes = benignMixes(ctx);
 
     std::printf("%-8s", "NRH");
     for (MitigationType m : mechanisms())
@@ -34,7 +34,7 @@ BH_BENCH_SWEEP_FIGURE("fig02", "Fig 2: baseline mitigation overheads (benign)",
     std::printf("   (normalized weighted speedup, geomean over %zu mixes)\n",
                 mixes.size());
 
-    for (unsigned n_rh : nrhSweep()) {
+    for (unsigned n_rh : ctx.nrhSweep()) {
         std::printf("%-8u", n_rh);
         for (MitigationType mech : mechanisms()) {
             std::vector<double> normalized;
@@ -51,13 +51,13 @@ BH_BENCH_SWEEP_FIGURE("fig02", "Fig 2: baseline mitigation overheads (benign)",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     using namespace bh::benchutil;
     return SweepSpec("fig02")
-        .mixes(benignMixes())
+        .mixes(benignMixes(ctx))
         .withBaselines()
-        .nRhValues(nrhSweep())
+        .nRhValues(ctx.nrhSweep())
         .mechanisms(mechanisms());
 }

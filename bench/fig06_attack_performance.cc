@@ -28,7 +28,7 @@ BH_BENCH_SWEEP_FIGURE("fig06",
         std::printf("%-12s", pattern.c_str());
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> vals;
-            for (unsigned i = 0; i < mixesPerClass(); ++i) {
+            for (unsigned i = 0; i < ctx.mixesPerClass; ++i) {
                 MixSpec mix = makeMix(pattern, i);
                 const ExperimentResult &base = point(ctx, mix, mech, n_rh,
                                                      false);
@@ -56,12 +56,12 @@ BH_BENCH_SWEEP_FIGURE("fig06",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     using namespace bh::benchutil;
     return SweepSpec("fig06")
-        .mixes(attackMixes())
+        .mixes(attackMixes(ctx))
         .nRh(1024)
         .mechanisms(pairedMitigations())
         .breakHammerAxis();

@@ -15,7 +15,7 @@ BH_BENCH_SWEEP_FIGURE("fig08",
     using namespace bh;
     using namespace bh::benchutil;
 
-    std::vector<MixSpec> mixes = attackMixes();
+    std::vector<MixSpec> mixes = attackMixes(ctx);
 
     std::printf("%-8s", "NRH");
     for (MitigationType m : pairedMitigations()) {
@@ -24,7 +24,7 @@ BH_BENCH_SWEEP_FIGURE("fig08",
     }
     std::printf("\n");
 
-    for (unsigned n_rh : nrhSweep()) {
+    for (unsigned n_rh : ctx.nrhSweep()) {
         std::printf("%-8u", n_rh);
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> base_norm, paired_norm;
@@ -47,14 +47,14 @@ BH_BENCH_SWEEP_FIGURE("fig08",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     using namespace bh::benchutil;
     return SweepSpec("fig08")
-        .mixes(attackMixes())
+        .mixes(attackMixes(ctx))
         .withBaselines()
-        .nRhValues(nrhSweep())
+        .nRhValues(ctx.nrhSweep())
         .mechanisms(pairedMitigations())
         .breakHammerAxis();
 }

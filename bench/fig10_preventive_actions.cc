@@ -28,7 +28,7 @@ BH_BENCH_SWEEP_FIGURE("fig10",
     using namespace bh;
     using namespace bh::benchutil;
 
-    std::vector<MixSpec> mixes = attackMixes();
+    std::vector<MixSpec> mixes = attackMixes(ctx);
 
     std::printf("%-8s", "NRH");
     for (MitigationType m : mechanisms())
@@ -36,7 +36,7 @@ BH_BENCH_SWEEP_FIGURE("fig10",
     std::printf("\n");
 
     std::vector<double> reductions;
-    for (unsigned n_rh : nrhSweep()) {
+    for (unsigned n_rh : ctx.nrhSweep()) {
         std::printf("%-8u", n_rh);
         for (MitigationType mech : mechanisms()) {
             double base_sum = 0, paired_sum = 0;
@@ -60,13 +60,13 @@ BH_BENCH_SWEEP_FIGURE("fig10",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     using namespace bh::benchutil;
     return SweepSpec("fig10")
-        .mixes(attackMixes())
-        .nRhValues(nrhSweep())
+        .mixes(attackMixes(ctx))
+        .nRhValues(ctx.nrhSweep())
         .mechanisms(mechanisms())
         .breakHammerAxis();
 }

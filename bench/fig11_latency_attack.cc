@@ -41,7 +41,7 @@ BH_BENCH_SWEEP_FIGURE("fig11",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &)
 {
     using namespace bh;
     return SweepSpec("fig11")

@@ -39,7 +39,7 @@ BH_BENCH_SWEEP_FIGURE("fig13_16",
             std::printf("%-12s", pattern.c_str());
             for (MitigationType mech : pairedMitigations()) {
                 std::vector<double> vals;
-                for (unsigned i = 0; i < mixesPerClass(); ++i) {
+                for (unsigned i = 0; i < ctx.mixesPerClass; ++i) {
                     MixSpec mix = makeMix(pattern, i);
                     const ExperimentResult &base = point(ctx, mix, mech,
                                                          fp.nRh, false);
@@ -67,7 +67,7 @@ BH_BENCH_SWEEP_FIGURE("fig13_16",
         std::printf(" %8sWS %8sUF", mitigationName(m), "");
     std::printf("\n");
 
-    for (unsigned n_rh : nrhSweep()) {
+    for (unsigned n_rh : ctx.nrhSweep()) {
         std::printf("%-8u", n_rh);
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> ws, uf;
@@ -87,21 +87,21 @@ BH_BENCH_SWEEP_FIGURE("fig13_16",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     // Two differently-shaped sections: Figs 13/14 take every mix of each
     // class at the two fixed thresholds; Figs 15/16 take the class's
     // first mix across the full N_RH sweep.
     SweepSpec per_class("fig13_16/fixed-nrh");
-    per_class.mixClasses(benignMixPatterns(), mixesPerClass())
+    per_class.mixClasses(benignMixPatterns(), ctx.mixesPerClass)
         .nRhValues({64, 1024})
         .mechanisms(pairedMitigations())
         .breakHammerAxis();
 
     SweepSpec nrh_sweep("fig13_16/nrh-sweep");
     nrh_sweep.mixClasses(benignMixPatterns(), 1)
-        .nRhValues(nrhSweep())
+        .nRhValues(ctx.nrhSweep())
         .mechanisms(pairedMitigations())
         .breakHammerAxis();
 

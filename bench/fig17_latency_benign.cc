@@ -38,7 +38,7 @@ BH_BENCH_SWEEP_FIGURE("fig17",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &)
 {
     using namespace bh;
     return SweepSpec("fig17")

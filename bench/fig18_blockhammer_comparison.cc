@@ -14,14 +14,14 @@ BH_BENCH_SWEEP_FIGURE("fig18", "Fig 18: BreakHammer pairings vs BlockHammer",
     using namespace bh;
     using namespace bh::benchutil;
 
-    std::vector<MixSpec> mixes = attackMixes();
+    std::vector<MixSpec> mixes = attackMixes(ctx);
 
     std::printf("%-8s", "NRH");
     for (MitigationType m : pairedMitigations())
         std::printf(" %10s+BH", mitigationName(m));
     std::printf(" %12s\n", "BlockHammer");
 
-    for (unsigned n_rh : nrhSweep()) {
+    for (unsigned n_rh : ctx.nrhSweep()) {
         std::printf("%-8u", n_rh);
         for (MitigationType mech : pairedMitigations()) {
             std::vector<double> vals;
@@ -48,20 +48,20 @@ BH_BENCH_SWEEP_FIGURE("fig18", "Fig 18: BreakHammer pairings vs BlockHammer",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
     using namespace bh::benchutil;
     SweepSpec paired("fig18/paired");
-    paired.mixes(attackMixes())
+    paired.mixes(attackMixes(ctx))
         .withBaselines()
-        .nRhValues(nrhSweep())
+        .nRhValues(ctx.nrhSweep())
         .mechanisms(pairedMitigations())
         .breakHammer(true);
 
     SweepSpec blockhammer("fig18/blockhammer");
-    blockhammer.mixes(attackMixes())
-        .nRhValues(nrhSweep())
+    blockhammer.mixes(attackMixes(ctx))
+        .nRhValues(ctx.nrhSweep())
         .mechanism(MitigationType::kBlockHammer);
 
     return paired.merge(blockhammer);

@@ -47,8 +47,7 @@ BH_BENCH_SWEEP_FIGURE("fig19", "Fig 19: sensitivity to TH_threat",
     using namespace bh;
     using namespace bh::benchutil;
 
-    BreakHammerConfig scaled =
-        scaledBreakHammerConfig(defaultInstructions());
+    BreakHammerConfig scaled = scaledBreakHammerConfig(ctx.instructions);
 
     for (bool attack : {true, false}) {
         std::printf("-- %s --\n",
@@ -99,11 +98,10 @@ BH_BENCH_SWEEP_FIGURE("fig19", "Fig 19: sensitivity to TH_threat",
 }
 
 static bh::SweepSpec
-bhBenchSweep()
+bhBenchSweep(const bh::bench::Context &ctx)
 {
     using namespace bh;
-    BreakHammerConfig scaled =
-        scaledBreakHammerConfig(defaultInstructions());
+    BreakHammerConfig scaled = scaledBreakHammerConfig(ctx.instructions);
 
     SweepSpec spec("fig19");
     spec.mixClasses(attackMixPatterns(), 1)

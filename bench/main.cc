@@ -20,11 +20,14 @@
  * canonical experiment key, so its bytes are identical no matter how many
  * jobs — or machines — produced it.
  */
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,92 +39,189 @@
 
 namespace {
 
+using namespace bh;
+
+/** Every value bh_bench's flags and BH_* knobs set. */
+struct Settings
+{
+    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
+    std::string jsonPath;
+    std::string storeDir;
+    CheckpointSpec checkpoint; ///< Cadence only; dir follows --store.
+    unsigned shardIndex = 0, shardCount = 0;
+    RedteamSpec redteam;
+    bool redteamMode = false;
+    /** BH_INSTS, --channels, --ranks: the store's ConfigDefaults. */
+    std::uint64_t instructions = kDefaultInstructions;
+    unsigned channels = 0, ranks = 0;
+    unsigned mixes = 0; ///< BH_MIXES; 0 = 5 with BH_FULL, else 1.
+    bool fullSweep = false;
+    bool denseTick = false;
+};
+
+// Row parsers that store one strictly parsed value into @p field.
+template <unsigned Settings::*field, std::uint64_t limit>
+bool
+count(const char *text, Settings *s)
+{
+    std::uint64_t parsed = 0;
+    if (!parsePositiveU64(text, &parsed) || parsed > limit)
+        return false;
+    s->*field = static_cast<unsigned>(parsed);
+    return true;
+}
+
+/** A DRAM organization count: the address map slices bits. */
+template <unsigned Settings::*field, std::uint64_t limit>
+bool
+powerOfTwo(const char *text, Settings *s)
+{
+    if (!count<field, limit>(text, s))
+        return false;
+    unsigned n = s->*field;
+    return (n & (n - 1)) == 0;
+}
+
+template <bool Settings::*field>
+bool
+toggle(const char *text, Settings *s)
+{
+    return parseSwitch(text, &(s->*field));
+}
+
+/** A 1-based "I/N" shard spec with 1 <= I <= N <= 4096. */
+bool
+parseShardSpec(const char *text, Settings *s)
+{
+    const char *slash = std::strchr(text, '/');
+    return slash != nullptr &&
+           count<&Settings::shardIndex, 4096>(
+               std::string(text, slash).c_str(), s) &&
+           count<&Settings::shardCount, 4096>(slash + 1, s) &&
+           s->shardIndex <= s->shardCount;
+}
+
+/** "N" retired instructions or "Nc" cycles. */
+bool
+parseCheckpointEvery(const char *text, Settings *s)
+{
+    std::string n = text;
+    bool cycles = !n.empty() && (n.back() == 'c' || n.back() == 'C');
+    if (cycles)
+        n.pop_back();
+    return parsePositiveU64(n.c_str(), cycles ? &s->checkpoint.everyCycles
+                                              : &s->checkpoint.everyInsts);
+}
+
+/**
+ * One command-line flag ("--name", as --name=VALUE or --name VALUE) or
+ * environment knob ("BH_NAME"; unset or empty keeps the default). The
+ * table drives parsing, the exit-2 error and usage().
+ */
+struct Option
+{
+    const char *name;
+    const char *value; ///< Value syntax shown by usage().
+    /** Strict parser into the settings; null = read by the library. */
+    bool (*parse)(const char *text, Settings *s);
+    const char *wants; ///< Error text: "NAME wants <this>, got ...".
+    const char *help;
+    bool needsStore = false; ///< Valid only together with --store.
+};
+
+const Option kOptions[] = {
+    {"--jobs", "N", count<&Settings::jobs, 1024>,
+     "a positive integer (1..1024)",
+     "worker threads for experiment grids (default: hardware)"},
+    {"--json", "PATH",
+     [](const char *t, Settings *s) { s->jsonPath = t; return true; },
+     "a file path", "export every simulated point as JSON"},
+    {"--store", "DIR",
+     [](const char *t, Settings *s) { s->storeDir = t; return *t != '\0'; },
+     "a directory path",
+     "persistent result store: reuse cached points, append new ones"},
+    {"--shard", "I/N", parseShardSpec,
+     "I/N with 1 <= I <= N <= 4096 (e.g. --shard=1/2)",
+     "compute only shard I of N (by content address); no rendering"},
+    {"--checkpoint-every", "N[c]", parseCheckpointEvery,
+     "a positive integer instruction count (or cycles with a 'c' "
+     "suffix)",
+     "snapshot each point every N insts (Nc: cycles); reruns resume",
+     true},
+    {"--channels", "N", powerOfTwo<&Settings::channels, 64>,
+     "a power-of-two channel count (1..64)",
+     "DRAM channels, each with its own controller (default 1)"},
+    {"--ranks", "N", powerOfTwo<&Settings::ranks, 16>,
+     "a power-of-two rank count (1..16)",
+     "DRAM ranks per channel, a power of two (default 2)"},
+    {"--redteam", "SEED/ROUNDS/POP",
+     [](const char *t, Settings *s) {
+         s->redteamMode = true;
+         return parseRedteamSpec(t, &s->redteam);
+     },
+     "SEED/ROUNDS/POP with positive integers (rounds <= 16, pop <= 64; "
+     "e.g. --redteam=1/2/4)",
+     "evolve adaptive attackers vs PARA/Graphene/Hydra; no figures",
+     true},
+    {"BH_INSTS", "N",
+     [](const char *t, Settings *s) {
+         return parsePositiveU64(t, &s->instructions);
+     },
+     "a positive integer",
+     "instructions per benign core (default 100000; paper: 100M)"},
+    {"BH_MIXES", "N",
+     count<&Settings::mixes, std::numeric_limits<unsigned>::max()>,
+     "a positive integer",
+     "mixes per class (default 1, or 5 with BH_FULL; paper: 15)"},
+    {"BH_FULL", "0|1", toggle<&Settings::fullSweep>,
+     "0 or a positive integer",
+     "1: the full N_RH sweep (4K..64) and 5 mixes per class"},
+    {"BH_DENSE_TICK", "0|1", toggle<&Settings::denseTick>,
+     "0 or a positive integer",
+     "1: the cycle-by-cycle reference loop (same bytes, slower)"},
+    {"BH_LOG", "0|1", nullptr, nullptr,
+     "1: progress lines on stderr (read by the library's log gate)"},
+};
+
 void
 usage()
 {
-    std::printf(
-        "usage: bh_bench [options] <figure>... | all\n"
-        "       bh_bench --list\n\n"
-        "options:\n"
-        "  --list        list registered figures and exit\n"
-        "  --jobs=N      worker threads for experiment grids "
-        "(default: hardware)\n"
-        "  --json=PATH   export every simulated point as JSON\n"
-        "  --store=DIR   persistent result store: reuse cached points,\n"
-        "                append new ones (merge stores with cat)\n"
-        "  --shard=I/N   compute only shard I of N (1-based, by content\n"
-        "                address) and skip rendering; combine with "
-        "--store\n"
-        "  --checkpoint-every=N[c]\n"
-        "                with --store: snapshot each running simulation\n"
-        "                every N retired instructions (or N cycles with\n"
-        "                the 'c' suffix) into <store>/snapshots; a killed\n"
-        "                run restarted with the same flags resumes from\n"
-        "                its snapshots bit-identically\n"
-        "  --channels=N  DRAM channels (power of two; default 1). Each\n"
-        "                channel gets its own memory controller and\n"
-        "                mitigation state; addresses interleave across\n"
-        "                channels\n"
-        "  --ranks=N     DRAM ranks per channel (power of two; default "
-        "2)\n"
-        "  --redteam=SEED/ROUNDS/POP\n"
-        "                red-team fuzzer: evolve adaptive attacker\n"
-        "                strategies (pattern, pacing, observation\n"
-        "                cadence, thread rotation) against PARA,\n"
-        "                Graphene, and Hydra for ROUNDS generations of\n"
-        "                POP strategies from the given seed; probes\n"
-        "                persist in --store (required) under |rt= keys,\n"
-        "                so a re-run simulates 0 and reports identical\n"
-        "                results. Takes no figures\n\n"
-        "scale knobs (environment): BH_INSTS, BH_MIXES, BH_FULL\n");
+    std::printf("usage: bh_bench [options] <figure>... | all\n"
+                "       bh_bench --list\n\n"
+                "options:\n"
+                "  --list        list registered figures and exit\n");
+    bool knobs = false; // The table lists the flags first.
+    for (const Option &opt : kOptions) {
+        if (!knobs && opt.name[0] != '-') {
+            knobs = true;
+            std::printf("\nenvironment:\n");
+        }
+        std::string shown = std::string(opt.name) + "=" + opt.value;
+        if (shown.size() >= 14) {
+            std::printf("  %s\n", shown.c_str());
+            shown.clear();
+        }
+        std::printf("  %-14s%s\n", shown.c_str(), opt.help);
+    }
+}
+
+/** The exit-2 error for a malformed value of @p opt. */
+int
+reject(const Option &opt, const char *text)
+{
+    std::fprintf(stderr, "error: %s wants %s, got \"%s\"\n", opt.name,
+                 opt.wants, text);
+    return 2;
 }
 
 void
 listFigures()
 {
     std::printf("%-12s %-52s %s\n", "name", "title", "reproduces");
-    for (const bh::bench::Figure &figure : bh::bench::figures())
+    for (const bench::Figure &figure : bench::figures())
         std::printf("%-12s %-52s %s%s\n", figure.name.c_str(),
                     figure.title.c_str(), figure.paperRef.c_str(),
                     figure.inAll ? "" : " [study: not part of \"all\"]");
-}
-
-/**
- * Parse a 1-based "I/N" shard spec. Rejects non-numeric parts, zero on
- * either side (parsePositiveU64 is strict), and I > N.
- */
-bool
-parseShardSpec(const char *text, unsigned *index, unsigned *count)
-{
-    const char *slash = std::strchr(text, '/');
-    if (slash == nullptr || slash == text || slash[1] == '\0')
-        return false;
-    std::string index_text(text, slash);
-    std::uint64_t i = 0, n = 0;
-    if (!bh::parsePositiveU64(index_text.c_str(), &i) ||
-        !bh::parsePositiveU64(slash + 1, &n))
-        return false;
-    if (i > n || n > 4096)
-        return false;
-    *index = static_cast<unsigned>(i);
-    *count = static_cast<unsigned>(n);
-    return true;
-}
-
-/**
- * Parse a DRAM organization count: strictly numeric, positive, a power
- * of two (the address map slices bits, so anything else cannot be
- * encoded), and within a sane bound.
- */
-bool
-parseOrgCount(const char *text, std::uint64_t limit, unsigned *out)
-{
-    std::uint64_t parsed = 0;
-    if (!bh::parsePositiveU64(text, &parsed) || parsed > limit ||
-        (parsed & (parsed - 1)) != 0)
-        return false;
-    *out = static_cast<unsigned>(parsed);
-    return true;
 }
 
 } // namespace
@@ -129,160 +229,77 @@ parseOrgCount(const char *text, std::uint64_t limit, unsigned *out)
 int
 main(int argc, char **argv)
 {
-    using namespace bh;
     using Clock = std::chrono::steady_clock;
 
-    // Validate the scale knobs up front: a negative or malformed BH_INSTS
-    // would otherwise wrap to a huge unsigned and hang the whole run, and
-    // BH_MIXES=0 would render every figure from zero points.
-    for (const char *knob : {"BH_INSTS", "BH_MIXES"}) {
-        const char *text = std::getenv(knob);
-        std::uint64_t parsed = 0;
-        if (text != nullptr && *text != '\0' &&
-            !parsePositiveU64(text, &parsed)) {
-            std::fprintf(stderr,
-                         "error: %s=%s is not a positive integer\n", knob,
-                         text);
-            return 2;
-        }
+    // Knobs first: a malformed BH_INSTS would otherwise wrap to a huge
+    // horizon and hang the run, BH_MIXES=0 would render every figure
+    // from zero points, and BH_FULL=yes would quietly run the small grid.
+    Settings s;
+    for (const Option &opt : kOptions) {
+        if (opt.name[0] == '-' || opt.parse == nullptr)
+            continue;
+        const char *text = std::getenv(opt.name);
+        if (text != nullptr && *text != '\0' && !opt.parse(text, &s))
+            return reject(opt, text);
     }
 
-    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
-    std::string json_path;
-    std::string store_dir;
-    std::uint64_t checkpoint_insts = 0;
-    std::uint64_t checkpoint_cycles = 0;
-    ConfigDefaults defaults;
-    unsigned shard_index = 0, shard_count = 0;
-    RedteamSpec redteam_spec;
-    bool redteam_mode = false;
     bool run_all = false;
     std::vector<std::string> names;
-
-    // Flags taking a value accept both --flag=VALUE and --flag VALUE.
-    auto flag_value = [&](const std::string &arg, const char *flag,
-                          int *i, const char **out) {
-        std::size_t len = std::strlen(flag);
-        if (arg.compare(0, len, flag) != 0)
-            return false;
-        if (arg.size() > len && arg[len] == '=') {
-            *out = argv[*i] + len + 1;
-            return true;
-        }
-        if (arg.size() == len && *i + 1 < argc) {
-            *out = argv[++*i];
-            return true;
-        }
-        return false;
-    };
-
+    const Option *needs_store = nullptr;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        const char *value = nullptr;
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (arg == "--list") {
+        }
+        if (arg == "--list") {
             listFigures();
             return 0;
-        } else if (flag_value(arg, "--jobs", &i, &value)) {
-            std::uint64_t parsed = 0;
-            if (!parsePositiveU64(value, &parsed) || parsed > 1024) {
-                std::fprintf(stderr,
-                             "error: --jobs wants a positive integer "
-                             "(1..1024), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-            jobs = static_cast<unsigned>(parsed);
-        } else if (flag_value(arg, "--json", &i, &value)) {
-            json_path = value;
-        } else if (flag_value(arg, "--store", &i, &value)) {
-            store_dir = value;
-            if (store_dir.empty()) {
-                std::fprintf(stderr,
-                             "error: --store wants a directory path\n");
-                return 2;
-            }
-        } else if (flag_value(arg, "--checkpoint-every", &i, &value)) {
-            std::string text = value;
-            bool in_cycles = false;
-            if (!text.empty() &&
-                (text.back() == 'c' || text.back() == 'C')) {
-                in_cycles = true;
-                text.pop_back();
-            }
-            std::uint64_t parsed = 0;
-            if (!parsePositiveU64(text.c_str(), &parsed)) {
-                std::fprintf(stderr,
-                             "error: --checkpoint-every wants a positive "
-                             "integer instruction count (or cycles with "
-                             "a 'c' suffix), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-            if (in_cycles)
-                checkpoint_cycles = parsed;
-            else
-                checkpoint_insts = parsed;
-        } else if (flag_value(arg, "--channels", &i, &value)) {
-            if (!parseOrgCount(value, 64, &defaults.channels)) {
-                std::fprintf(stderr,
-                             "error: --channels wants a power-of-two "
-                             "channel count (1..64), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        } else if (flag_value(arg, "--ranks", &i, &value)) {
-            if (!parseOrgCount(value, 16, &defaults.ranks)) {
-                std::fprintf(stderr,
-                             "error: --ranks wants a power-of-two rank "
-                             "count (1..16), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        } else if (flag_value(arg, "--redteam", &i, &value)) {
-            if (!parseRedteamSpec(value, &redteam_spec)) {
-                std::fprintf(stderr,
-                             "error: --redteam wants SEED/ROUNDS/POP "
-                             "with positive integers (rounds <= 16, "
-                             "pop <= 64; e.g. --redteam=1/2/4), got "
-                             "\"%s\"\n",
-                             value);
-                return 2;
-            }
-            redteam_mode = true;
-        } else if (flag_value(arg, "--shard", &i, &value)) {
-            if (!parseShardSpec(value, &shard_index, &shard_count)) {
-                std::fprintf(stderr,
-                             "error: --shard wants I/N with 1 <= I <= N "
-                             "<= 4096 (e.g. --shard=1/2), got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        } else if (arg == "all") {
+        }
+        if (arg == "all") {
             run_all = true;
-        } else if (!arg.empty() && arg[0] == '-') {
+            continue;
+        }
+        if (arg.empty() || arg[0] != '-') {
+            names.push_back(arg);
+            continue;
+        }
+        const Option *match = nullptr;
+        const char *value = nullptr;
+        for (const Option &opt : kOptions) {
+            std::size_t len = std::strlen(opt.name);
+            if (opt.name[0] != '-' || arg.compare(0, len, opt.name) != 0)
+                continue;
+            if (arg.size() > len && arg[len] == '=')
+                value = argv[i] + len + 1;
+            else if (arg.size() == len && i + 1 < argc)
+                value = argv[++i];
+            else
+                continue;
+            match = &opt;
+            break;
+        }
+        if (match == nullptr) {
             std::fprintf(stderr, "unknown option: %s\n\n", arg.c_str());
             usage();
             return 2;
-        } else {
-            names.push_back(arg);
         }
+        if (!match->parse(value, &s))
+            return reject(*match, value);
+        if (match->needsStore)
+            needs_store = match;
+    }
+    if (needs_store != nullptr && s.storeDir.empty()) {
+        std::fprintf(stderr, "error: %s requires --store (try --help)\n",
+                     needs_store->name);
+        return 2;
     }
 
-    if (redteam_mode && (shard_count != 0 || run_all || !names.empty())) {
+    if (s.redteamMode && (s.shardCount != 0 || run_all || !names.empty())) {
         std::fprintf(stderr,
                      "error: --redteam is its own mode: it drives the "
                      "search grid itself; drop --shard and figure "
                      "names (try --help)\n");
-        return 2;
-    }
-    if (redteam_mode && store_dir.empty()) {
-        std::fprintf(stderr,
-                     "error: --redteam requires --store: probes persist "
-                     "under |rt= keys so re-runs simulate 0 (try "
-                     "--help)\n");
         return 2;
     }
 
@@ -312,61 +329,56 @@ main(int argc, char **argv)
     } else {
         selected = std::move(named);
     }
-    if (selected.empty() && !redteam_mode) {
+    if (selected.empty() && !s.redteamMode) {
         usage();
         return 2;
     }
 
-    ResultStore store(jobs);
-    if (!store_dir.empty()) {
+    ResultStore store(s.jobs);
+    if (!s.storeDir.empty()) {
         std::string error;
-        if (!store.open(store_dir, &error)) {
+        if (!store.open(s.storeDir, &error)) {
             std::fprintf(stderr, "error: %s\n", error.c_str());
             return 2;
         }
     }
-    if (checkpoint_insts || checkpoint_cycles) {
+    if (s.checkpoint.everyInsts || s.checkpoint.everyCycles) {
         // Snapshots ride the store directory: resuming needs the same
         // records the interrupted run already streamed out.
-        if (store_dir.empty()) {
-            std::fprintf(stderr,
-                         "error: --checkpoint-every requires --store "
-                         "(snapshots live in <store>/snapshots)\n");
-            return 2;
-        }
-        CheckpointSpec spec;
-        spec.dir = store_dir + "/snapshots";
-        spec.everyInsts = checkpoint_insts;
-        spec.everyCycles = checkpoint_cycles;
+        s.checkpoint.dir = s.storeDir + "/snapshots";
         std::error_code ec;
-        std::filesystem::create_directories(spec.dir, ec);
+        std::filesystem::create_directories(s.checkpoint.dir, ec);
         if (ec) {
             std::fprintf(stderr,
                          "error: cannot create snapshot directory %s: "
                          "%s\n",
-                         spec.dir.c_str(), ec.message().c_str());
+                         s.checkpoint.dir.c_str(), ec.message().c_str());
             return 2;
         }
-        store.setCheckpoint(spec);
+        store.setCheckpoint(s.checkpoint);
     }
-    // --channels and --ranks fold into every point the store resolves.
-    store.setDefaults(defaults);
-    if (shard_count) {
-        store.setShard(shard_index, shard_count);
-        if (store_dir.empty() && json_path.empty())
+    // BH_INSTS, --channels and --ranks fold into every point the store
+    // resolves; the figures read the grid shape from the context.
+    store.setDefaults({s.instructions, s.channels, s.ranks});
+    store.setDenseTick(s.denseTick);
+    if (s.shardCount) {
+        store.setShard(s.shardIndex, s.shardCount);
+        if (s.storeDir.empty() && s.jsonPath.empty())
             std::fprintf(stderr,
                          "note: --shard without --store or --json "
                          "discards the computed points\n");
     }
-    bench::Context ctx{&store};
+    bench::Context ctx{&store, s.instructions,
+                       s.mixes ? s.mixes : (s.fullSweep ? 5u : 1u),
+                       s.fullSweep};
 
     auto total_start = Clock::now();
-    if (redteam_mode) {
+    if (s.redteamMode) {
         std::printf("==== red-team fuzzer: seed=%llu rounds=%u pop=%u "
                     "====\n",
-                    static_cast<unsigned long long>(redteam_spec.seed),
-                    redteam_spec.rounds, redteam_spec.population);
-        RedteamReport report = runRedteamSearch(redteam_spec, &store);
+                    static_cast<unsigned long long>(s.redteam.seed),
+                    s.redteam.rounds, s.redteam.population);
+        RedteamReport report = runRedteamSearch(s.redteam, &store);
         std::printf("%-12s %12s %12s  %s\n", "mechanism", "fixed",
                     "adaptive", "best adaptive strategy");
         for (const RedteamMechanismOutcome &o : report.mechanisms)
@@ -379,7 +391,7 @@ main(int argc, char **argv)
                     "(lower = more evasive)\n");
         std::printf("probes=%zu improved_any=%d\n", report.probes,
                     report.improvedAny ? 1 : 0);
-    } else if (shard_count) {
+    } else if (s.shardCount) {
         // Shard mode: compute this shard's points of the union of the
         // selected figures' sweeps. Rendering is skipped (tables need
         // the whole grid — render from the merged store).
@@ -388,12 +400,12 @@ main(int argc, char **argv)
             if (!figure.sweep)
                 continue;
             std::vector<ExperimentConfig> points =
-                figure.sweep().expand();
+                figure.sweep(ctx).expand();
             grid.insert(grid.end(), points.begin(), points.end());
         }
         std::printf("==== shard %u/%u: %zu grid point(s) across %zu "
                     "figure(s) ====\n",
-                    shard_index, shard_count, grid.size(),
+                    s.shardIndex, s.shardCount, grid.size(),
                     selected.size());
         store.prefetch(grid);
     } else {
@@ -401,10 +413,10 @@ main(int argc, char **argv)
             const bench::Figure &figure = selected[i];
             if (i)
                 std::printf("\n");
-            benchutil::header(figure.title, figure.paperRef);
+            benchutil::header(ctx, figure.title, figure.paperRef);
             auto start = Clock::now();
             if (figure.sweep)
-                store.prefetch(figure.sweep().expand());
+                store.prefetch(figure.sweep(ctx).expand());
             figure.render(ctx);
             double secs =
                 std::chrono::duration<double>(Clock::now() - start)
@@ -418,17 +430,17 @@ main(int argc, char **argv)
     ResultStoreStats stats = store.stats();
     std::printf("\n==== done: %zu figure(s), %zu experiment point(s), "
                 "%.2f s, jobs=%u ====\n",
-                selected.size(), store.size(), total_secs, jobs);
+                selected.size(), store.size(), total_secs, s.jobs);
     std::printf("store: simulated=%zu solo_simulated=%zu hits=%zu "
                 "loaded=%zu shard_skipped=%zu\n",
                 stats.computed, stats.soloComputed, stats.hits,
                 stats.loaded, stats.shardSkipped);
 
-    if (!json_path.empty()) {
+    if (!s.jsonPath.empty()) {
         JsonValue doc = JsonValue::object();
         doc.set("experiments", store.toJson());
         std::string text = doc.dump(2) + "\n";
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
+        std::FILE *f = std::fopen(s.jsonPath.c_str(), "w");
         // A full disk surfaces at fwrite, fflush or fclose; check all.
         bool ok = f != nullptr &&
                   std::fwrite(text.data(), 1, text.size(), f) ==
@@ -438,10 +450,10 @@ main(int argc, char **argv)
             ok = false;
         if (!ok) {
             std::fprintf(stderr, "error: cannot write %s: %s\n",
-                         json_path.c_str(), std::strerror(errno));
+                         s.jsonPath.c_str(), std::strerror(errno));
             return 1;
         }
-        std::printf("wrote %s\n", json_path.c_str());
+        std::printf("wrote %s\n", s.jsonPath.c_str());
     }
     return 0;
 }

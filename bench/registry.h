@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,14 +27,32 @@
 
 namespace bh::bench {
 
-/** Shared state handed to every figure render. */
+/**
+ * Shared state handed to every figure sweep and render: the result store
+ * and the grid shape bh_bench parsed from BH_INSTS, BH_MIXES and BH_FULL.
+ */
 struct Context
 {
     /** Content-addressed result cache shared across figures. */
     ResultStore *store = nullptr;
+    /** Per-benign-core horizon the store resolves unset configs to. */
+    std::uint64_t instructions = kDefaultInstructions;
+    /** Mixes per class (the paper uses 15). */
+    unsigned mixesPerClass = 1;
+    /** Sweep every N_RH from 4K down to 64, not just three points. */
+    bool fullSweep = false;
+
+    /** The N_RH axis of the scaling figures. */
+    std::vector<unsigned>
+    nrhSweep() const
+    {
+        if (fullSweep)
+            return {4096, 2048, 1024, 512, 256, 128, 64};
+        return {4096, 1024, 64};
+    }
 };
 
-using SweepFn = SweepSpec (*)();
+using SweepFn = SweepSpec (*)(const Context &);
 using RenderFn = void (*)(Context &);
 
 /** One registered figure driver. */
@@ -96,13 +115,13 @@ struct Registrar
  *                         "paper Fig 6 (§8.1)") { ... render from ctx ... }
  *
  *   static bh::SweepSpec
- *   bhBenchSweep()
+ *   bhBenchSweep(const bh::bench::Context &ctx)
  *   {
  *       return bh::SweepSpec("fig06")...;
  *   }
  */
 #define BH_BENCH_SWEEP_FIGURE(name, title, ref)                                \
-    static ::bh::SweepSpec bhBenchSweep();                                     \
+    static ::bh::SweepSpec bhBenchSweep(const ::bh::bench::Context &ctx);      \
     static void bhBenchRun(::bh::bench::Context &ctx);                         \
     static ::bh::bench::Registrar bhBenchRegistrar{                            \
         name, title, ref, &bhBenchSweep, &bhBenchRun};                         \
@@ -115,7 +134,7 @@ struct Registrar
  * Run them by name: `bh_bench chscale`.
  */
 #define BH_BENCH_SWEEP_STUDY(name, title, ref)                                 \
-    static ::bh::SweepSpec bhBenchSweep();                                     \
+    static ::bh::SweepSpec bhBenchSweep(const ::bh::bench::Context &ctx);      \
     static void bhBenchRun(::bh::bench::Context &ctx);                         \
     static ::bh::bench::Registrar bhBenchRegistrar{                            \
         name, title, ref, &bhBenchSweep, &bhBenchRun, false};                  \

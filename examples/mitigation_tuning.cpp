@@ -9,14 +9,26 @@
  * in parallel through a ResultStore, and exporting every point as JSON.
  */
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
+#include "common/env.h"
 #include "sim/result_store.h"
 
 int
 main(int argc, char **argv)
 {
     using namespace bh;
+
+    // BH_INSTS (instructions per benign core) sets the store's default
+    // horizon; unset keeps the library default.
+    ConfigDefaults defaults;
+    const char *insts = std::getenv("BH_INSTS");
+    if (insts != nullptr && *insts != '\0' &&
+        !parsePositiveU64(insts, &defaults.instructions)) {
+        std::fprintf(stderr, "error: BH_INSTS wants a positive integer\n");
+        return 2;
+    }
 
     MixSpec mix = makeMix("HHMA", 0);
     std::printf("Mechanism comparison on mix %s\n\n", mix.name.c_str());
@@ -41,6 +53,7 @@ main(int argc, char **argv)
     // ...and run it in parallel. Every result is a pure function of its
     // config, identical no matter how many threads ran.
     ResultStore store(0); // One thread per hardware thread.
+    store.setDefaults(defaults);
     store.prefetch(grid);
 
     std::size_t i = 0;

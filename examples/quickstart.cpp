@@ -10,13 +10,25 @@
  * unfairness, preventive-action counts).
  */
 #include <cstdio>
+#include <cstdlib>
 
+#include "common/env.h"
 #include "sim/result_store.h"
 
 int
 main()
 {
     using namespace bh;
+
+    // BH_INSTS (instructions per benign core) sets the store's default
+    // horizon; unset keeps the library default.
+    ConfigDefaults defaults;
+    const char *insts = std::getenv("BH_INSTS");
+    if (insts != nullptr && *insts != '\0' &&
+        !parsePositiveU64(insts, &defaults.instructions)) {
+        std::fprintf(stderr, "error: BH_INSTS wants a positive integer\n");
+        return 2;
+    }
 
     // An HHMA mix: three benign apps (two high-, one medium-intensity)
     // plus one core mounting a many-sided RowHammer access pattern.
@@ -42,6 +54,7 @@ main()
     // Both points are independent simulations; the store runs them on
     // parallel workers, then serves each by its config.
     ResultStore store(2);
+    store.setDefaults(defaults);
     store.prefetch({base, paired});
     const ExperimentResult &baseline = store.get(base);
     const ExperimentResult &with_bh = store.get(paired);

@@ -1,23 +1,19 @@
 /**
  * @file
- * Helpers for reading scale knobs from the environment.
- *
- * The benchmark harness follows the paper's methodology but lets the user
- * scale simulation size (instructions per core, mixes per class, N_RH sweep
- * density) without recompiling: BH_INSTS, BH_MIXES, BH_FULL.
+ * Strict parsers for the numbers a program reads at its edge: command
+ * line values and BH_* environment knobs. The library itself reads no
+ * environment except the BH_LOG gate (common/log.h); bh_bench parses its
+ * flags and knobs with these and passes the values down explicitly.
  */
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 
 namespace bh {
 
 /**
  * Strictly parse @p text as an unsigned decimal integer (zero allowed —
- * envFlag() relies on "0" parsing). Rejects empty strings, signs (so
+ * parseSwitch() relies on "0" parsing). Rejects empty strings, signs (so
  * "-5" cannot wrap to a huge unsigned), non-digit characters including
  * trailing garbage ("20k"), and values that overflow std::uint64_t.
  * @return true and stores into @p out on success.
@@ -41,39 +37,22 @@ parseU64Strict(const char *text, std::uint64_t *out)
 }
 
 /**
- * Read an integer environment variable, or return @p def if unset/bad.
- *
- * Parsing is strict (parseU64Strict): a negative value must not wrap to
- * ~1.8e19 and "20k" must not silently read as 20 — both fall back to the
- * default, with a warning when BH_LOG is on. The gate re-implements
- * BH_LOG's envFlag() check directly because envFlag() is built on this
- * very function (a garbage BH_LOG value would otherwise recurse).
+ * Strictly parse an on/off switch (BH_FULL, BH_DENSE_TICK, BH_LOG):
+ * null (unset), empty and "0" are off, any other unsigned decimal is on,
+ * and anything else ("yes", "-5", "0x1") is an error that leaves @p on
+ * off.
  */
-inline std::uint64_t
-envU64(const char *name, std::uint64_t def)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return def;
-    std::uint64_t parsed = 0;
-    if (!parseU64Strict(v, &parsed)) {
-        const char *gate = std::getenv("BH_LOG");
-        if (gate != nullptr && *gate != '\0' &&
-            !(gate[0] == '0' && gate[1] == '\0'))
-            std::fprintf(stderr,
-                         "bh: ignoring %s=\"%s\" (not an unsigned decimal "
-                         "integer); using default %llu\n",
-                         name, v, static_cast<unsigned long long>(def));
-        return def;
-    }
-    return parsed;
-}
-
-/** Read a boolean flag environment variable (non-zero means true). */
 inline bool
-envFlag(const char *name)
+parseSwitch(const char *text, bool *on)
 {
-    return envU64(name, 0) != 0;
+    *on = false;
+    if (text == nullptr || *text == '\0')
+        return true;
+    std::uint64_t value = 0;
+    if (!parseU64Strict(text, &value))
+        return false;
+    *on = value != 0;
+    return true;
 }
 
 /**

@@ -31,15 +31,20 @@ fatalImpl(const char *file, int line, const char *msg)
 }
 
 /**
- * True when BH_LOG is set non-zero (same envFlag() semantics as every
- * other knob). Gates the opt-in verbose progress logging (BH_LOG()) —
+ * True when BH_LOG is set non-zero (parseSwitch(); a malformed value
+ * reads as off). Gates the opt-in verbose progress logging (BH_LOG()) —
  * store loads, sweep prefetch summaries — which stays silent by default
- * so bench output remains byte-comparable.
+ * so bench output remains byte-comparable. The library's only
+ * environment read: it changes what is printed, never a result.
  */
 inline bool
 verboseLogEnabled()
 {
-    static const bool enabled = envFlag("BH_LOG");
+    static const bool enabled = [] {
+        bool on = false;
+        parseSwitch(std::getenv("BH_LOG"), &on);
+        return on;
+    }();
     return enabled;
 }
 

@@ -6,8 +6,8 @@
  * rows; when a row's counter reaches the refresh threshold, its victims are
  * preventively refreshed and the counter resets. Tables reset every half
  * refresh window. The refresh threshold is N_RH / 8: the factor covers the
- * Misra-Gries undercount (<= threshold) and the table-reset boundary (see
- * DESIGN.md §5), keeping the oracle-checked activation bound below N_RH.
+ * Misra-Gries undercount (<= threshold) and the table-reset boundary,
+ * keeping the oracle-checked activation bound below N_RH.
  */
 #pragma once
 

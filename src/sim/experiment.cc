@@ -6,7 +6,6 @@
 #include <mutex>
 #include <utility>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "common/snapshot.h"
 #include "sim/redteam.h"
@@ -37,30 +36,6 @@ soloCache()
 }
 
 } // namespace
-
-std::uint64_t
-defaultInstructions()
-{
-    // The paper simulates 100M instructions per benign core; the default
-    // here is scaled down for laptop-speed regeneration of every figure
-    // (EXPERIMENTS.md records the scale used). Override with BH_INSTS.
-    return envU64("BH_INSTS", 100000);
-}
-
-unsigned
-mixesPerClass()
-{
-    return static_cast<unsigned>(
-        envU64("BH_MIXES", envFlag("BH_FULL") ? 5 : 1));
-}
-
-std::vector<unsigned>
-nrhSweep()
-{
-    if (envFlag("BH_FULL"))
-        return {4096, 2048, 1024, 512, 256, 128, 64};
-    return {4096, 1024, 64};
-}
 
 BreakHammerConfig
 scaledBreakHammerConfig(std::uint64_t instructions)
@@ -98,6 +73,9 @@ soloIpc(const std::string &app_name, std::uint64_t instructions,
     slots[0].appName = app_name;
 
     System system(config, slots);
+    System::CheckpointConfig cc;
+    cc.denseTick = ctx.denseTick;
+    system.setCheckpoint(cc);
     RunResult result = system.run(instructions, instructions * 150);
     double ipc = result.cores[0].ipc;
 
@@ -129,7 +107,7 @@ resolveExperimentConfig(const ExperimentConfig &config)
 {
     ExperimentConfig resolved = config;
     if (resolved.instructions == 0)
-        resolved.instructions = defaultInstructions();
+        resolved.instructions = kDefaultInstructions;
     if (resolved.bh.window == 0)
         resolved.bh = scaledBreakHammerConfig(resolved.instructions);
     if (resolved.channels == 0)
@@ -204,6 +182,8 @@ runExperiment(const ExperimentConfig &config, const RunContext &ctx)
     auto system = std::make_unique<System>(sys, cfg.mix.slots);
 
     const CheckpointSpec &ckpt = ctx.checkpoint;
+    System::CheckpointConfig cc;
+    cc.denseTick = ctx.denseTick;
     std::string snap_path;
     if (ckpt.enabled()) {
         // The identity ties a snapshot to the exact simulation semantics:
@@ -212,13 +192,14 @@ runExperiment(const ExperimentConfig &config, const RunContext &ctx)
         // stale snapshot therefore falls back to recompute, exactly like
         // a stale store record.
         snap_path = snapshotPath(ckpt.dir, cfg);
-        System::CheckpointConfig cc;
         cc.path = snap_path;
         cc.everyInsts = ckpt.everyInsts;
         cc.everyCycles = ckpt.everyCycles;
         cc.identity = experimentKey(cfg) + "|store_schema=" +
                       std::to_string(ResultStore::kSchemaVersion);
-        system->setCheckpoint(cc);
+    }
+    system->setCheckpoint(cc);
+    if (!snap_path.empty()) {
         std::string resume_error;
         if (!system->resumeFromSnapshot(snap_path, &resume_error)) {
             BH_LOG("snapshot %s: %s; computing from scratch",
@@ -296,11 +277,8 @@ soloDependencies(const std::vector<ExperimentConfig> &configs)
 {
     std::vector<std::pair<std::string, std::uint64_t>> deps;
     for (const ExperimentConfig &config : configs) {
-        std::uint64_t insts =
-            config.instructions ? config.instructions
-                                : defaultInstructions();
         for (const std::string &app : benignApps(config.mix)) {
-            std::pair<std::string, std::uint64_t> dep{app, insts};
+            std::pair<std::string, std::uint64_t> dep{app, config.instructions};
             bool seen = false;
             for (const auto &existing : deps)
                 if (existing == dep) {

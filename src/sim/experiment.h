@@ -7,14 +7,15 @@
  * off) tuple, caches per-application solo IPCs (the weighted-speedup
  * denominators), and computes the metrics each figure reports: weighted
  * speedup of benign applications, unfairness (max slowdown), preventive
- * action counts, DRAM energy, and latency percentiles. Scale knobs come
- * from the environment: BH_INSTS (instructions per benign core), BH_MIXES
- * (mixes per class), BH_FULL (full N_RH sweep).
+ * action counts, DRAM energy, and latency percentiles. Nothing here
+ * reads the environment: a point's horizon is its config (a ResultStore
+ * folds in its ConfigDefaults), and the grid shape a figure sweeps is
+ * bh_bench's (bench::Context).
  *
- * How a point runs — checkpointing, and where freshly simulated solo
- * IPCs go — is a RunContext the caller passes to runExperiment() and
- * soloIpc(). None of it changes a result. The ResultStore owns the
- * context its figures and shards run under.
+ * How a point runs — checkpointing, the dense reference loop, and where
+ * freshly simulated solo IPCs go — is a RunContext the caller passes to
+ * runExperiment() and soloIpc(). None of it changes a result. The
+ * ResultStore owns the context its figures and shards run under.
  */
 #pragma once
 
@@ -38,7 +39,7 @@ struct ExperimentConfig
     bool breakHammer = false;
     /** window == 0 (the default) selects scaledBreakHammerConfig(). */
     BreakHammerConfig bh = BreakHammerConfig{.window = 0};
-    std::uint64_t instructions = 0; ///< 0 = use the BH_INSTS default.
+    std::uint64_t instructions = 0; ///< 0 = kDefaultInstructions.
     bool oracle = false;
     /** Ablation: reject a throttled thread's secondary misses too. */
     bool bluntThrottle = false;
@@ -73,14 +74,8 @@ struct ExperimentResult
     std::uint64_t preventiveActions = 0;
 };
 
-/** Default per-benign-core instruction count (BH_INSTS, default 150k). */
-std::uint64_t defaultInstructions();
-
-/** Mixes per class (BH_MIXES, default 2; the paper uses 15). */
-unsigned mixesPerClass();
-
-/** N_RH sweep: {4096, 1024, 64} by default; full 4K..64 with BH_FULL=1. */
-std::vector<unsigned> nrhSweep();
+/** Horizon of a config that leaves it unset (the paper: 100M). */
+constexpr std::uint64_t kDefaultInstructions = 100000;
 
 /** Throttling window scaled to the simulated horizon (see .cc). */
 BreakHammerConfig scaledBreakHammerConfig(std::uint64_t instructions);
@@ -120,12 +115,15 @@ using SoloSink = std::function<void(const std::string &app,
 
 /**
  * How one runExperiment() / soloIpc() call runs, passed explicitly. The
- * default context runs uncheckpointed. No member changes a result.
+ * default context runs uncheckpointed on the event-driven loop. No
+ * member changes a result.
  */
 struct RunContext
 {
     CheckpointSpec checkpoint;
     SoloSink soloSink;
+    /** Run System's cycle-by-cycle reference loop (BH_DENSE_TICK). */
+    bool denseTick = false;
 };
 
 /**
@@ -146,15 +144,14 @@ void primeSoloIpc(const std::string &app_name, std::uint64_t instructions,
 
 /**
  * @p config with its defaulted fields made explicit: instructions == 0
- * resolves to defaultInstructions() (the BH_INSTS environment knob),
- * bh.window == 0 to scaledBreakHammerConfig() at that horizon, and
- * channels/ranks == 0 to the DDR5 organization (1 channel, 2 ranks) —
- * exactly the defaults runExperiment() applies, so running the resolved
- * config is bit-identical to running the original. Persistent caching
- * MUST key the resolved config: the unresolved form aliases every
- * BH_INSTS scale to one content address, and a store consulted under a
- * different environment would silently serve results from the wrong
- * horizon.
+ * resolves to kDefaultInstructions, bh.window == 0 to
+ * scaledBreakHammerConfig() at that horizon, and channels/ranks == 0 to
+ * the DDR5 organization (1 channel, 2 ranks) — exactly the defaults
+ * runExperiment() applies, so running the resolved config is
+ * bit-identical to running the original. Persistent caching MUST key
+ * the resolved config: the unresolved form aliases every horizon to one
+ * content address, and a store consulted at another scale would
+ * silently serve results from the wrong horizon.
  */
 ExperimentConfig resolveExperimentConfig(const ExperimentConfig &config);
 
@@ -175,8 +172,8 @@ ExperimentResult runExperiment(const ExperimentConfig &config,
 std::string experimentKey(const ExperimentConfig &config);
 
 /**
- * The (app, instructions) solo-run dependencies of @p configs, deduped in
- * first-use order. Warming these through soloIpc() before a parallel
+ * The (app, instructions) solo-run dependencies of resolved @p configs,
+ * deduped in first-use order. Warming these through soloIpc() before a parallel
  * sweep prevents workers from duplicating solo runs.
  */
 std::vector<std::pair<std::string, std::uint64_t>>

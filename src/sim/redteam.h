@@ -78,7 +78,7 @@ struct RedteamSpec
     std::uint64_t seed = 1;
     unsigned rounds = 2;
     unsigned population = 4;
-    /** Per-probe horizon (0 = the BH_INSTS default). Not in the flag. */
+    /** Per-probe horizon (0 = the store's default). Not in the flag. */
     std::uint64_t instructions = 0;
     /** Mechanisms searched (empty = {PARA, Graphene, Hydra}). */
     std::vector<MitigationType> mechanisms;

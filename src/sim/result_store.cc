@@ -286,15 +286,16 @@ ResultStore::resolveFromDisk(const std::string &key,
 ExperimentConfig
 ResultStore::resolve(const ExperimentConfig &config) const
 {
-    // The defaults fill only the fields @p config leaves unset, and no
-    // other field's resolution reads them, so they can land after
-    // resolveExperimentConfig() without a second copy of the config.
-    ExperimentConfig resolved = resolveExperimentConfig(config);
-    if (config.channels == 0 && defaults.channels != 0)
+    // The defaults fill only the fields @p config leaves unset. The
+    // horizon goes in first: the BreakHammer window resolves from it.
+    ExperimentConfig resolved = config;
+    if (resolved.instructions == 0)
+        resolved.instructions = defaults.instructions;
+    if (resolved.channels == 0)
         resolved.channels = defaults.channels;
-    if (config.ranks == 0 && defaults.ranks != 0)
+    if (resolved.ranks == 0)
         resolved.ranks = defaults.ranks;
-    return resolved;
+    return resolveExperimentConfig(resolved);
 }
 
 void
@@ -306,8 +307,8 @@ ResultStore::prefetch(const std::vector<ExperimentConfig> &configs)
         std::set<std::string> requested;
         for (const ExperimentConfig &config : configs) {
             // Content addresses are always over the RESOLVED config:
-            // keying a defaulted one would alias every BH_INSTS scale to
-            // the same record and serve wrong-horizon results.
+            // keying a defaulted one would alias every horizon to the
+            // same record and serve wrong-horizon results.
             ExperimentConfig resolved = resolve(config);
             std::string key = experimentKey(resolved);
             if (cache.count(key) || !requested.insert(key).second)

@@ -42,8 +42,9 @@
  * one.
  *
  * The store also owns how its points run: the ConfigDefaults it folds
- * into every config it resolves (the CLI's --channels/--ranks) and the
- * RunContext its simulations run under (checkpointing). Solo-IPC runs
+ * into every config it resolves (the CLI's BH_INSTS, --channels and
+ * --ranks) and the RunContext its simulations run under (checkpointing,
+ * the dense reference loop). Solo-IPC runs
  * (the weighted-speedup denominators) persist through the same file: open()
  * primes the shared solo cache from "solo" records and points the
  * context's solo sink at an append of each freshly computed solo IPC.
@@ -63,13 +64,14 @@ namespace bh {
 
 /**
  * Scale defaults a ResultStore folds into every config that leaves the
- * field unset (the bh_bench --channels and --ranks flags).
- * Solo-IPC baselines deliberately stay on the default single-channel
- * organization: weighted speedup compares against the same denominator
- * across the channel-count axis.
+ * field unset (bh_bench's BH_INSTS and its --channels and --ranks
+ * flags). Solo-IPC baselines deliberately stay on the default
+ * single-channel organization: weighted speedup compares against the
+ * same denominator across the channel-count axis.
  */
 struct ConfigDefaults
 {
+    std::uint64_t instructions = 0; ///< 0 = kDefaultInstructions.
     unsigned channels = 0; ///< 0 = the DDR5 default (1 channel).
     unsigned ranks = 0;    ///< 0 = the DDR5 default (2 ranks).
 };
@@ -135,6 +137,9 @@ class ResultStore
     {
         context.checkpoint = spec;
     }
+
+    /** Run every simulation on the dense reference loop. */
+    void setDenseTick(bool dense) { context.denseTick = dense; }
 
     /**
      * @p config with this store's ConfigDefaults folded into its unset

@@ -182,8 +182,7 @@ expandWorkUnits(const std::vector<ExperimentConfig> &configs)
     std::set<std::string> seen;
     for (const ExperimentConfig &config : configs) {
         // Resolve before keying, like every persistent-cache consumer:
-        // the defaulted form would alias every BH_INSTS scale to one
-        // address.
+        // the defaulted form would alias every horizon to one address.
         ExperimentConfig resolved = resolveExperimentConfig(config);
         if (seen.insert(experimentKey(resolved)).second)
             units.push_back(std::move(resolved));

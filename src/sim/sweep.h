@@ -92,7 +92,7 @@ class SweepSpec
      */
     SweepSpec &withBaselines();
 
-    /** Set the per-point instruction horizon (0 = BH_INSTS default). */
+    /** Set the per-point instruction horizon (0 = the store's default). */
     SweepSpec &instructions(std::uint64_t n);
 
     /** Enable the RowHammer oracle on every point. */

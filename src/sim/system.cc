@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/env.h"
 #include "common/log.h"
 #include "common/snapshot.h"
 #include "mitigation/blockhammer.h"
@@ -437,7 +436,7 @@ System::run(std::uint64_t benign_target, Cycle max_cycles)
         // free, so from here on the trajectory is the uninterrupted one.
         resumePending_ = false;
     } else {
-        if (!envFlag("BH_DENSE_TICK"))
+        if (!checkpoint_.denseTick)
             fillRejectSnapshot(&prevSnap);
         snapKey_ = kNoRejectKey;
         now = 0;
@@ -455,7 +454,7 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
     // are const, epoch state rolls in IMitigation::advanceTo() at the top
     // of every controller tick, and the controller's wake set includes
     // the mechanism's next release/epoch-boundary cycle.
-    const bool dense = envFlag("BH_DENSE_TICK");
+    const bool dense = checkpoint_.denseTick;
 
     // Checkpoint cadence marks, armed past the current progress so a
     // just-resumed run does not immediately re-save its own snapshot.

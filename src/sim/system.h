@@ -172,7 +172,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      *      config fingerprint also covers the new slot fields. */
     static constexpr std::uint32_t kSnapshotVersion = 4;
 
-    /** Mid-run checkpointing configuration (see setCheckpoint()). */
+    /** How run() runs: mid-run checkpointing and the loop mode. */
     struct CheckpointConfig
     {
         /** Snapshot file path; empty disables checkpointing. */
@@ -200,6 +200,8 @@ class System : public ICoreMemory, public IThrottleFeedbackView
          */
         std::function<void(std::uint64_t retired)> onProgress;
         std::uint64_t progressEveryInsts = 0;
+        /** Run the reference cycle-by-cycle loop (see run()). */
+        bool denseTick = false;
     };
 
     /**
@@ -255,9 +257,9 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * can make progress (core retire, controller issue slot or
      * completion, refresh deadline, BreakHammer window boundary) and
      * jumps there, batching the stall accounting of reject-blocked cores
-     * across the skipped dead cycles. Setting BH_DENSE_TICK=1 in the
-     * environment selects the reference cycle-by-cycle loop instead; both
-     * produce bit-identical results (test_system_skip enforces this).
+     * across the skipped dead cycles. CheckpointConfig::denseTick
+     * selects the reference cycle-by-cycle loop instead; both produce
+     * bit-identical results (test_system_skip enforces this).
      */
     RunResult run(std::uint64_t benign_target, Cycle max_cycles);
 

@@ -5,8 +5,9 @@
  * The paper drives Ramulator2 with memory traces collected from SPEC/TPC/
  * MediaBench/YCSB applications. This repo substitutes parameterized
  * synthetic generators that reproduce the observable statistics those
- * mechanisms react to (see DESIGN.md §1); both file-backed and synthetic
- * sources implement `TraceSource`.
+ * mechanisms react to (MPKI and row-buffer locality; `bh_bench table03`
+ * prints them per app); both file-backed and synthetic sources implement
+ * `TraceSource`.
  */
 #pragma once
 

@@ -1,10 +1,8 @@
 /**
  * @file
- * Unit tests for src/common: time conversion, RNG, environment helpers.
+ * Unit tests for src/common: time conversion, RNG, strict value parsers.
  */
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "common/env.h"
 #include "common/rng.h"
@@ -107,65 +105,49 @@ TEST(RngTest, UniformMeanIsHalf)
     EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
-TEST(EnvTest, ReturnsDefaultWhenUnset)
+TEST(SwitchTest, UnsetEmptyAndZeroAreOff)
 {
-    unsetenv("BH_TEST_UNSET_VAR");
-    EXPECT_EQ(envU64("BH_TEST_UNSET_VAR", 123), 123u);
-    EXPECT_FALSE(envFlag("BH_TEST_UNSET_VAR"));
+    // std::getenv returns null for an unset variable.
+    for (const char *text : {static_cast<const char *>(nullptr), "", "0"}) {
+        bool on = true;
+        EXPECT_TRUE(parseSwitch(text, &on)) << (text ? text : "(unset)");
+        EXPECT_FALSE(on);
+    }
 }
 
-TEST(EnvTest, ParsesValue)
+TEST(SwitchTest, NonZeroIsOn)
 {
-    setenv("BH_TEST_VAR", "4567", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 1), 4567u);
-    setenv("BH_TEST_VAR", "1", 1);
-    EXPECT_TRUE(envFlag("BH_TEST_VAR"));
-    unsetenv("BH_TEST_VAR");
+    for (const char *text : {"1", "4567"}) {
+        bool on = false;
+        EXPECT_TRUE(parseSwitch(text, &on)) << text;
+        EXPECT_TRUE(on);
+    }
 }
 
-TEST(EnvTest, BadValueFallsBack)
+TEST(SwitchTest, MalformedValuesAreErrors)
 {
-    setenv("BH_TEST_VAR", "not_a_number", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 9), 9u);
-    unsetenv("BH_TEST_VAR");
+    // Each of these once read silently as off. "-5" would wrap under
+    // strtoull, "20k" and "1 " would truncate, "0x1" is not decimal, and
+    // the last overflows std::uint64_t.
+    for (const char *text : {"not_a_number", "-5", "20k", "1 ", "yes",
+                             "0x1", "99999999999999999999999"}) {
+        bool on = true;
+        EXPECT_FALSE(parseSwitch(text, &on)) << text;
+        EXPECT_FALSE(on);
+    }
 }
 
-TEST(EnvTest, NegativeValueFallsBackInsteadOfWrapping)
+TEST(ParseTest, PositiveRejectsZeroAndWhatStrictRejects)
 {
-    // strtoull would happily wrap "-5" to 2^64-5; the strict parser must
-    // reject the sign and fall back to the default instead.
-    setenv("BH_TEST_VAR", "-5", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 123), 123u);
-    unsetenv("BH_TEST_VAR");
-}
-
-TEST(EnvTest, TrailingGarbageFallsBackInsteadOfTruncating)
-{
-    // strtoull would stop at the 'k' and read "20k" as 20; the strict
-    // parser rejects the whole value.
-    setenv("BH_TEST_VAR", "20k", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 7), 7u);
-    setenv("BH_TEST_VAR", "1 ", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 7), 7u);
-    unsetenv("BH_TEST_VAR");
-}
-
-TEST(EnvTest, ZeroStillParsesForFlagSemantics)
-{
-    // envFlag("X") is envU64("X", 0) != 0: an explicit "0" must parse as
-    // the value zero, not fall back (parsePositiveU64 rejects zero; the
-    // env parser must not).
-    setenv("BH_TEST_VAR", "0", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 9), 0u);
-    EXPECT_FALSE(envFlag("BH_TEST_VAR"));
-    unsetenv("BH_TEST_VAR");
-}
-
-TEST(EnvTest, OverflowFallsBack)
-{
-    setenv("BH_TEST_VAR", "99999999999999999999999", 1);
-    EXPECT_EQ(envU64("BH_TEST_VAR", 11), 11u);
-    unsetenv("BH_TEST_VAR");
+    std::uint64_t value = 7;
+    EXPECT_TRUE(parseU64Strict("0", &value));
+    EXPECT_EQ(value, 0u);
+    EXPECT_FALSE(parsePositiveU64("0", &value));
+    EXPECT_TRUE(parsePositiveU64("4567", &value));
+    EXPECT_EQ(value, 4567u);
+    for (const char *text : {"", "-5", "20k", "1 ", "99999999999999999999999"})
+        EXPECT_FALSE(parsePositiveU64(text, &value)) << text;
+    EXPECT_EQ(value, 4567u);
 }
 
 } // namespace

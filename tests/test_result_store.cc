@@ -143,9 +143,9 @@ TEST(ResultStoreTest, JsonSortedByKeyAndStable)
 TEST(ResultStoreTest, DefaultedHorizonResolvesIntoTheContentAddress)
 {
     // A config that leaves instructions/bh defaulted (resolved from the
-    // BH_INSTS environment at run time) must be cached under the same
-    // content address as the equivalent fully explicit config...
-    ::setenv("BH_INSTS", "3000", 1);
+    // store's ConfigDefaults, which bh_bench fills from BH_INSTS) must be
+    // cached under the same content address as the equivalent fully
+    // explicit config...
     ExperimentConfig defaulted =
         smallConfig("MMLL", MitigationType::kNone, 1024, false);
     defaulted.instructions = 0;
@@ -154,18 +154,21 @@ TEST(ResultStoreTest, DefaultedHorizonResolvesIntoTheContentAddress)
     explicit_cfg.bh = scaledBreakHammerConfig(3000);
 
     ResultStore store(1);
+    ConfigDefaults defaults;
+    defaults.instructions = 3000;
+    store.setDefaults(defaults);
     store.prefetch({defaulted, explicit_cfg});
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.stats().computed, 1u);
 
-    // ...and a different environment horizon must be a different
-    // address — a store consulted under a new BH_INSTS recomputes
-    // instead of silently serving wrong-horizon records.
-    ::setenv("BH_INSTS", "4000", 1);
+    // ...and a different default horizon must be a different address —
+    // a store consulted at a new BH_INSTS recomputes instead of
+    // silently serving wrong-horizon records.
+    defaults.instructions = 4000;
+    store.setDefaults(defaults);
     store.get(defaulted);
     EXPECT_EQ(store.size(), 2u);
     EXPECT_EQ(store.stats().computed, 2u);
-    ::unsetenv("BH_INSTS");
 }
 
 // ---------------------------------------------------------------------

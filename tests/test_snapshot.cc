@@ -668,7 +668,7 @@ TEST(SystemSnapshotTest, DenseAndEventLoopsAcceptEachOthersSnapshots)
 {
     // A snapshot is loop-mode agnostic: state at a cycle boundary is
     // identical in both loops (test_system_skip's invariant), so a
-    // snapshot taken by the event loop resumes under BH_DENSE_TICK and
+    // snapshot taken by the event loop resumes on the dense loop and
     // vice versa.
     ExperimentConfig cfg;
     cfg.mix = makeMix("HHMA", 0);
@@ -696,12 +696,13 @@ TEST(SystemSnapshotTest, DenseAndEventLoopsAcceptEachOthersSnapshots)
         (void)system.run(cfg.instructions, cap);
     }
     {
-        ::setenv("BH_DENSE_TICK", "1", 1);
         System system(sys, cfg.mix.slots);
+        System::CheckpointConfig dense;
+        dense.denseTick = true;
+        system.setCheckpoint(dense);
         std::string error;
         ASSERT_TRUE(system.resumeFromSnapshot(snap, &error)) << error;
         RunResult resumed = system.run(cfg.instructions, cap);
-        ::unsetenv("BH_DENSE_TICK");
         expectRunResultsIdentical(reference, resumed);
     }
     std::remove(snap.c_str());

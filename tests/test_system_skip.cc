@@ -2,15 +2,15 @@
  * @file
  * Cycle-skip equivalence tests: System::run's event-driven skip-ahead
  * loop must be a pure reordering of when work is simulated, never of what
- * happens. The dense cycle-by-cycle reference loop is kept behind the
- * BH_DENSE_TICK=1 environment flag; for several mixes the result JSON
- * produced by both loops must be byte-identical, and the raw run results
- * (including the stall counters the skip loop accounts in batches) must
- * match field by field.
+ * happens. The dense cycle-by-cycle reference loop is kept behind
+ * RunContext::denseTick (System::CheckpointConfig::denseTick for a bare
+ * System; bh_bench sets it from BH_DENSE_TICK=1). For several mixes the
+ * result JSON produced by both loops must be byte-identical, and the raw
+ * run results (including the stall counters the skip loop accounts in
+ * batches) must match field by field.
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,19 +21,23 @@ namespace {
 
 constexpr std::uint64_t kInsts = 20000;
 
-/** Scoped BH_DENSE_TICK toggle (System::run reads it per call). */
-class DenseTickGuard
+/** A bare System that runs the dense or the event-driven loop. */
+void
+selectLoop(System &system, bool dense)
 {
-  public:
-    explicit DenseTickGuard(bool dense)
-    {
-        if (dense)
-            ::setenv("BH_DENSE_TICK", "1", 1);
-        else
-            ::unsetenv("BH_DENSE_TICK");
-    }
-    ~DenseTickGuard() { ::unsetenv("BH_DENSE_TICK"); }
-};
+    System::CheckpointConfig config;
+    config.denseTick = dense;
+    system.setCheckpoint(config);
+}
+
+/** The run context selecting the dense or the event-driven loop. */
+RunContext
+loopContext(bool dense)
+{
+    RunContext ctx;
+    ctx.denseTick = dense;
+    return ctx;
+}
 
 ExperimentConfig
 mixConfig(const char *pattern, MitigationType mech, unsigned n_rh,
@@ -95,10 +99,10 @@ skipGrid()
 std::string
 runGridJson(const std::vector<ExperimentConfig> &grid, bool dense)
 {
-    DenseTickGuard guard(dense);
     JsonValue records = JsonValue::array();
     for (const ExperimentConfig &cfg : grid)
-        records.push(experimentResultToJson(cfg, runExperiment(cfg)));
+        records.push(experimentResultToJson(
+            cfg, runExperiment(cfg, loopContext(dense))));
     return records.dump(2);
 }
 
@@ -153,15 +157,8 @@ TEST(SystemSkipTest, ResultJsonByteIdenticalToDenseTick)
 TEST(SystemSkipTest, RawRunResultsMatchDenseTickFieldByField)
 {
     for (const ExperimentConfig &cfg : skipGrid()) {
-        ExperimentResult event_r, dense_r;
-        {
-            DenseTickGuard guard(false);
-            event_r = runExperiment(cfg);
-        }
-        {
-            DenseTickGuard guard(true);
-            dense_r = runExperiment(cfg);
-        }
+        ExperimentResult event_r = runExperiment(cfg, loopContext(false));
+        ExperimentResult dense_r = runExperiment(cfg, loopContext(true));
         SCOPED_TRACE(cfg.mix.name + "/" + mitigationName(cfg.mechanism));
         expectRunResultsMatch(event_r.raw, dense_r.raw);
     }
@@ -178,8 +175,8 @@ SystemRun
 runSystem(const SystemConfig &sys, const std::vector<WorkloadSlot> &slots,
           bool dense)
 {
-    DenseTickGuard guard(dense);
     System system(sys, slots);
+    selectLoop(system, dense);
     SystemRun out;
     out.raw = system.run(kInsts, kInsts * 150);
     for (unsigned ch = 0; ch < system.numChannels(); ++ch)
@@ -261,8 +258,8 @@ TEST(SystemSkipTest, SkipLoopIsNotSlowerInCycleCount)
     System event_system(sys, cfg.mix.slots);
     RunResult event_r = event_system.run(cfg.instructions, 3000);
 
-    DenseTickGuard guard(true);
     System dense_system(sys, cfg.mix.slots);
+    selectLoop(dense_system, true);
     RunResult dense_r = dense_system.run(cfg.instructions, 3000);
 
     EXPECT_EQ(event_r.cycles, dense_r.cycles);

@@ -1,4 +1,6 @@
-// Process-wide mutable state the global-state rule must flag.
+// Process-wide mutable state the global-state rule must flag, and an
+// environment read the getenv rule must flag.
+#include <cstdlib>
 #include <mutex>
 #include <string>
 
@@ -18,6 +20,12 @@ currentName()
 {
     static const std::string *name = nullptr;
     return name;
+}
+
+bool
+denseFromEnvironment()
+{
+    return std::getenv("BH_DENSE_TICK") != nullptr;
 }
 
 } // namespace bh

@@ -8,10 +8,11 @@ This pass bans the constructs that silently break that:
 - ``rand()`` / ``srand()`` / ``random()``: hidden global RNG state
   (the codebase threads explicit ``SplitMix64`` streams instead);
 - ``time()`` / ``std::chrono::*_clock::now()``: wall-clock input;
-- ``getenv()`` outside ``src/common/env.h``: environment reads must go
-  through the env.h helpers so resolveExperimentConfig() can fold them
-  into the content address (a stray getenv is exactly the store-aliasing
-  bug class PR 3 documents);
+- ``getenv()`` outside ``src/common/log.h``: settings enter at the
+  program's edge (bh_bench's option table) and reach the library as
+  values (``ConfigDefaults``, ``RunContext``), so a stray getenv is an
+  input no caller can see and no content address records. The BH_LOG
+  gate in log.h is the one read, and it changes only what is printed;
 - iteration over ``std::unordered_map`` / ``std::unordered_set`` inside
   any function that feeds an ordered output (a StateWriter or the JSON
   export): hash-table iteration order is
@@ -45,7 +46,7 @@ from report import Report
 
 CHECK = "determinism"
 
-ENV_HEADER = Path("src/common/env.h")
+LOG_HEADER = Path("src/common/log.h")
 
 _BANNED = (
     ("rand", re.compile(r"\b(?:s?rand|random)\s*\(")),
@@ -148,12 +149,12 @@ def run(tree: SourceTree, report: Report) -> None:
                       "(wall clock / global RNG); thread explicit "
                       "state instead")
 
-        if rel_to_root != ENV_HEADER:
+        if rel_to_root != LOG_HEADER:
             for m in _GETENV.finditer(sf.stripped):
                 _flag(report, tree, sf, "getenv", m.start(), "getenv",
-                      "environment reads must go through "
-                      "common/env.h so the content address can fold "
-                      "them in")
+                      "environment read in the library: parse the "
+                      "setting at the program's edge and pass it as a "
+                      "value (ConfigDefaults, RunContext)")
 
         for m in _POINTER_KEY.finditer(sf.stripped):
             _flag(report, tree, sf, "pointer-key", m.start(),

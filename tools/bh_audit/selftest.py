@@ -33,6 +33,7 @@ EXPECTED_VIOLATIONS = {
     ("determinism", "global-state", "thread_local tlDepth"),
     ("determinism", "global-state", "static mutex"),
     ("determinism", "global-state", "static name"),
+    ("determinism", "getenv", "getenv"),
     ("probe-purity", "non-const-probe",
      "EagerMitigation::probeActReleaseCycle"),
     ("probe-purity", "member-mutation",
