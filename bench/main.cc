@@ -134,7 +134,7 @@ const Option kOptions[] = {
      "a positive integer (1..1024)",
      "worker threads for experiment grids (default: hardware)"},
     {"--json", "PATH",
-     [](const char *t, Settings *s) { s->jsonPath = t; return true; },
+     [](const char *t, Settings *s) { s->jsonPath = t; return *t != '\0'; },
      "a file path", "export every simulated point as JSON"},
     {"--store", "DIR",
      [](const char *t, Settings *s) { s->storeDir = t; return *t != '\0'; },

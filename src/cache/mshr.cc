@@ -69,7 +69,6 @@ MshrFile::saveState(StateWriter &w) const
                        });
         });
     w.u64(quotaRejections_);
-    w.u64(quotaWrites_);
 }
 
 void
@@ -99,7 +98,19 @@ MshrFile::loadState(StateReader &r)
                        });
         });
     quotaRejections_ = r.u64();
-    quotaWrites_ = r.u64();
+
+    // Each thread's inflight count is the number of entries it owns: a
+    // release indexes and decrements it by the entry's owner.
+    std::vector<unsigned> owned(inflight.size(), 0);
+    for (const auto &[key, entry] : entries) {
+        if (entry.owner >= owned.size()) {
+            r.fail();
+            return;
+        }
+        ++owned[entry.owner];
+    }
+    if (owned != inflight)
+        r.fail();
 }
 
 } // namespace bh

@@ -87,21 +87,13 @@ class MshrFile : public IThrottleTarget
     {
         BH_ASSERT(thread < quotas.size(), "quota for unknown thread");
         quotas[thread] = q;
-        ++quotaWrites_;
         ++changes_;
     }
 
     /**
-     * Monotone count of setQuota() calls. The skip-ahead loop snapshots
-     * it to detect quota updates that happen to restore the previous
-     * values within one tick.
-     */
-    std::uint64_t quotaWrites() const { return quotaWrites_; }
-
-    /**
      * Monotone count of allocate(), release() and setQuota() calls: the
      * only calls that move an occupancy or a quota. The skip-ahead loop
-     * keys its reject snapshot on it.
+     * gates reject-blocked skips on it (System::rejectKey()).
      */
     std::uint64_t changes() const { return changes_; }
 
@@ -126,6 +118,17 @@ class MshrFile : public IThrottleTarget
      */
     void addQuotaRejections(std::uint64_t n) { quotaRejections_ += n; }
 
+    /** Calls @p fn with every outstanding entry's waiters, in no
+     *  particular order (System's post-restore consistency check). */
+    template <typename Fn>
+    void
+    forEachWaiter(Fn fn) const
+    {
+        for (const auto &[key, entry] : entries)
+            for (const MshrWaiter &w : entry.waiters)
+                fn(w);
+    }
+
     /** Serialize outstanding entries, quotas, and counters. */
     void saveState(StateWriter &w) const;
 
@@ -145,7 +148,6 @@ class MshrFile : public IThrottleTarget
     mutable std::vector<unsigned> inflight;
     std::unordered_map<Addr, Entry> entries;
     std::uint64_t quotaRejections_ = 0;
-    std::uint64_t quotaWrites_ = 0;
     // bh-audit: skip(changes_) -- derived event key, never serialized; System invalidates its copy on restore
     std::uint64_t changes_ = 0;
 };

@@ -135,6 +135,12 @@ Core::loadState(StateReader &r)
     rejectStalls = r.u64();
     memAccesses = r.u64();
     trace->loadState(r);
+    // The window holds issue indices [issueCounter - occupancy,
+    // issueCounter), each at its index modulo the window size.
+    const std::size_t size = window.size();
+    if (head >= size || occupancy > size ||
+        (head + occupancy) % size != issueCounter % size)
+        r.fail();
 }
 
 void

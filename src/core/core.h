@@ -157,6 +157,24 @@ class Core
         rejectStalls += cycles;
     }
 
+    /** Whether load @p token is in the window, waiting on its fill. */
+    bool
+    awaitsFill(std::uint64_t token) const
+    {
+        return token < issueCounter && issueCounter - token <= occupancy &&
+               window[token % window.size()].doneAt == kNeverCycle;
+    }
+
+    /** Window entries waiting on a fill (a retired entry never is). */
+    std::size_t
+    fillsAwaited() const
+    {
+        return std::count_if(window.begin(), window.end(),
+                             [](const WindowEntry &e) {
+                                 return e.doneAt == kNeverCycle;
+                             });
+    }
+
     /** Memory accesses issued (loads + stores). */
     std::uint64_t memoryAccesses() const { return memAccesses; }
 

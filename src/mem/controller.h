@@ -247,13 +247,29 @@ class MemoryController : public IMitigationHost
     /**
      * Monotone count of the events that move a queue depth or a served
      * count: enqueues (each push takes a sequence number) and column
-     * commands. The skip-ahead loop keys its reject snapshot on it.
+     * commands. The skip-ahead loop gates reject-blocked skips on it.
      */
     std::uint64_t
     queueEvents() const
     {
         return readQ.pushes() + writeQ.pushes() + readsServed_ +
                writesServed_;
+    }
+
+    /**
+     * Calls @p fn with every read this controller holds, queued or
+     * issued and awaiting its data return, in no particular order
+     * (System's post-restore consistency check).
+     */
+    template <typename Fn>
+    void
+    forEachInflightRead(Fn fn) const
+    {
+        for (unsigned fb = 0; fb < bank_.size(); ++fb)
+            for (const QueuedRequest &q : readQ.bank(fb))
+                fn(q.req);
+        for (auto pending = completions; !pending.empty(); pending.pop())
+            fn(pendingReads[pending.top().index]);
     }
 
     /** Fires when read data is fully returned. */

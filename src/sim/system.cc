@@ -27,6 +27,13 @@ lineOf(Addr addr)
     return addr & ~static_cast<Addr>(kCacheLineBytes - 1);
 }
 
+/** The first multiple of @p every above @p v: a cadence's next mark. */
+constexpr std::uint64_t
+nextMark(std::uint64_t v, std::uint64_t every)
+{
+    return (v / every + 1) * every;
+}
+
 } // namespace
 
 std::vector<double>
@@ -332,7 +339,6 @@ System::store(ThreadId thread, Addr addr, bool uncached)
 void
 System::handleReadComplete(const Request &req, Cycle done_cycle)
 {
-    ++completedReads;
     if (req.thread < cores.size() && benignSlot[req.thread])
         latencyHist.record(cyclesToNs(done_cycle - req.enqueueCycle));
 
@@ -342,30 +348,6 @@ System::handleReadComplete(const Request &req, Cycle done_cycle)
         llc.setDirty(lineOf(req.addr));
     for (const MshrWaiter &w : waiters)
         cores[w.thread]->completeLoad(w.token, done_cycle);
-}
-
-void
-System::fillRejectSnapshot(RejectSnapshot *snap) const
-{
-    snap->mshrInflight = mshr.totalInflight();
-    snap->readDepth.clear();
-    snap->writeDepth.clear();
-    snap->readsServed.clear();
-    snap->writesServed.clear();
-    for (const auto &mc : mcs) {
-        snap->readDepth.push_back(mc->readQueueDepth());
-        snap->writeDepth.push_back(mc->writeQueueDepth());
-        snap->readsServed.push_back(mc->readsServed());
-        snap->writesServed.push_back(mc->writesServed());
-    }
-    snap->completedReads = completedReads;
-    snap->quotaWrites = mshr.quotaWrites();
-    snap->quotas.clear();
-    snap->inflight.clear();
-    for (ThreadId t = 0; t < config_.numCores; ++t) {
-        snap->quotas.push_back(mshr.quota(t));
-        snap->inflight.push_back(mshr.inflightOf(t));
-    }
 }
 
 Cycle
@@ -431,13 +413,12 @@ System::run(std::uint64_t benign_target, Cycle max_cycles)
 
     if (resumePending_) {
         // A restored snapshot re-enters the loop exactly where the
-        // interrupted run left it: `now`, the skip loop's prevSnap, and
-        // every component came from loadState(). Saving is side-effect-
-        // free, so from here on the trajectory is the uninterrupted one.
+        // interrupted run left it: `now` and every component came from
+        // loadState(). Saving is side-effect-free, so from here on the
+        // results are the uninterrupted run's (the reset reject key may
+        // simulate one cycle that run skipped, a no-op tick).
         resumePending_ = false;
     } else {
-        if (!checkpoint_.denseTick)
-            fillRejectSnapshot(&prevSnap);
         snapKey_ = kNoRejectKey;
         now = 0;
     }
@@ -472,11 +453,9 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
     };
     if (ckpt_armed) {
         if (checkpoint_.everyInsts)
-            inst_mark = (min_benign_retired() / checkpoint_.everyInsts + 1) *
-                        checkpoint_.everyInsts;
+            inst_mark = nextMark(min_benign_retired(), checkpoint_.everyInsts);
         if (checkpoint_.everyCycles)
-            cycle_mark = (now / checkpoint_.everyCycles + 1) *
-                         checkpoint_.everyCycles;
+            cycle_mark = nextMark(now, checkpoint_.everyCycles);
     }
 
     // Progress reporting rides the same cadence machinery but is armed
@@ -485,10 +464,8 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
     const bool prog_armed =
         checkpoint_.onProgress && checkpoint_.progressEveryInsts > 0;
     std::uint64_t prog_mark =
-        prog_armed ? (min_benign_retired() /
-                          checkpoint_.progressEveryInsts +
-                      1) *
-                         checkpoint_.progressEveryInsts
+        prog_armed ? nextMark(min_benign_retired(),
+                              checkpoint_.progressEveryInsts)
                    : 0;
 
     bool all_done = false;
@@ -500,15 +477,13 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             bool due = false;
             if (checkpoint_.everyCycles && now >= cycle_mark) {
                 due = true;
-                cycle_mark = (now / checkpoint_.everyCycles + 1) *
-                             checkpoint_.everyCycles;
+                cycle_mark = nextMark(now, checkpoint_.everyCycles);
             }
             if (checkpoint_.everyInsts) {
                 std::uint64_t retired = min_benign_retired();
                 if (retired >= inst_mark) {
                     due = true;
-                    inst_mark = (retired / checkpoint_.everyInsts + 1) *
-                                checkpoint_.everyInsts;
+                    inst_mark = nextMark(retired, checkpoint_.everyInsts);
                 }
             }
             if (due) {
@@ -525,8 +500,8 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             std::uint64_t retired = min_benign_retired();
             if (retired >= prog_mark) {
                 checkpoint_.onProgress(retired);
-                prog_mark = (retired / checkpoint_.progressEveryInsts + 1) *
-                            checkpoint_.progressEveryInsts;
+                prog_mark =
+                    nextMark(retired, checkpoint_.progressEveryInsts);
             }
         }
 
@@ -555,22 +530,13 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             // A tick with any memory-system activity can flip a
             // reject-blocked core's retry outcome at the very next
             // cycle, so that cycle must be simulated, not skipped. The
-            // snapshot's monotone counters make a comparison against an
-            // older snapshot sound: equality proves nothing happened in
-            // between.
+            // key is monotone: equal to its value at the last look, it
+            // proves nothing happened in between, this tick included.
             bool retry_state_changed = false;
-            // prevSnap equals the state at the last fill, so while no
-            // event moved the key since then the fill would read equal.
             if (any_reject) {
                 std::uint64_t key = rejectKey();
-                if (key != snapKey_) {
-                    snapKey_ = key;
-                    fillRejectSnapshot(&curSnap);
-                    if (!(curSnap == prevSnap)) {
-                        std::swap(curSnap, prevSnap);
-                        retry_state_changed = true;
-                    }
-                }
+                retry_state_changed = key != snapKey_;
+                snapKey_ = key;
             }
             // A core that issues at now + 1 pins the next wake there
             // (only core ticks move either flag).
@@ -745,24 +711,10 @@ System::saveState(StateWriter &w) const
     w.tag("system");
     w.u64(now);
     w.u64(uncachedKeyCounter);
-    w.u64(completedReads);
     latencyHist.saveState(w);
     saveBoolVector(w, rejectCountsQuota);
     saveBoolVector(w, rejectTouchesLlc);
     saveU64VectorBulk(w, demandActsByThread_);
-
-    // The skip loop's retry-state snapshot: restoring it keeps a resumed
-    // run on the interrupted run's exact skip trajectory.
-    w.tag("rejectsnap");
-    w.u64(prevSnap.mshrInflight);
-    saveU64VectorBulk(w, prevSnap.readDepth);
-    saveU64VectorBulk(w, prevSnap.writeDepth);
-    saveU64VectorBulk(w, prevSnap.readsServed);
-    saveU64VectorBulk(w, prevSnap.writesServed);
-    w.u64(prevSnap.completedReads);
-    w.u64(prevSnap.quotaWrites);
-    saveUnsignedVector(w, prevSnap.quotas);
-    saveUnsignedVector(w, prevSnap.inflight);
 
     llc.saveState(w);
     mshr.saveState(w);
@@ -799,7 +751,6 @@ System::loadState(StateReader &r)
     r.tag("system");
     now = r.u64();
     uncachedKeyCounter = r.u64();
-    completedReads = r.u64();
     latencyHist.loadState(r);
     loadBoolVector(r, &rejectCountsQuota);
     loadBoolVector(r, &rejectTouchesLlc);
@@ -811,16 +762,6 @@ System::loadState(StateReader &r)
         return;
     }
 
-    r.tag("rejectsnap");
-    prevSnap.mshrInflight = static_cast<unsigned>(r.u64());
-    loadU64VectorBulk(r, &prevSnap.readDepth);
-    loadU64VectorBulk(r, &prevSnap.writeDepth);
-    loadU64VectorBulk(r, &prevSnap.readsServed);
-    loadU64VectorBulk(r, &prevSnap.writesServed);
-    prevSnap.completedReads = r.u64();
-    prevSnap.quotaWrites = r.u64();
-    loadUnsignedVector(r, &prevSnap.quotas);
-    loadUnsignedVector(r, &prevSnap.inflight);
     snapKey_ = kNoRejectKey;
 
     llc.loadState(r);
@@ -962,8 +903,44 @@ System::restoreSnapshotBlob(const std::string &blob, std::string *error)
             *error = "snapshot payload is malformed";
         return false;
     }
+    if (!sectionsAgree()) {
+        if (error)
+            *error = "snapshot sections disagree (MSHR entries, in-flight "
+                     "reads, core loads)";
+        return false;
+    }
     resumePending_ = true;
     return true;
+}
+
+bool
+System::sectionsAgree() const
+{
+    std::vector<Addr> reads;
+    for (const auto &mc : mcs)
+        mc->forEachInflightRead(
+            [&reads](const Request &req) { reads.push_back(req.token); });
+    std::sort(reads.begin(), reads.end());
+    if (reads.size() != mshr.totalInflight() ||
+        std::adjacent_find(reads.begin(), reads.end()) != reads.end())
+        return false;
+    for (Addr token : reads)
+        if (!mshr.has(token))
+            return false;
+
+    std::vector<std::pair<ThreadId, std::uint64_t>> loads;
+    bool waiting = true;
+    mshr.forEachWaiter([&](const MshrWaiter &w) {
+        waiting = waiting && w.thread < cores.size() &&
+                  cores[w.thread]->awaitsFill(w.token);
+        loads.emplace_back(w.thread, w.token);
+    });
+    std::size_t busy = 0;
+    for (const auto &core : cores)
+        busy += core->fillsAwaited();
+    std::sort(loads.begin(), loads.end());
+    return waiting && loads.size() == busy &&
+           std::adjacent_find(loads.begin(), loads.end()) == loads.end();
 }
 
 } // namespace bh

@@ -165,12 +165,16 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     /** Snapshot blob format version (bump on layout change).
      *  v2: Histogram state gained the dropped-NaN-sample counter.
      *  v3: per-channel controller/mitigation/oracle/census sections and
-     *      per-channel RejectSnapshot vectors (multi-channel scale-out);
+     *      per-channel vectors in the skip loop's retry-state snapshot
+     *      (multi-channel scale-out);
      *      stale v2 snapshots recompute, never mislead.
      *  v4: per-thread demand-ACT accumulators in the system section and
      *      adaptive-attacker trace state (adversarial engine); the
-     *      config fingerprint also covers the new slot fields. */
-    static constexpr std::uint32_t kSnapshotVersion = 4;
+     *      config fingerprint also covers the new slot fields.
+     *  v5: the skip loop's retry-state snapshot section, the completed-
+     *      read count and the MSHR quota-write count are gone (the loop
+     *      gates on rejectKey() alone). */
+    static constexpr std::uint32_t kSnapshotVersion = 5;
 
     /** How run() runs: mid-run checkpointing and the loop mode. */
     struct CheckpointConfig
@@ -243,7 +247,8 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * snapshot cycle and produces byte-identical results to a run that
      * was never interrupted. Returns false (leaving an arbitrary partial
      * state — discard the instance) when the file is missing, damaged,
-     * of another version, or from a different config/identity.
+     * of another version, from a different config/identity, or when its
+     * sections disagree (sectionsAgree()).
      */
     bool resumeFromSnapshot(const std::string &path,
                             std::string *error = nullptr);
@@ -295,10 +300,11 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     void catchUpControllers(Cycle last);
 
     /**
-     * Monotone count of every event that can move a RejectSnapshot
-     * field: MSHR allocate/release/setQuota (a read completion releases
-     * its entry) and controller enqueues and column commands. Equal keys
-     * prove equal snapshots, so the skip loop refills only when it moved.
+     * Monotone count of every event that can flip a rejected access's
+     * retry outcome: MSHR allocate/release/setQuota (a read completion
+     * releases its entry) and controller enqueues and column commands.
+     * While it holds still, reject-blocked cores repeat the identical
+     * rejection, so the skip loop may batch their retries.
      */
     std::uint64_t rejectKey() const;
 
@@ -314,54 +320,16 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     /** Restore saveState() output; failure leaves partial state. */
     void loadState(StateReader &r);
 
+    /**
+     * Whether restored sections agree with each other: every read a
+     * controller holds is exactly one MSHR entry's fill, and every MSHR
+     * load waiter exactly one busy window slot of its core. Completions
+     * release and wake by token, so a disagreement would panic later.
+     */
+    bool sectionsAgree() const;
+
     /** Earliest cycle > now at which any component can make progress. */
     Cycle nextWakeCycle() const;
-
-    /**
-     * Everything a rejected access's retry outcome can depend on: MSHR
-     * occupancy (per thread — canAllocate() compares a thread's inflight
-     * count to its quota), queue depths, and quotas. While this is
-     * unchanged, reject-blocked cores repeat the identical rejection;
-     * whenever a tick changes it, the next cycle must be simulated so
-     * their retries re-evaluate (they might succeed).
-     *
-     * The monotone counters (completions, issues, quota writes) matter:
-     * a single tick can mutate state and restore the same values — e.g.
-     * enqueue + issue leaving the depth equal, or release +
-     * re-allocation leaving every inflight count equal while mshr.has()
-     * flipped for the retried line. A core rejected mid-tick may have
-     * observed the intermediate state, so only a tick with *no* such
-     * activity at all may be followed by skipped batched retries.
-     */
-    struct RejectSnapshot
-    {
-        unsigned mshrInflight = 0;
-        /** Per channel, indexed like mcs — scalar-per-channel vectors so
-         *  compensating changes across channels can never alias. */
-        std::vector<std::uint64_t> readDepth;
-        std::vector<std::uint64_t> writeDepth;
-        std::vector<std::uint64_t> readsServed;
-        std::vector<std::uint64_t> writesServed;
-        std::uint64_t completedReads = 0;
-        std::uint64_t quotaWrites = 0;
-        std::vector<unsigned> quotas;
-        std::vector<unsigned> inflight;
-
-        bool
-        operator==(const RejectSnapshot &o) const
-        {
-            return mshrInflight == o.mshrInflight &&
-                   readDepth == o.readDepth && writeDepth == o.writeDepth &&
-                   readsServed == o.readsServed &&
-                   writesServed == o.writesServed &&
-                   completedReads == o.completedReads &&
-                   quotaWrites == o.quotaWrites &&
-                   quotas == o.quotas && inflight == o.inflight;
-        }
-    };
-
-    /** Fill @p snap in place (reuses its vectors' capacity). */
-    void fillRejectSnapshot(RejectSnapshot *snap) const;
 
     /**
      * Account the per-cycle side effects of @p skipped dead cycles: each
@@ -415,17 +383,13 @@ class System : public ICoreMemory, public IThrottleFeedbackView
 
     Histogram latencyHist{2.0, 4096};
     std::uint64_t uncachedKeyCounter = 0;
-    std::uint64_t completedReads = 0;
 
     /** Demand ACTs attributed per thread, summed over channels (the
      *  controllers' onDemandAct callbacks feed it). */
     std::vector<std::uint64_t> demandActsByThread_;
 
-    /** Persistent snapshot buffers for the skip loop (no per-tick
-     *  allocation; only filled while some core is reject-blocked). */
-    RejectSnapshot prevSnap;
-    RejectSnapshot curSnap;  // bh-audit: skip(curSnap) -- scratch buffer refilled every comparison
-    /** rejectKey() at the last fill; kNoRejectKey forces the next one. */
+    /** rejectKey() when the skip loop last saw a reject-blocked core;
+     *  kNoRejectKey makes the next such iteration simulate its cycle. */
     static constexpr std::uint64_t kNoRejectKey = ~0ull;
     // bh-audit: skip(snapKey_) -- derived event key, never serialized; run() and loadState invalidate it
     std::uint64_t snapKey_ = kNoRejectKey;
@@ -438,7 +402,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
 
     /**
      * Set by resumeFromSnapshot(): the next run() continues from the
-     * restored `now`/prevSnap instead of starting at cycle 0.
+     * restored `now` instead of starting at cycle 0.
      */
     // bh-audit: skip(resumePending_) -- transient resume latch, consumed by the next run()
     bool resumePending_ = false;

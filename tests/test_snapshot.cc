@@ -876,8 +876,8 @@ TEST(SystemSnapshotTest, MidRunSnapshotBytesArePinned)
     ASSERT_TRUE(mid.hitCycleCap);
     ASSERT_GT(mid.benignReadLatencyNs.count(), 0u);
     const std::string blob = system.snapshotBlob();
-    EXPECT_EQ(blob.size(), 1131965u);
-    EXPECT_EQ(fnv1a64(blob.data(), blob.size()), 0x8191837283b2faa7ull);
+    EXPECT_EQ(blob.size(), 1131777u);
+    EXPECT_EQ(fnv1a64(blob.data(), blob.size()), 0xb22711ea71c2b3cbull);
 }
 
 TEST(SystemSnapshotTest, StaleVersionSnapshotsAreRejected)
@@ -1070,6 +1070,15 @@ sealed(std::string body)
     return body + tail.data();
 }
 
+/** Offset of section tag @p name in @p body at or after @p from. */
+std::size_t
+tagAt(const std::string &body, const char *name, std::size_t from)
+{
+    StateWriter w;
+    w.tag(name);
+    return body.find(w.data(), from);
+}
+
 /**
  * Seeded mutations of mid-run snapshots: bit flips, byte overwrites,
  * truncations, u32/u64 field overwrites with boundary values (lengths,
@@ -1098,7 +1107,7 @@ TEST(SystemSnapshotTest, MutatedSnapshotsRestoreOrFailCleanly)
     // half the edits land just past a tag, where the headers, lengths
     // and counts of each component live.
     const char *kSections[] = {
-        "system", "rejectsnap", "llc", "mshr", "channels", "controller",
+        "system", "llc", "mshr", "channels", "controller",
         "bankq", "timing", "energy", "census", "oracle", "graphene",
         "misra_gries", "prac", "blockhammer", "cbf", "hydra", "aqua",
         "twice", "rega", "rfm", "para", "breakhammer", "hist", "core",
@@ -1187,6 +1196,64 @@ TEST(SystemSnapshotTest, MutatedSnapshotsRestoreOrFailCleanly)
     // Both outcomes must be well exercised for the test to mean much.
     EXPECT_GT(accepted, kCases / 20);
     EXPECT_LT(accepted, kCases - kCases / 20);
+}
+
+TEST(SystemSnapshotTest, SectionsSplicedFromAnotherCycleAreRefused)
+{
+    // Every section of these blobs parses, but the MSHR file or the
+    // cores come from another cycle of the same run, and the checksum
+    // is re-sealed. A restore must refuse them: run on, the first read
+    // completion would find no MSHR entry or wake an idle load slot.
+    ExperimentConfig cfg;
+    cfg.mix = makeMix("HHMA", 0);
+    cfg.mechanism = MitigationType::kGraphene;
+    cfg.nRh = 512;
+    cfg.breakHammer = true;
+    cfg.instructions = 5000;
+    SystemConfig sys = systemConfigFor(cfg);
+    auto body_at = [&](Cycle cycle) {
+        System system(sys, cfg.mix.slots);
+        (void)system.run(cfg.instructions, cycle);
+        std::string body = system.snapshotBlob();
+        body.resize(body.size() - 8);
+        return body;
+    };
+    // [begin, end) of the MSHR section, or of every core's section.
+    auto mshr_section = [](const std::string &body) {
+        std::size_t at = tagAt(body, "mshr", tagAt(body, "llc", 0));
+        return std::make_pair(at, tagAt(body, "channels", at));
+    };
+    auto core_sections = [](const std::string &body) {
+        std::size_t at = tagAt(body, "core", tagAt(body, "breakhammer", 0));
+        return std::make_pair(at, body.size());
+    };
+
+    const std::string bodies[] = {body_at(20000), body_at(30000)};
+    for (const std::string &body : bodies) {
+        System intact(sys, cfg.mix.slots);
+        std::string error;
+        ASSERT_TRUE(intact.restoreSnapshotBlob(sealed(body), &error))
+            << error;
+    }
+    for (int base = 0; base < 2; ++base) {
+        const std::string &into = bodies[base];
+        const std::string &from = bodies[1 - base];
+        for (auto section : {+mshr_section, +core_sections}) {
+            auto [begin, end] = section(into);
+            auto [src_begin, src_end] = section(from);
+            ASSERT_LT(begin, end);
+            ASSERT_LE(end, into.size());
+            ASSERT_LT(src_begin, src_end);
+            ASSERT_LE(src_end, from.size());
+            std::string spliced = into.substr(0, begin) +
+                                  from.substr(src_begin, src_end - src_begin) +
+                                  into.substr(end);
+            System system(sys, cfg.mix.slots);
+            std::string error;
+            EXPECT_FALSE(system.restoreSnapshotBlob(sealed(spliced), &error));
+            EXPECT_NE(error.find("disagree"), std::string::npos) << error;
+        }
+    }
 }
 
 } // namespace
