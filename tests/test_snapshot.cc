@@ -857,27 +857,123 @@ TEST(SystemSnapshotTest, FourChannelWriteHeavyKillResumeIsByteExact)
     std::remove(snap.c_str());
 }
 
+// ------------------------------------------------ pinned snapshot bytes
+
+/** One mid-run snapshot regime and the bytes it must serialize to. */
+struct PinnedRegime
+{
+    const char *pattern;
+    MitigationType mechanism;
+    unsigned nRh;
+    bool breakHammer;
+    bool oracle;
+    unsigned channels;
+    const char *redteam;
+    std::size_t size;     ///< Blob size, trailing checksum included.
+    std::uint64_t digest; ///< fnv1a64 of the whole blob.
+};
+
+/**
+ * Every regime the snapshot tests restore: the first nine seed the
+ * mutation test (all mechanisms but NoDefense, the oracle, 2 channels
+ * and the adaptive attacker), then NoDefense and a 4-channel point.
+ */
+const PinnedRegime kPinnedRegimes[] = {
+    {"HHMA", MitigationType::kGraphene, 512, true, false, 1, nullptr,
+     1131777u, 0xb22711ea71c2b3cbull},
+    {"LLLA", MitigationType::kPrac, 256, true, true, 1, nullptr, 1127538u,
+     0xa3ccd852331f4f37ull},
+    {"LLLA", MitigationType::kBlockHammer, 128, false, false, 1, nullptr,
+     1134154u, 0x9f414f7f1ecd360cull},
+    {"HHMM", MitigationType::kHydra, 512, false, false, 2, nullptr,
+     1260031u, 0xe49bbdace9351b60ull},
+    {"HHMA", MitigationType::kAqua, 256, true, false, 1, nullptr, 1131785u,
+     0x2ffbca82321eedccull},
+    {"LLLA", MitigationType::kTwice, 512, false, false, 1, nullptr,
+     1127090u, 0x713941049989f3f9ull},
+    {"HHMA", MitigationType::kRega, 256, true, false, 1, nullptr, 1125014u,
+     0x10d539bdb2b3cd3full},
+    {"LLLA", MitigationType::kRfm, 256, true, false, 1, nullptr, 1125410u,
+     0x6c5a1fb7fb5dddc4ull},
+    {"MMAA", MitigationType::kPara, 512, true, false, 1,
+     "pat=half,obs=32,bub=64,grp=2,ho=512", 1124077u,
+     0x6a10049da87d9017ull},
+    {"HHMA", MitigationType::kNone, 1024, false, false, 1, nullptr,
+     1125169u, 0x4ec88624c2cb0795ull},
+    {"HHMA", MitigationType::kHydra, 512, true, false, 4, nullptr,
+     1397833u, 0xbc3ce297c610a8eeull},
+};
+
+/** The mutation test's seeds: the first nine pinned regimes. */
+constexpr std::size_t kFuzzRegimes = 9;
+
+/** A mid-run snapshot and the System shape that accepts it. */
+struct FuzzSeed
+{
+    SystemConfig sys;
+    std::vector<WorkloadSlot> slots;
+    std::string body; ///< The blob without its trailing checksum.
+};
+
+FuzzSeed
+midRunSeed(const PinnedRegime &regime)
+{
+    ExperimentConfig cfg;
+    cfg.mix = makeMix(regime.pattern, 0);
+    cfg.mechanism = regime.mechanism;
+    cfg.nRh = regime.nRh;
+    cfg.breakHammer = regime.breakHammer;
+    cfg.oracle = regime.oracle;
+    cfg.instructions = 5000;
+    cfg.channels = regime.channels;
+    if (regime.redteam != nullptr) {
+        RedteamStrategy strategy;
+        EXPECT_TRUE(parseRedteamStrategy(regime.redteam, &strategy));
+        applyRedteamStrategy(strategy, &cfg.mix.slots);
+    }
+    FuzzSeed seed{systemConfigFor(cfg), cfg.mix.slots, {}};
+    System system(seed.sys, seed.slots);
+    (void)system.run(cfg.instructions, 30000); // Stops mid-run.
+    seed.body = system.snapshotBlob();
+    seed.body.resize(seed.body.size() - 8);
+    return seed;
+}
+
+/** @p body sealed with the trailing checksum restore verifies first. */
+std::string
+sealed(std::string body)
+{
+    StateWriter tail;
+    tail.u64(fnv1a64Chunked(body.data(), body.size()));
+    return body + tail.data();
+}
+
+/** Offset of section tag @p name in @p body at or after @p from. */
+std::size_t
+tagAt(const std::string &body, const char *name, std::size_t from)
+{
+    StateWriter w;
+    w.tag(name);
+    return body.find(w.data(), from);
+}
+
 TEST(SystemSnapshotTest, MidRunSnapshotBytesArePinned)
 {
     // The snapshot layout is a compatibility contract (kSnapshotVersion):
-    // a seeded mid-run System must serialize to exactly these bytes.
+    // a seeded mid-run System of every regime must serialize to exactly
+    // these bytes, so a component whose state transfer changes its
+    // layout fails here even when its own round trip still agrees.
     // The LLC writes its whole logical tag store and the latency
     // histogram all of its bins, however few sets and bins are stored.
-    // The digest was computed from the dense-storage layouts.
-    ExperimentConfig cfg;
-    cfg.mix = makeMix("HHMA", 0);
-    cfg.mechanism = MitigationType::kGraphene;
-    cfg.nRh = 512;
-    cfg.breakHammer = true;
-    cfg.instructions = 5000;
-    SystemConfig sys = systemConfigFor(cfg);
-    System system(sys, cfg.mix.slots);
-    RunResult mid = system.run(cfg.instructions, 30000);
-    ASSERT_TRUE(mid.hitCycleCap);
-    ASSERT_GT(mid.benignReadLatencyNs.count(), 0u);
-    const std::string blob = system.snapshotBlob();
-    EXPECT_EQ(blob.size(), 1131777u);
-    EXPECT_EQ(fnv1a64(blob.data(), blob.size()), 0xb22711ea71c2b3cbull);
+    for (const PinnedRegime &regime : kPinnedRegimes) {
+        SCOPED_TRACE(std::string(regime.pattern) + " " +
+                     mitigationName(regime.mechanism) + " ch=" +
+                     std::to_string(regime.channels));
+        FuzzSeed seed = midRunSeed(regime);
+        const std::string blob = sealed(seed.body);
+        EXPECT_EQ(blob.size(), regime.size);
+        EXPECT_EQ(fnv1a64(blob.data(), blob.size()), regime.digest);
+    }
 }
 
 TEST(SystemSnapshotTest, StaleVersionSnapshotsAreRejected)
@@ -1027,58 +1123,6 @@ TEST(SystemSnapshotTest, RunExperimentResumesAndCleansUpItsSnapshot)
 
 // ------------------------------------------ restore of hostile bytes
 
-/** A mid-run snapshot and the System shape that accepts it. */
-struct FuzzSeed
-{
-    SystemConfig sys;
-    std::vector<WorkloadSlot> slots;
-    std::string body; ///< The blob without its trailing checksum.
-};
-
-FuzzSeed
-midRunSeed(const char *pattern, MitigationType mechanism, unsigned n_rh,
-           bool break_hammer, bool oracle, unsigned channels,
-           const char *redteam = nullptr)
-{
-    ExperimentConfig cfg;
-    cfg.mix = makeMix(pattern, 0);
-    cfg.mechanism = mechanism;
-    cfg.nRh = n_rh;
-    cfg.breakHammer = break_hammer;
-    cfg.oracle = oracle;
-    cfg.instructions = 5000;
-    cfg.channels = channels;
-    if (redteam != nullptr) {
-        RedteamStrategy strategy;
-        EXPECT_TRUE(parseRedteamStrategy(redteam, &strategy));
-        applyRedteamStrategy(strategy, &cfg.mix.slots);
-    }
-    FuzzSeed seed{systemConfigFor(cfg), cfg.mix.slots, {}};
-    System system(seed.sys, seed.slots);
-    (void)system.run(cfg.instructions, 30000); // Stops mid-run.
-    seed.body = system.snapshotBlob();
-    seed.body.resize(seed.body.size() - 8);
-    return seed;
-}
-
-/** @p body sealed with the trailing checksum restore verifies first. */
-std::string
-sealed(std::string body)
-{
-    StateWriter tail;
-    tail.u64(fnv1a64Chunked(body.data(), body.size()));
-    return body + tail.data();
-}
-
-/** Offset of section tag @p name in @p body at or after @p from. */
-std::size_t
-tagAt(const std::string &body, const char *name, std::size_t from)
-{
-    StateWriter w;
-    w.tag(name);
-    return body.find(w.data(), from);
-}
-
 /**
  * Seeded mutations of mid-run snapshots: bit flips, byte overwrites,
  * truncations, u32/u64 field overwrites with boundary values (lengths,
@@ -1090,18 +1134,9 @@ tagAt(const std::string &body, const char *name, std::size_t from)
  */
 TEST(SystemSnapshotTest, MutatedSnapshotsRestoreOrFailCleanly)
 {
-    const std::vector<FuzzSeed> seeds = {
-        midRunSeed("HHMA", MitigationType::kGraphene, 512, true, false, 1),
-        midRunSeed("LLLA", MitigationType::kPrac, 256, true, true, 1),
-        midRunSeed("LLLA", MitigationType::kBlockHammer, 128, false, false,
-                   1),
-        midRunSeed("HHMM", MitigationType::kHydra, 512, false, false, 2),
-        midRunSeed("HHMA", MitigationType::kAqua, 256, true, false, 1),
-        midRunSeed("LLLA", MitigationType::kTwice, 512, false, false, 1),
-        midRunSeed("HHMA", MitigationType::kRega, 256, true, false, 1),
-        midRunSeed("LLLA", MitigationType::kRfm, 256, true, false, 1),
-        midRunSeed("MMAA", MitigationType::kPara, 512, true, false, 1,
-                   "pat=half,obs=32,bub=64,grp=2,ho=512")};
+    std::vector<FuzzSeed> seeds;
+    for (std::size_t i = 0; i < kFuzzRegimes; ++i)
+        seeds.push_back(midRunSeed(kPinnedRegimes[i]));
 
     // Section tags: most of a blob is the LLC's dense tag store, so
     // half the edits land just past a tag, where the headers, lengths
