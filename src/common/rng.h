@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/snapshot.h"
 #include "common/types.h"
 
 namespace bh {
@@ -71,6 +72,15 @@ class Rng
 
     /** Restore a state captured by rawState(). @pre raw != 0. */
     void setRawState(std::uint64_t raw) { state = raw ? raw : 1; }
+
+    /** Save or load the generator state (a loaded 0 becomes 1). */
+    void
+    transfer(StateIo &io)
+    {
+        io.u64(state);
+        if (state == 0)
+            state = 1;
+    }
 
   private:
     std::uint64_t state;

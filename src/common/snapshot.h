@@ -31,6 +31,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -283,6 +284,281 @@ class StateReader
     bool ok_ = true;
 };
 
+/**
+ * Largest bucket count a snapshot load rebuilds (128 MB of bucket
+ * array). Snapshotted tables hold the rows, lines or threads one run
+ * touches, far fewer than this, so a larger count is read as corrupt:
+ * rejecting it costs a recompute, while honoring it would allocate
+ * whatever a damaged count asks for.
+ */
+constexpr std::uint64_t kMaxSnapshotBuckets = 1ull << 24;
+
+/**
+ * Direction-carrying archive over a StateWriter or a StateReader, so a
+ * component writes its snapshot state once: one `transfer(StateIo &)`
+ * body both saves (each call appends the value it is handed) and loads
+ * (each call overwrites it). Every call names its wire width; an integer
+ * of any type travels at the width named, never one deduced from its
+ * type (most `unsigned` fields travel as u64). A load fails sticky, like
+ * StateReader, and the caller discards a failed load's partial state.
+ *
+ * What is truly one-sided sits under `if (io.loading())` in the body:
+ * rebuilding derived state after a load, or a save-only walk such as
+ * draining a copy of a heap. Load-only checks are `require`, and
+ * `count` / `present` for lengths and presence flags fixed by the
+ * configuration.
+ */
+class StateIo
+{
+  public:
+    explicit StateIo(StateWriter &w) : w_(&w) {}
+    explicit StateIo(StateReader &r) : r_(&r) {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    /** False once a load has failed; always true while saving. */
+    bool ok() const { return r_ == nullptr || r_->ok(); }
+
+    /** Fail the load unless @p cond holds; saving ignores it. */
+    void
+    require(bool cond)
+    {
+        if (r_ != nullptr && !cond)
+            r_->fail();
+    }
+
+    void
+    tag(const char *name)
+    {
+        if (r_ != nullptr)
+            r_->tag(name);
+        else
+            w_->tag(name);
+    }
+
+    void
+    b(bool &v)
+    {
+        if (r_ != nullptr)
+            v = r_->b();
+        else
+            w_->b(v);
+    }
+
+    void
+    d(double &v)
+    {
+        if (r_ != nullptr)
+            v = r_->d();
+        else
+            w_->d(v);
+    }
+
+    template <class T>
+    void
+    u8(T &v)
+    {
+        static_assert(std::is_integral_v<T>, "u8 carries an integer");
+        if (r_ != nullptr)
+            v = static_cast<T>(r_->u8());
+        else
+            w_->u8(static_cast<std::uint8_t>(v));
+    }
+
+    template <class T>
+    void
+    u32(T &v)
+    {
+        static_assert(std::is_integral_v<T>, "u32 carries an integer");
+        if (r_ != nullptr)
+            v = static_cast<T>(r_->u32());
+        else
+            w_->u32(static_cast<std::uint32_t>(v));
+    }
+
+    template <class T>
+    void
+    u64(T &v)
+    {
+        static_assert(std::is_integral_v<T>, "u64 carries an integer");
+        if (r_ != nullptr)
+            v = static_cast<T>(r_->u64());
+        else
+            w_->u64(static_cast<std::uint64_t>(v));
+    }
+
+    /**
+     * A u64 length fixed by the configuration: written on save; a load
+     * fails unless it reads @p expected.
+     */
+    void
+    count(std::uint64_t expected)
+    {
+        std::uint64_t n = expected;
+        u64(n);
+        require(n == expected);
+    }
+
+    /** A presence flag fixed by the configuration (see count()). */
+    void
+    present(bool expected)
+    {
+        bool v = expected;
+        b(v);
+        require(v == expected);
+    }
+
+    /**
+     * A vector whose length is configuration, as its u64 count and then
+     * each element as a u64. The load checks the count and overwrites
+     * the elements in place. A vector of std::uint64_t is one bulk copy
+     * on little-endian hosts: the same bytes as the element loop.
+     */
+    template <class T>
+    void
+    u64s(std::vector<T> &v)
+    {
+        count(v.size());
+        if constexpr (std::is_same_v<T, std::uint64_t> && kLittleEndian)
+            raw(v.data(), v.size() * sizeof(T));
+        else
+            for (T &e : v)
+                u64(e);
+    }
+
+    /** u64s() with each element as a u32. */
+    template <class T>
+    void
+    u32s(std::vector<T> &v)
+    {
+        count(v.size());
+        if constexpr (std::is_same_v<T, std::uint32_t> && kLittleEndian)
+            raw(v.data(), v.size() * sizeof(T));
+        else
+            for (T &e : v)
+                u32(e);
+    }
+
+    /** u64s() with each element as an IEEE-754 bit pattern. */
+    void
+    doubles(std::vector<double> &v)
+    {
+        count(v.size());
+        for (double &e : v)
+            d(e);
+    }
+
+    /** u64s() with each element as one byte. */
+    void
+    bools(std::vector<bool> &v)
+    {
+        count(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            bool e = v[i];
+            b(e);
+            v[i] = e;
+        }
+    }
+
+    /**
+     * A container whose length is state (a vector or deque), as its u64
+     * length and then each element through @p elem, called as
+     * (StateIo &, T &). A load rebuilds it from default elements; a
+     * length beyond the bytes left fails before anything is allocated.
+     */
+    template <class Seq, class Elem>
+    void
+    list(Seq &seq, Elem elem)
+    {
+        std::uint64_t n = seq.size();
+        u64(n);
+        if (r_ == nullptr) {
+            for (auto &e : seq)
+                elem(*this, e);
+            return;
+        }
+        require(n <= r_->remaining());
+        seq.clear();
+        for (std::uint64_t i = 0; i < n && r_->ok(); ++i) {
+            typename Seq::value_type e{};
+            elem(*this, e);
+            seq.push_back(std::move(e));
+        }
+    }
+
+    /**
+     * An unordered_map with its bucket count and iteration order (see
+     * the file comment), each element through @p elem, called as
+     * (StateIo &, Key &, Value &). Saving passes a copy of the key.
+     */
+    template <class Map, class Elem>
+    void
+    map(Map &m, Elem elem)
+    {
+        using Key = typename Map::key_type;
+        using Val = typename Map::mapped_type;
+        if (r_ == nullptr) {
+            w_->u64(m.bucket_count());
+            w_->u64(m.size());
+            for (auto &kv : m) {
+                Key k = kv.first;
+                elem(*this, k, kv.second);
+            }
+            return;
+        }
+        std::uint64_t buckets = r_->u64();
+        std::uint64_t n = r_->u64();
+        require(n <= r_->remaining() && buckets <= kMaxSnapshotBuckets);
+        std::vector<std::pair<Key, Val>> items;
+        if (!r_->ok())
+            return;
+        items.reserve(n);
+        for (std::uint64_t i = 0; i < n && r_->ok(); ++i) {
+            Key k{};
+            Val v{};
+            elem(*this, k, v);
+            items.emplace_back(std::move(k), std::move(v));
+        }
+        if (!r_->ok())
+            return;
+        // Rebuild into a fresh table: a never-inserted map sits on the
+        // implementation's placeholder bucket count (1 on libstdc++),
+        // which rehash() cannot produce, so only rehash when the saved
+        // count differs from the fresh default. Saved counts of
+        // ever-grown maps are rehash-stable values (primes on
+        // libstdc++), so rehash() reproduces them exactly, and with the
+        // count pinned the future growth schedule matches too.
+        Map fresh;
+        fresh.max_load_factor(m.max_load_factor());
+        if (buckets != fresh.bucket_count())
+            fresh.rehash(static_cast<std::size_t>(buckets));
+        for (auto it = items.rbegin(); it != items.rend(); ++it)
+            fresh.emplace(std::move(it->first), std::move(it->second));
+        m = std::move(fresh);
+    }
+
+  private:
+    static constexpr bool kLittleEndian =
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+        true;
+#else
+        false;
+#endif
+
+    /** Host-order bytes: only for little-endian integer arrays. */
+    void
+    raw(void *p, std::size_t n)
+    {
+        if (r_ != nullptr)
+            r_->bytes(p, n);
+        else
+            w_->bytes(p, n);
+    }
+
+    StateWriter *w_ = nullptr;
+    StateReader *r_ = nullptr;
+};
+
 // --- Container helpers --------------------------------------------------
 
 /** Save a vector; @p save_elem is (StateWriter&, const T&). */
@@ -482,15 +758,6 @@ saveUnorderedMap(StateWriter &w, const Map &m, SaveKey save_key,
         save_val(w, kv.second);
     }
 }
-
-/**
- * Largest bucket count loadUnorderedMap() rebuilds (128 MB of bucket
- * array). Snapshotted tables hold the rows, lines or threads one run
- * touches, far fewer than this, so a larger count is read as corrupt:
- * rejecting it costs a recompute, while honoring it would allocate
- * whatever a damaged count asks for.
- */
-constexpr std::uint64_t kMaxSnapshotBuckets = 1ull << 24;
 
 /**
  * Rebuild a map saved by saveUnorderedMap() with identical contents,

@@ -34,28 +34,14 @@ Aqua::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
 }
 
 void
-Aqua::saveState(StateWriter &w) const
+Aqua::transfer(StateIo &io)
 {
-    w.tag("aqua");
-    w.u64(lastReset);
-    w.u64(migrations_);
-    w.u64(tables.size());
-    for (const MisraGries &t : tables)
-        t.saveState(w);
-}
-
-void
-Aqua::loadState(StateReader &r)
-{
-    r.tag("aqua");
-    lastReset = r.u64();
-    migrations_ = r.u64();
-    if (r.u64() != tables.size()) {
-        r.fail();
-        return;
-    }
+    io.tag("aqua");
+    io.u64(lastReset);
+    io.u64(migrations_);
+    io.count(tables.size());
     for (MisraGries &t : tables)
-        t.loadState(r);
+        t.transfer(io);
 }
 
 } // namespace bh

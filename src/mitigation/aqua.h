@@ -32,8 +32,7 @@ class Aqua : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned migrationThreshold() const { return threshold; }
     std::uint64_t migrations() const { return migrations_; }

@@ -88,42 +88,21 @@ BlockHammer::nextTimedEventCycle(Cycle now) const
 }
 
 void
-BlockHammer::saveState(StateWriter &w) const
+BlockHammer::transfer(StateIo &io)
 {
-    w.tag("blockhammer");
-    w.u64(epochStart);
-    w.u64(active);
-    cbf[0].saveState(w);
-    cbf[1].saveState(w);
-    saveUnorderedMap(
-        w, lastBlacklistedAct,
-        [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-        [](StateWriter &sw, Cycle v) { sw.u64(v); });
-    saveU64Vector(w, threadBlacklistActs);
-    w.u64(blacklistedActs_);
-}
-
-void
-BlockHammer::loadState(StateReader &r)
-{
-    r.tag("blockhammer");
-    epochStart = r.u64();
-    active = static_cast<unsigned>(r.u64());
-    cbf[0].loadState(r);
-    cbf[1].loadState(r);
-    loadUnorderedMap(
-        r, &lastBlacklistedAct,
-        [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-        [](StateReader &sr, Cycle *v) { *v = sr.u64(); });
-    std::vector<std::uint64_t> acts;
-    loadU64Vector(r, &acts);
-    if (!r.ok() || acts.size() != threadBlacklistActs.size() ||
-        active > 1) {
-        r.fail();
-        return;
-    }
-    threadBlacklistActs = std::move(acts);
-    blacklistedActs_ = r.u64();
+    io.tag("blockhammer");
+    io.u64(epochStart);
+    io.u64(active);
+    io.require(active <= 1);
+    cbf[0].transfer(io);
+    cbf[1].transfer(io);
+    io.map(lastBlacklistedAct,
+           [](StateIo &sub, std::uint64_t &row, Cycle &at) {
+               sub.u64(row);
+               sub.u64(at);
+           });
+    io.u64s(threadBlacklistActs);
+    io.u64(blacklistedActs_);
 }
 
 } // namespace bh

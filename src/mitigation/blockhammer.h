@@ -56,26 +56,12 @@ class CountingBloomFilter
 
     void clear() { std::fill(counters.begin(), counters.end(), 0); }
 
-    /** Serialize the counter array. */
+    /** Save or load the counter array (same geometry). */
     void
-    saveState(StateWriter &w) const
+    transfer(StateIo &io)
     {
-        w.tag("cbf");
-        saveU32Vector(w, counters);
-    }
-
-    /** Restore saveState() output into a same-geometry filter. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("cbf");
-        std::vector<std::uint32_t> c;
-        loadU32Vector(r, &c);
-        if (!r.ok() || c.size() != counters.size()) {
-            r.fail();
-            return;
-        }
-        counters = std::move(c);
+        io.tag("cbf");
+        io.u32s(counters);
     }
 
   private:
@@ -128,8 +114,7 @@ class BlockHammer : public IMitigation
     /** Attach the AttackThrottler's resource target (optional). */
     void setThrottleTarget(IThrottleTarget *t) { throttleTarget = t; }
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned blacklistThreshold() const { return nbl; }
     Cycle blacklistDelay() const { return tDelay; }

@@ -35,26 +35,13 @@ Graphene::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
 }
 
 void
-Graphene::saveState(StateWriter &w) const
+Graphene::transfer(StateIo &io)
 {
-    w.tag("graphene");
-    w.u64(lastReset);
-    w.u64(tables.size());
-    for (const MisraGries &t : tables)
-        t.saveState(w);
-}
-
-void
-Graphene::loadState(StateReader &r)
-{
-    r.tag("graphene");
-    lastReset = r.u64();
-    if (r.u64() != tables.size()) {
-        r.fail();
-        return;
-    }
+    io.tag("graphene");
+    io.u64(lastReset);
+    io.count(tables.size());
     for (MisraGries &t : tables)
-        t.loadState(r);
+        t.transfer(io);
 }
 
 } // namespace bh

@@ -30,8 +30,7 @@ class Graphene : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned refreshThreshold() const { return threshold; }
     unsigned tableCapacity() const { return capacity; }

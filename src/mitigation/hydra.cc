@@ -79,57 +79,26 @@ Hydra::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
 }
 
 void
-Hydra::saveState(StateWriter &w) const
+Hydra::transfer(StateIo &io)
 {
-    w.tag("hydra");
-    w.u64(windowStart);
-    w.u64(rccMisses_);
-    w.u64(gct.size());
-    for (const auto &bank : gct)
-        saveU32Vector(w, bank);
-    saveUnorderedMap(
-        w, rct, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-        [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
+    io.tag("hydra");
+    io.u64(windowStart);
+    io.u64(rccMisses_);
+    io.count(gct.size());
+    for (auto &bank : gct)
+        io.u32s(bank);
+    io.map(rct, [](StateIo &sub, std::uint64_t &key, std::uint32_t &count) {
+        sub.u64(key);
+        sub.u32(count);
+    });
     // The RCC is an LRU list plus a key->iterator index; the list order
-    // IS the replacement state, so it serializes front to back and the
+    // IS the replacement state, so it travels front to back and the
     // index is rebuilt on load.
-    w.u64(rccLru.size());
-    for (std::uint64_t key : rccLru)
-        w.u64(key);
-}
-
-void
-Hydra::loadState(StateReader &r)
-{
-    r.tag("hydra");
-    windowStart = r.u64();
-    rccMisses_ = r.u64();
-    if (r.u64() != gct.size()) {
-        r.fail();
-        return;
-    }
-    for (auto &bank : gct) {
-        std::vector<std::uint32_t> counts;
-        loadU32Vector(r, &counts);
-        if (!r.ok() || counts.size() != bank.size()) {
-            r.fail();
-            return;
-        }
-        bank = std::move(counts);
-    }
-    loadUnorderedMap(
-        r, &rct, [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-        [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) {
-        r.fail();
-        return;
-    }
-    rccLru.clear();
-    rccIndex.clear();
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        rccLru.push_back(r.u64());
-        rccIndex[rccLru.back()] = std::prev(rccLru.end());
+    io.list(rccLru, [](StateIo &sub, std::uint64_t &key) { sub.u64(key); });
+    if (io.loading()) {
+        rccIndex.clear();
+        for (auto it = rccLru.begin(); it != rccLru.end(); ++it)
+            rccIndex[*it] = it;
     }
 }
 

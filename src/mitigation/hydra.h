@@ -35,8 +35,7 @@ class Hydra : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned rowThreshold() const { return rowTh; }
     unsigned groupThreshold() const { return groupTh; }
@@ -60,7 +59,7 @@ class Hydra : public IMitigation
     std::unordered_map<std::uint64_t, std::uint32_t> rct;
     /** RCC: LRU cache over RCT keys. */
     std::list<std::uint64_t> rccLru;
-    // bh-audit: skip(rccIndex) -- iterator index over rccLru, rebuilt in loadState
+    // bh-audit: skip(rccIndex) -- iterator index over rccLru, rebuilt on load
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
         rccIndex;
 

@@ -91,34 +91,23 @@ class MisraGries
     unsigned capacity() const { return capacity_; }
 
     /**
-     * Serialize the summary. Which stale entry reclaimOne() erases
+     * Save or load the summary. Which stale entry reclaimOne() erases
      * depends on iteration order, but a stale entry acts exactly like an
      * absent row and a row is admitted iff fewer than capacity() entries
      * are live, so no return value depends on it; only the snapshot
-     * bytes do. saveUnorderedMap/loadUnorderedMap keep the bucket
-     * structure so a resumed run's later snapshots match.
+     * bytes do. StateIo::map keeps the bucket structure so a resumed
+     * run's later snapshots match.
      */
     void
-    saveState(StateWriter &w) const
+    transfer(StateIo &io)
     {
-        w.tag("misra_gries");
-        w.u64(offset);
-        saveUnorderedMap(
-            w, table,
-            [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-            [](StateWriter &sw, std::uint64_t v) { sw.u64(v); });
-    }
-
-    /** Restore saveState() output into a same-capacity summary. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("misra_gries");
-        offset = r.u64();
-        loadUnorderedMap(
-            r, &table,
-            [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint64_t *v) { *v = sr.u64(); });
+        io.tag("misra_gries");
+        io.u64(offset);
+        io.map(table,
+               [](StateIo &sub, std::uint64_t &row, std::uint64_t &weight) {
+                   sub.u64(row);
+                   sub.u64(weight);
+               });
     }
 
   private:

@@ -192,19 +192,16 @@ class IMitigation
     virtual bool delaysActs() const { return false; }
 
     /**
-     * Serialize the mechanism's complete mutable tracking state (the
+     * Save or load the mechanism's complete mutable tracking state (the
      * snapshot dual of the probe/commit contract: everything commitAct /
      * advanceTo / onPeriodicRefresh can mutate, nothing derived from the
-     * constructor arguments). A mechanism restored by loadState() into a
-     * same-config instance must behave bit-identically to the original
-     * from that point on, and save the same bytes (hash tables keep
-     * their iteration order; see common/snapshot.h). The default is for
-     * stateless mechanisms: nothing to save.
+     * constructor arguments). A mechanism loaded into a same-config
+     * instance must behave bit-identically to the original from that
+     * point on, and save the same bytes (hash tables keep their
+     * iteration order; see common/snapshot.h). The default is for
+     * stateless mechanisms: nothing to transfer.
      */
-    virtual void saveState(StateWriter &w) const { (void)w; }
-
-    /** Restore saveState() output into a same-config instance. */
-    virtual void loadState(StateReader &r) { (void)r; }
+    virtual void transfer(StateIo &io) { (void)io; }
 
     /** Attach the host before simulation starts. */
     void setHost(IMitigationHost *h) { host = h; }

@@ -30,19 +30,10 @@ Para::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
 }
 
 void
-Para::saveState(StateWriter &w) const
+Para::transfer(StateIo &io)
 {
-    w.tag("para");
-    w.u64(rng.rawState());
-}
-
-void
-Para::loadState(StateReader &r)
-{
-    r.tag("para");
-    std::uint64_t raw = r.u64();
-    if (r.ok())
-        rng.setRawState(raw);
+    io.tag("para");
+    rng.transfer(io);
 }
 
 } // namespace bh

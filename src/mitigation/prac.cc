@@ -53,32 +53,17 @@ Prac::onPeriodicRefresh(unsigned rank, unsigned sweep_start,
 }
 
 void
-Prac::saveState(StateWriter &w) const
+Prac::transfer(StateIo &io)
 {
-    w.tag("prac");
-    w.u64(alerts_);
-    w.u64(rowCounts.size());
-    for (const auto &bank_counts : rowCounts)
-        saveUnorderedMap(
-            w, bank_counts,
-            [](StateWriter &sw, std::uint32_t k) { sw.u32(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-}
-
-void
-Prac::loadState(StateReader &r)
-{
-    r.tag("prac");
-    alerts_ = r.u64();
-    if (r.u64() != rowCounts.size()) {
-        r.fail();
-        return;
-    }
+    io.tag("prac");
+    io.u64(alerts_);
+    io.count(rowCounts.size());
     for (auto &bank_counts : rowCounts)
-        loadUnorderedMap(
-            r, &bank_counts,
-            [](StateReader &sr, std::uint32_t *k) { *k = sr.u32(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
+        io.map(bank_counts,
+               [](StateIo &sub, std::uint32_t &row, std::uint32_t &count) {
+                   sub.u32(row);
+                   sub.u32(count);
+               });
 }
 
 } // namespace bh

@@ -40,8 +40,7 @@ class Prac : public IMitigation
     void onPeriodicRefresh(unsigned rank, unsigned sweep_start,
                            unsigned sweep_rows, Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned alertThreshold() const { return alertTh; }
     std::uint64_t alerts() const { return alerts_; }

@@ -36,23 +36,10 @@ Rega::commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
 }
 
 void
-Rega::saveState(StateWriter &w) const
+Rega::transfer(StateIo &io)
 {
-    w.tag("rega");
-    saveU64Vector(w, threadActs);
-}
-
-void
-Rega::loadState(StateReader &r)
-{
-    r.tag("rega");
-    std::vector<std::uint64_t> acts;
-    loadU64Vector(r, &acts);
-    if (!r.ok() || acts.size() != threadActs.size()) {
-        r.fail();
-        return;
-    }
-    threadActs = std::move(acts);
+    io.tag("rega");
+    io.u64s(threadActs);
 }
 
 } // namespace bh

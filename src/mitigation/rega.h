@@ -34,8 +34,7 @@ class Rega : public IMitigation
     void commitAct(unsigned flat_bank, unsigned row, ThreadId thread,
                     Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned scorePeriod() const { return regaT; }
 

@@ -54,35 +54,17 @@ Rfm::onPeriodicRefresh(unsigned rank, unsigned sweep_start,
 }
 
 void
-Rfm::saveState(StateWriter &w) const
+Rfm::transfer(StateIo &io)
 {
-    w.tag("rfm");
-    saveUnsignedVector(w, raa);
-    w.u64(rowCounts.size());
-    for (const auto &bank_counts : rowCounts)
-        saveUnorderedMap(
-            w, bank_counts,
-            [](StateWriter &sw, std::uint32_t k) { sw.u32(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-}
-
-void
-Rfm::loadState(StateReader &r)
-{
-    r.tag("rfm");
-    std::vector<unsigned> raa_state;
-    loadUnsignedVector(r, &raa_state);
-    if (!r.ok() || raa_state.size() != raa.size() ||
-        r.u64() != rowCounts.size()) {
-        r.fail();
-        return;
-    }
-    raa = std::move(raa_state);
+    io.tag("rfm");
+    io.u64s(raa);
+    io.count(rowCounts.size());
     for (auto &bank_counts : rowCounts)
-        loadUnorderedMap(
-            r, &bank_counts,
-            [](StateReader &sr, std::uint32_t *k) { *k = sr.u32(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
+        io.map(bank_counts,
+               [](StateIo &sub, std::uint32_t &row, std::uint32_t &count) {
+                   sub.u32(row);
+                   sub.u32(count);
+               });
 }
 
 } // namespace bh

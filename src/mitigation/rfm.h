@@ -35,8 +35,7 @@ class Rfm : public IMitigation
     void onPeriodicRefresh(unsigned rank, unsigned sweep_start,
                            unsigned sweep_rows, Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned raaimt() const { return raaimt_; }
     unsigned serviceThreshold() const { return serviceTh; }

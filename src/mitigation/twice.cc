@@ -60,40 +60,18 @@ Twice::onPeriodicRefresh(unsigned rank, unsigned sweep_start,
 }
 
 void
-Twice::saveState(StateWriter &w) const
+Twice::transfer(StateIo &io)
 {
-    w.tag("twice");
-    w.u64(refsSeen);
-    w.u64(windowStart);
-    w.u64(tables.size());
-    for (const auto &table : tables)
-        saveUnorderedMap(
-            w, table,
-            [](StateWriter &sw, std::uint32_t k) { sw.u32(k); },
-            [](StateWriter &sw, const Entry &e) {
-                sw.u32(e.acts);
-                sw.u32(e.life);
-            });
-}
-
-void
-Twice::loadState(StateReader &r)
-{
-    r.tag("twice");
-    refsSeen = static_cast<unsigned>(r.u64());
-    windowStart = r.u64();
-    if (r.u64() != tables.size()) {
-        r.fail();
-        return;
-    }
+    io.tag("twice");
+    io.u64(refsSeen);
+    io.u64(windowStart);
+    io.count(tables.size());
     for (auto &table : tables)
-        loadUnorderedMap(
-            r, &table,
-            [](StateReader &sr, std::uint32_t *k) { *k = sr.u32(); },
-            [](StateReader &sr, Entry *e) {
-                e->acts = sr.u32();
-                e->life = sr.u32();
-            });
+        io.map(table, [](StateIo &sub, std::uint32_t &row, Entry &e) {
+            sub.u32(row);
+            sub.u32(e.acts);
+            sub.u32(e.life);
+        });
 }
 
 } // namespace bh

@@ -33,8 +33,7 @@ class Twice : public IMitigation
     void onPeriodicRefresh(unsigned rank, unsigned sweep_start,
                            unsigned sweep_rows, Cycle now) override;
 
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     unsigned triggerThreshold() const { return threshold; }
 

@@ -726,8 +726,10 @@ System::saveState(StateWriter &w) const
     for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
         mcs[ch]->saveState(w);
         w.b(mitigations[ch] != nullptr);
-        if (mitigations[ch])
-            mitigations[ch]->saveState(w);
+        if (mitigations[ch]) {
+            StateIo io(w);
+            mitigations[ch]->transfer(io);
+        }
         w.b(!oracles.empty());
         if (!oracles.empty())
             oracles[ch]->saveState(w);
@@ -781,8 +783,10 @@ System::loadState(StateReader &r)
             r.fail();
             return;
         }
-        if (mitigations[ch])
-            mitigations[ch]->loadState(r);
+        if (mitigations[ch]) {
+            StateIo io(r);
+            mitigations[ch]->transfer(io);
+        }
         if (r.b() != !oracles.empty()) {
             r.fail();
             return;

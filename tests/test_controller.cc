@@ -352,12 +352,14 @@ scriptedArrivals(const AddressMap &map, Cycle horizon)
 }
 
 std::string
-controllerState(const MemoryController &mc, const IMitigation *mitigation)
+controllerState(const MemoryController &mc, IMitigation *mitigation)
 {
     StateWriter w;
     mc.saveState(w);
-    if (mitigation != nullptr)
-        mitigation->saveState(w);
+    if (mitigation != nullptr) {
+        StateIo io(w);
+        mitigation->transfer(io);
+    }
     return w.take();
 }
 
@@ -508,8 +510,10 @@ scheduleDigest(Cycle restore_at)
                 build();
                 mc->loadState(r);
                 mc->anchorReplayAt(t);
-                if (mitigation != nullptr)
-                    mitigation->loadState(r);
+                if (mitigation != nullptr) {
+                    StateIo io(r);
+                    mitigation->transfer(io);
+                }
                 EXPECT_TRUE(r.atEnd()) << mitigationName(type);
             }
             for (; next < arrivals.size() && arrivals[next].at == t; ++next) {

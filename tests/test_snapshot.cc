@@ -41,15 +41,32 @@
 namespace bh {
 namespace {
 
-/** Serialized state of any component exposing saveState(). */
+/** Serialized state of any component exposing transfer(). */
 template <class T>
 std::string
-stateBlob(const T &component)
+stateBlob(T &component)
 {
     StateWriter w;
-    component.saveState(w);
+    if constexpr (requires(StateIo &io) { component.transfer(io); }) {
+        StateIo io(w);
+        component.transfer(io);
+    } else {
+        component.saveState(w);
+    }
     return w.take();
 }
+
+/** Load @p blob into @p component; true when it read all of it. */
+template <class T>
+bool
+loadBlob(T &component, const std::string &blob)
+{
+    StateReader r(blob);
+    StateIo io(r);
+    component.transfer(io);
+    return r.atEnd();
+}
+
 
 std::string
 tempPath(const std::string &name)
@@ -193,9 +210,7 @@ TEST(SnapshotCodecTest, MisraGriesReclaimMatchesAfterRestore)
         a.increment(rng.next() % 32);
 
     MisraGries b(8);
-    StateReader r(stateBlob(a));
-    b.loadState(r);
-    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(loadBlob(b, stateBlob(a)));
     EXPECT_EQ(stateBlob(a), stateBlob(b));
 
     Rng drive(11);
@@ -312,10 +327,7 @@ TEST_P(MitigationSnapshotTest, MidEpochRoundTripIsFieldExact)
     RecordingHost host_b;
     auto b = createMitigation(type, 512, spec, 4);
     b->setHost(&host_b);
-    StateReader r(blob);
-    b->loadState(r);
-    ASSERT_TRUE(r.ok());
-    ASSERT_TRUE(r.atEnd());
+    ASSERT_TRUE(loadBlob(*b, blob));
     EXPECT_EQ(stateBlob(*b), blob);
 
     // Phase 2: identical further streams must produce identical actions

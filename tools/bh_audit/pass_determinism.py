@@ -14,10 +14,10 @@ This pass bans the constructs that silently break that:
   input no caller can see and no content address records. The BH_LOG
   gate in log.h is the one read, and it changes only what is printed;
 - iteration over ``std::unordered_map`` / ``std::unordered_set`` inside
-  any function that feeds an ordered output (a StateWriter or the JSON
-  export): hash-table iteration order is
+  any function that feeds an ordered output (a StateWriter, a StateIo
+  transfer or the JSON export): hash-table iteration order is
   implementation-defined, so bytes would differ across
-  libraries/restarts. The snapshot codec's saveUnorderedMap() is the
+  libraries/restarts. The snapshot codec's StateIo::map() is the
   one sanctioned path — it records and reconstructs the order;
 - ``std::map`` / ``std::set`` keyed by pointers: address-dependent
   ordering differs run to run;
@@ -57,7 +57,7 @@ _GETENV = re.compile(r"\bgetenv\s*\(")
 
 # The lookbehind keeps vector<unordered_map<...>> from counting: only a
 # declaration whose *outermost* type is the hash container makes its
-# range-for order-sensitive (element maps go through saveUnorderedMap).
+# range-for order-sensitive (element maps go through StateIo::map).
 _UNORDERED_DECL = re.compile(
     r"(?<![<,])\bstd\s*::\s*unordered_(?:map|set)\s*<[^;{]*?>\s*&?\s*"
     r"([A-Za-z_]\w*)\s*[;={(,)]")
@@ -110,7 +110,7 @@ def _global_state(sf: SourceFile):
 
 # A function participates in an ordered-output path when its body or
 # signature touches one of these.
-_ORDERED_MARKERS = ("StateWriter", "JsonValue")
+_ORDERED_MARKERS = ("StateWriter", "StateIo", "JsonValue")
 
 
 def _flag(report: Report, tree: SourceTree, sf: SourceFile, rule: str,
@@ -188,7 +188,7 @@ def run(tree: SourceTree, report: Report) -> None:
                       "iterating a hash container on an "
                       "ordered-output path; order is "
                       "implementation-defined — use "
-                      "saveUnorderedMap() or sort first")
+                      "StateIo::map() or sort first")
             for m in re.finditer(r"\b([A-Za-z_]\w*)\s*\.\s*begin\s*\(",
                                  fn.body_text):
                 if m.group(1) not in unordered:
@@ -199,5 +199,5 @@ def run(tree: SourceTree, report: Report) -> None:
                       "iterating a hash container on an "
                       "ordered-output path; order is "
                       "implementation-defined — use "
-                      "saveUnorderedMap() or sort first")
+                      "StateIo::map() or sort first")
     report.note_stats(CHECK, files=files_checked)

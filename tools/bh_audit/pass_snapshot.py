@@ -1,10 +1,12 @@
 """Pass 1 — snapshot coverage.
 
-For every class that declares `saveState(StateWriter&)`, every instance
-data member declared in its header must be referenced (by name) in both
-the saveState() and loadState() bodies. This is what turns "added a
-field, forgot the snapshot" from a silent resume-corruption bug into a
-CI failure.
+For every class that declares `transfer(StateIo&)`, every instance data
+member declared in its header must be referenced (by name) in the
+transfer() body, the one body that both saves and loads it. This is
+what turns "added a field, forgot the snapshot" from a silent
+resume-corruption bug into a CI failure. A class still on a
+`saveState(StateWriter&)` / `loadState` pair must reference each member
+in both bodies.
 
 Members that are legitimately not part of the serialized state
 (constructor-derived configuration, non-owning wiring pointers, state
@@ -26,9 +28,14 @@ from report import Report
 CHECK = "snapshot-coverage"
 
 
-def _declares_save_state(sf: SourceFile, cls: CxxClass) -> bool:
+def _snapshot_bodies(sf: SourceFile, cls: CxxClass) -> list[str]:
+    """Names of the class's state-transfer functions, or []."""
     body = sf.stripped[cls.body_start:cls.body_end]
-    return "saveState" in body and "StateWriter" in body
+    if "transfer" in body and "StateIo" in body:
+        return ["transfer"]
+    if "saveState" in body and "StateWriter" in body:
+        return ["saveState", "loadState"]
+    return []
 
 
 def _function_text(tree: SourceTree, sf: SourceFile, cls: CxxClass,
@@ -52,11 +59,12 @@ def run(tree: SourceTree, report: Report) -> None:
             continue
         sf = tree.file(path)
         for cls in sf.classes():
-            if not _declares_save_state(sf, cls):
+            names = _snapshot_bodies(sf, cls)
+            if not names:
                 continue
-            save = _function_text(tree, sf, cls, "saveState")
-            load = _function_text(tree, sf, cls, "loadState")
-            if save is None or load is None:
+            bodies = {name: _function_text(tree, sf, cls, name)
+                      for name in names}
+            if any(text is None for text in bodies.values()):
                 # Interface default / pure declaration with no body
                 # anywhere we can see: nothing to check against.
                 continue
@@ -66,11 +74,8 @@ def run(tree: SourceTree, report: Report) -> None:
             rel = tree.rel(path)
             for member in cls.members:
                 members_checked += 1
-                missing = []
-                if not token_in(member.name, save):
-                    missing.append("saveState")
-                if not token_in(member.name, load):
-                    missing.append("loadState")
+                missing = [name for name, text in bodies.items()
+                           if not token_in(member.name, text)]
                 if not missing:
                     continue
                 skip = sf.skip_for(member.name, line=member.line,
