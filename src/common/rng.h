@@ -67,12 +67,6 @@ class Rng
         return len;
     }
 
-    /** Raw generator state (snapshot serialization). */
-    std::uint64_t rawState() const { return state; }
-
-    /** Restore a state captured by rawState(). @pre raw != 0. */
-    void setRawState(std::uint64_t raw) { state = raw ? raw : 1; }
-
     /** Save or load the generator state (a loaded 0 becomes 1). */
     void
     transfer(StateIo &io)

@@ -103,7 +103,8 @@ Core::saveState(StateWriter &w) const
     w.u64(finishCycle_);
     w.u64(rejectStalls);
     w.u64(memAccesses);
-    trace->saveState(w);
+    StateIo io(w);
+    trace->transfer(io);
 }
 
 void
@@ -134,7 +135,8 @@ Core::loadState(StateReader &r)
     finishCycle_ = r.u64();
     rejectStalls = r.u64();
     memAccesses = r.u64();
-    trace->loadState(r);
+    StateIo io(r);
+    trace->transfer(io);
     // The window holds issue indices [issueCounter - occupancy,
     // issueCounter), each at its index modulo the window size.
     const std::size_t size = window.size();

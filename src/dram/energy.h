@@ -84,32 +84,18 @@ class EnergyAccounting
             migrations_ = 0;
     }
 
-    /** Serialize the event counters (params stay constructor-set). */
+    /** Save or load the event counters (params stay constructor-set). */
     void
-    saveState(StateWriter &w) const
+    transfer(StateIo &io)
     {
-        w.tag("energy");
-        w.u64(acts_);
-        w.u64(reads_);
-        w.u64(writes_);
-        w.u64(refs_);
-        w.u64(rfms_);
-        w.u64(victimRows_);
-        w.u64(migrations_);
-    }
-
-    /** Restore saveState() output. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("energy");
-        acts_ = r.u64();
-        reads_ = r.u64();
-        writes_ = r.u64();
-        refs_ = r.u64();
-        rfms_ = r.u64();
-        victimRows_ = r.u64();
-        migrations_ = r.u64();
+        io.tag("energy");
+        io.u64(acts_);
+        io.u64(reads_);
+        io.u64(writes_);
+        io.u64(refs_);
+        io.u64(rfms_);
+        io.u64(victimRows_);
+        io.u64(migrations_);
     }
 
   private:

@@ -206,11 +206,8 @@ class TimingEngine
 
     const DramSpec &spec() const { return spec_; }
 
-    /** Serialize bank/rank/bus timing state and energy counters. */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output into a same-spec engine. */
-    void loadState(StateReader &r);
+    /** Save or load bank/rank/bus timing state and energy counters. */
+    void transfer(StateIo &io);
 
   private:
     void recordAct(RankState &rank, unsigned bank_group, Cycle now);

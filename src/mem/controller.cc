@@ -689,7 +689,8 @@ void
 MemoryController::saveState(StateWriter &w) const
 {
     w.tag("controller");
-    engine_.saveState(w);
+    StateIo io(w);
+    const_cast<TimingEngine &>(engine_).transfer(io);
     readQ.saveState(w, &saveRequest);
     writeQ.saveState(w, &saveRequest);
     w.b(drainingWrites);
@@ -737,7 +738,8 @@ void
 MemoryController::loadState(StateReader &r)
 {
     r.tag("controller");
-    engine_.loadState(r);
+    StateIo io(r);
+    engine_.transfer(io);
     readQ.loadState(r, &loadRequest);
     writeQ.loadState(r, &loadRequest);
     drainingWrites = r.b();

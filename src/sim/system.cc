@@ -711,7 +711,8 @@ System::saveState(StateWriter &w) const
     w.tag("system");
     w.u64(now);
     w.u64(uncachedKeyCounter);
-    latencyHist.saveState(w);
+    StateIo hist_io(w);
+    const_cast<Histogram &>(latencyHist).transfer(hist_io);
     saveBoolVector(w, rejectCountsQuota);
     saveBoolVector(w, rejectTouchesLlc);
     saveU64VectorBulk(w, demandActsByThread_);
@@ -753,7 +754,8 @@ System::loadState(StateReader &r)
     r.tag("system");
     now = r.u64();
     uncachedKeyCounter = r.u64();
-    latencyHist.loadState(r);
+    StateIo hist_io(r);
+    latencyHist.transfer(hist_io);
     loadBoolVector(r, &rejectCountsQuota);
     loadBoolVector(r, &rejectTouchesLlc);
     loadU64VectorBulk(r, &demandActsByThread_);

@@ -185,46 +185,29 @@ class Histogram
     }
 
     /**
-     * Serialize the accumulator state (geometry stays constructor-set).
-     * The bins are written densely, all numBins_ + 1 of them, so the
-     * encoding does not depend on how much of the prefix is stored.
+     * Save or load the accumulator state (geometry stays
+     * constructor-set; a load of another geometry fails). The bins
+     * travel densely, all numBins_ + 1 of them, so the encoding does
+     * not depend on how much of the prefix is stored.
      */
     void
-    saveState(StateWriter &w) const
+    transfer(StateIo &io)
     {
-        w.tag("hist");
-        w.d(binWidth_);
-        w.u64(numBins_ + 1);
-        for (std::size_t i = 0; i <= numBins_; ++i)
-            w.u64(i < bins.size() ? bins[i] : 0);
-        w.u64(count_);
-        w.d(sum_);
-        w.d(max_);
-        w.u64(dropped_);
-    }
-
-    /** Restore saveState() output; geometry mismatch is a failure. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("hist");
-        double width = r.d();
-        std::vector<std::uint64_t> raw;
-        loadU64Vector(r, &raw);
-        std::uint64_t count = r.u64();
-        double sum = r.d();
-        double max = r.d();
-        std::uint64_t dropped = r.u64();
-        if (!r.ok() || width != binWidth_ || raw.size() != numBins_ + 1) {
-            r.fail();
-            return;
+        io.tag("hist");
+        double width = binWidth_;
+        io.d(width);
+        io.require(width == binWidth_);
+        std::vector<std::uint64_t> dense = bins;
+        dense.resize(numBins_ + 1);
+        io.u64s(dense);
+        if (io.loading()) {
+            bins = std::move(dense);
+            trimBins();
         }
-        bins = std::move(raw);
-        trimBins();
-        count_ = count;
-        sum_ = sum;
-        max_ = max;
-        dropped_ = dropped;
+        io.u64(count_);
+        io.d(sum_);
+        io.d(max_);
+        io.u64(dropped_);
     }
 
     bool

@@ -83,8 +83,7 @@ class AdaptiveAttackerTrace : public TraceSource
 
     TraceRecord next() override;
     const std::string &name() const override { return name_; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     const AttackerConfig &attackConfig() const { return attack_; }
     const AdaptiveConfig &adaptiveConfig() const { return adaptive_; }

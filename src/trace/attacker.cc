@@ -122,26 +122,12 @@ AttackerTrace::next()
 }
 
 void
-AttackerTrace::saveState(StateWriter &w) const
+AttackerTrace::transfer(StateIo &io)
 {
-    w.tag("attacker_trace");
-    w.u64(rng.rawState());
-    w.u64(bankCursor);
-    w.u64(rowCursor);
-}
-
-void
-AttackerTrace::loadState(StateReader &r)
-{
-    r.tag("attacker_trace");
-    std::uint64_t raw = r.u64();
-    unsigned bank_cursor = static_cast<unsigned>(r.u64());
-    unsigned row_cursor = static_cast<unsigned>(r.u64());
-    if (!r.ok())
-        return;
-    rng.setRawState(raw);
-    bankCursor = bank_cursor;
-    rowCursor = row_cursor;
+    io.tag("attacker_trace");
+    rng.transfer(io);
+    io.u64(bankCursor);
+    io.u64(rowCursor);
 }
 
 } // namespace bh

@@ -98,8 +98,7 @@ class AttackerTrace : public TraceSource
 
     TraceRecord next() override;
     const std::string &name() const override { return name_; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     const AttackerConfig &config() const { return config_; }
 

@@ -69,8 +69,7 @@ class BenignTrace : public TraceSource
 
     TraceRecord next() override;
     const std::string &name() const override { return profile_.name; }
-    void saveState(StateWriter &w) const override;
-    void loadState(StateReader &r) override;
+    void transfer(StateIo &io) override;
 
     const AppProfile &profile() const { return profile_; }
 

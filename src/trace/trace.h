@@ -46,15 +46,12 @@ class TraceSource
     virtual const std::string &name() const = 0;
 
     /**
-     * Serialize the generator's mutable cursor/RNG state. Everything
+     * Save or load the generator's mutable cursor/RNG state. Everything
      * derived from the constructor arguments (profiles, precomputed row
      * sets) is rebuilt deterministically on construction and not saved.
-     * The default is for stateless/test sources: nothing to save.
+     * The default is for stateless/test sources: nothing to transfer.
      */
-    virtual void saveState(StateWriter &w) const { (void)w; }
-
-    /** Restore saveState() output into a same-config instance. */
-    virtual void loadState(StateReader &r) { (void)r; }
+    virtual void transfer(StateIo &io) { (void)io; }
 };
 
 } // namespace bh

@@ -468,12 +468,7 @@ TEST(AdaptiveTraceSnapshotTest, MidAdaptationRoundTripIsFieldExact)
     // (covers the RNG cursor and the observed-feedback history).
     std::string blob = stateBlob(a);
     AdaptiveAttackerTrace b(attack, adaptive, mapper, 13);
-    {
-        StateReader r(blob);
-        b.loadState(r);
-        ASSERT_TRUE(r.ok());
-        ASSERT_TRUE(r.atEnd());
-    }
+    ASSERT_TRUE(loadBlob(b, blob));
     EXPECT_EQ(stateBlob(b), blob);
     EXPECT_EQ(b.rotation(), a.rotation());
     EXPECT_EQ(b.currentBubbles(), a.currentBubbles());

@@ -275,14 +275,16 @@ struct DenseHistogram
         return out;
     }
 
-    /** Histogram::saveState's encoding of the dense state. */
+    /** Histogram::transfer's encoding of the dense state. */
     std::string
     stateBytes() const
     {
         StateWriter w;
         w.tag("hist");
         w.d(binWidth);
-        saveU64Vector(w, bins);
+        w.u64(bins.size());
+        for (std::uint64_t c : bins)
+            w.u64(c);
         w.u64(count);
         w.d(sum);
         w.d(max);
@@ -388,13 +390,15 @@ TEST_P(HistogramEquivalenceTest, StoredPrefixAnswersLikeDenseBins)
 
     // Same snapshot bytes; a restore stores the same prefix.
     StateWriter w;
-    h.saveState(w);
+    StateIo save(w);
+    h.transfer(save);
     const std::string state = w.take();
     EXPECT_EQ(state, ref.stateBytes());
     Histogram restored(geometry.width, geometry.numBins);
     StateReader r(state);
-    restored.loadState(r);
-    ASSERT_TRUE(r.ok());
+    StateIo load(r);
+    restored.transfer(load);
+    ASSERT_TRUE(r.atEnd());
     EXPECT_TRUE(restored == h);
     EXPECT_EQ(restored.rawBins().size(), stored.size());
 }
