@@ -59,54 +59,22 @@ BreakHammer::rollWindows(Cycle now)
 }
 
 void
-BreakHammer::saveState(StateWriter &w) const
+BreakHammer::transfer(StateIo &io)
 {
-    w.tag("breakhammer");
-    saveDoubleVector(w, scoreSet[0]);
-    saveDoubleVector(w, scoreSet[1]);
-    w.u64(active);
-    w.u64(windowStart);
-    saveU64Vector(w, activations);
-    saveBoolVector(w, suspect);
-    saveBoolVector(w, recentSuspect);
-    saveUnsignedVector(w, quotas);
-    w.u64(suspectMarks_);
-    w.u64(actionsObserved_);
-}
-
-void
-BreakHammer::loadState(StateReader &r)
-{
-    r.tag("breakhammer");
-    std::vector<double> s0, s1;
-    loadDoubleVector(r, &s0);
-    loadDoubleVector(r, &s1);
-    std::uint64_t active_set = r.u64();
-    Cycle window_start = r.u64();
-    std::vector<std::uint64_t> acts;
-    loadU64Vector(r, &acts);
-    std::vector<bool> susp, recent;
-    loadBoolVector(r, &susp);
-    loadBoolVector(r, &recent);
-    std::vector<unsigned> q;
-    loadUnsignedVector(r, &q);
-    if (!r.ok() || s0.size() != numThreads || s1.size() != numThreads ||
-        acts.size() != numThreads || susp.size() != numThreads ||
-        recent.size() != numThreads || q.size() != numThreads ||
-        active_set > 1) {
-        r.fail();
-        return;
-    }
-    scoreSet[0] = std::move(s0);
-    scoreSet[1] = std::move(s1);
+    io.tag("breakhammer");
+    io.doubles(scoreSet[0]);
+    io.doubles(scoreSet[1]);
+    std::uint64_t active_set = active;
+    io.u64(active_set);
+    io.require(active_set <= 1);
     active = static_cast<unsigned>(active_set);
-    windowStart = window_start;
-    activations = std::move(acts);
-    suspect = std::move(susp);
-    recentSuspect = std::move(recent);
-    quotas = std::move(q);
-    suspectMarks_ = r.u64();
-    actionsObserved_ = r.u64();
+    io.u64(windowStart);
+    io.u64s(activations);
+    io.bools(suspect);
+    io.bools(recentSuspect);
+    io.u64s(quotas);
+    io.u64(suspectMarks_);
+    io.u64(actionsObserved_);
 }
 
 void

@@ -115,13 +115,10 @@ class BreakHammer : public IActionObserver
     Cycle nextWindowBoundary() const { return windowStart + config_.window; }
 
     /**
-     * Serialize both counter sets, window bookkeeping, suspect flags,
-     * and quotas (mirrors the IMitigation::saveState contract).
+     * Save or load both counter sets, window bookkeeping, suspect
+     * flags, and quotas (mirrors the IMitigation::transfer contract).
      */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output into a same-config instance. */
-    void loadState(StateReader &r);
+    void transfer(StateIo &io);
 
   private:
     void updateScores(double weight, Cycle now);
@@ -130,7 +127,7 @@ class BreakHammer : public IActionObserver
     void endWindow();
 
     BreakHammerConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    unsigned numThreads;        // bh-audit: skip(numThreads) -- constructor config; validates loaded vector sizes
+    unsigned numThreads;        // bh-audit: skip(numThreads) -- constructor config, keyed by ExperimentConfig
     IThrottleTarget *target;    // bh-audit: skip(target) -- non-owning wiring installed by System
 
     /** Two time-interleaved score sets; `active` answers queries. */

@@ -83,11 +83,8 @@ class Llc
      */
     void addMisses(std::uint64_t n) { misses_ += n; }
 
-    /** Serialize tags/LRU/dirtiness and the hit/miss counters. */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output into a same-geometry cache. */
-    void loadState(StateReader &r);
+    /** Save or load tags/LRU/dirtiness and the hit/miss counters. */
+    void transfer(StateIo &io);
 
   private:
     struct Line
@@ -107,7 +104,6 @@ class Llc
     LlcConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
     unsigned numSets_ = 0;
     /** Per set: 1 + its block number in `pool`, or 0 if never filled. */
-    // bh-audit: skip(slots) -- derived state; loadState rebuilds it from the logical tag store
     std::vector<std::uint32_t> slots;
     std::vector<Line> pool; ///< Blocks of `ways` lines, in first-fill order.
     std::uint64_t lruClock = 0;

@@ -51,66 +51,38 @@ MshrFile::release(Addr line_addr, std::vector<MshrWaiter> *waiters)
 }
 
 void
-MshrFile::saveState(StateWriter &w) const
+MshrFile::transfer(StateIo &io)
 {
-    w.tag("mshr");
-    saveUnsignedVector(w, quotas);
-    saveUnsignedVector(w, inflight);
-    saveUnorderedMap(
-        w, entries, [](StateWriter &sw, Addr a) { sw.u64(a); },
-        [](StateWriter &sw, const Entry &e) {
-            sw.u64(e.owner);
-            sw.b(e.anyStore);
-            saveVector(sw, e.waiters,
-                       [](StateWriter &ew, const MshrWaiter &wr) {
-                           ew.u64(wr.thread);
-                           ew.u64(wr.token);
-                           ew.b(wr.isLoad);
-                       });
+    io.tag("mshr");
+    io.u64s(quotas);
+    io.u64s(inflight);
+    io.map(entries, [](StateIo &sub, Addr &line, Entry &e) {
+        sub.u64(line);
+        sub.u64(e.owner);
+        sub.b(e.anyStore);
+        sub.list(e.waiters, [](StateIo &wio, MshrWaiter &waiter) {
+            wio.u64(waiter.thread);
+            wio.u64(waiter.token);
+            wio.b(waiter.isLoad);
         });
-    w.u64(quotaRejections_);
+    });
+    io.u64(quotaRejections_);
+    if (io.loading())
+        io.require(inflightMatchesOwners());
 }
 
-void
-MshrFile::loadState(StateReader &r)
+bool
+MshrFile::inflightMatchesOwners() const
 {
-    r.tag("mshr");
-    std::vector<unsigned> q, inf;
-    loadUnsignedVector(r, &q);
-    loadUnsignedVector(r, &inf);
-    if (!r.ok() || q.size() != quotas.size() ||
-        inf.size() != inflight.size()) {
-        r.fail();
-        return;
-    }
-    quotas = std::move(q);
-    inflight = std::move(inf);
-    loadUnorderedMap(
-        r, &entries, [](StateReader &sr, Addr *a) { *a = sr.u64(); },
-        [](StateReader &sr, Entry *e) {
-            e->owner = static_cast<ThreadId>(sr.u64());
-            e->anyStore = sr.b();
-            loadVector(sr, &e->waiters,
-                       [](StateReader &er, MshrWaiter *wr) {
-                           wr->thread = static_cast<ThreadId>(er.u64());
-                           wr->token = er.u64();
-                           wr->isLoad = er.b();
-                       });
-        });
-    quotaRejections_ = r.u64();
-
-    // Each thread's inflight count is the number of entries it owns: a
-    // release indexes and decrements it by the entry's owner.
+    // A release indexes and decrements a thread's inflight count by the
+    // entry's owner.
     std::vector<unsigned> owned(inflight.size(), 0);
-    for (const auto &[key, entry] : entries) {
-        if (entry.owner >= owned.size()) {
-            r.fail();
-            return;
-        }
+    for (const auto &[line, entry] : entries) {
+        if (entry.owner >= owned.size())
+            return false;
         ++owned[entry.owner];
     }
-    if (owned != inflight)
-        r.fail();
+    return owned == inflight;
 }
 
 } // namespace bh

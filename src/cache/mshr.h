@@ -129,11 +129,8 @@ class MshrFile : public IThrottleTarget
                 fn(w);
     }
 
-    /** Serialize outstanding entries, quotas, and counters. */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output into a same-capacity file. */
-    void loadState(StateReader &r);
+    /** Save or load outstanding entries, quotas, and counters. */
+    void transfer(StateIo &io);
 
   private:
     struct Entry
@@ -142,6 +139,9 @@ class MshrFile : public IThrottleTarget
         bool anyStore = false;
         std::vector<MshrWaiter> waiters;
     };
+
+    /** Whether each thread's inflight count is the entries it owns. */
+    bool inflightMatchesOwners() const;
 
     unsigned numEntries;  // bh-audit: skip(numEntries) -- constructor config, keyed by ExperimentConfig
     std::vector<unsigned> quotas;

@@ -82,67 +82,33 @@ Core::issueOne(Cycle now)
 }
 
 void
-Core::saveState(StateWriter &w) const
+Core::transfer(StateIo &io)
 {
-    w.tag("core");
-    saveVector(w, window, [](StateWriter &sw, const WindowEntry &e) {
-        sw.u64(e.doneAt);
-    });
-    w.u64(head);
-    w.u64(occupancy);
-    w.u64(issueCounter);
-    w.u32(pendingBubbles);
-    w.b(recValid);
-    w.b(stalledOnReject_);
-    w.u32(rec.bubbles);
-    w.b(rec.isWrite);
-    w.b(rec.uncached);
-    w.u64(rec.addr);
-    w.u64(retired_);
-    w.u64(target_);
-    w.u64(finishCycle_);
-    w.u64(rejectStalls);
-    w.u64(memAccesses);
-    StateIo io(w);
-    trace->transfer(io);
-}
-
-void
-Core::loadState(StateReader &r)
-{
-    r.tag("core");
-    std::vector<WindowEntry> win;
-    loadVector(r, &win, [](StateReader &sr, WindowEntry *e) {
-        e->doneAt = sr.u64();
-    });
-    if (!r.ok() || win.size() != window.size()) {
-        r.fail();
-        return;
-    }
-    window = std::move(win);
-    head = static_cast<unsigned>(r.u64());
-    occupancy = static_cast<unsigned>(r.u64());
-    issueCounter = r.u64();
-    pendingBubbles = r.u32();
-    recValid = r.b();
-    stalledOnReject_ = r.b();
-    rec.bubbles = r.u32();
-    rec.isWrite = r.b();
-    rec.uncached = r.b();
-    rec.addr = r.u64();
-    retired_ = r.u64();
-    target_ = r.u64();
-    finishCycle_ = r.u64();
-    rejectStalls = r.u64();
-    memAccesses = r.u64();
-    StateIo io(r);
+    io.tag("core");
+    io.count(window.size());
+    for (WindowEntry &e : window)
+        io.u64(e.doneAt);
+    io.u64(head);
+    io.u64(occupancy);
+    io.u64(issueCounter);
+    io.u32(pendingBubbles);
+    io.b(recValid);
+    io.b(stalledOnReject_);
+    io.u32(rec.bubbles);
+    io.b(rec.isWrite);
+    io.b(rec.uncached);
+    io.u64(rec.addr);
+    io.u64(retired_);
+    io.u64(target_);
+    io.u64(finishCycle_);
+    io.u64(rejectStalls);
+    io.u64(memAccesses);
     trace->transfer(io);
     // The window holds issue indices [issueCounter - occupancy,
     // issueCounter), each at its index modulo the window size.
     const std::size_t size = window.size();
-    if (head >= size || occupancy > size ||
-        (head + occupancy) % size != issueCounter % size)
-        r.fail();
+    io.require(head < size && occupancy <= size &&
+               (head + occupancy) % size == issueCounter % size);
 }
 
 void

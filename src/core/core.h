@@ -178,11 +178,8 @@ class Core
     /** Memory accesses issued (loads + stores). */
     std::uint64_t memoryAccesses() const { return memAccesses; }
 
-    /** Serialize the core's mutable pipeline state (not the config). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output into a same-config core. */
-    void loadState(StateReader &r);
+    /** Save or load the core's mutable pipeline state (not the config). */
+    void transfer(StateIo &io);
 
   private:
     struct WindowEntry

@@ -711,14 +711,15 @@ System::saveState(StateWriter &w) const
     w.tag("system");
     w.u64(now);
     w.u64(uncachedKeyCounter);
-    StateIo hist_io(w);
-    const_cast<Histogram &>(latencyHist).transfer(hist_io);
+    auto &self = const_cast<System &>(*this);
+    StateIo io(w);
+    self.latencyHist.transfer(io);
     saveBoolVector(w, rejectCountsQuota);
     saveBoolVector(w, rejectTouchesLlc);
     saveU64VectorBulk(w, demandActsByThread_);
 
-    llc.saveState(w);
-    mshr.saveState(w);
+    self.llc.transfer(io);
+    self.mshr.transfer(io);
 
     // One section per channel: controller, then its mitigation/oracle/
     // census instances (presence flags match the constructed graph).
@@ -727,10 +728,8 @@ System::saveState(StateWriter &w) const
     for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
         mcs[ch]->saveState(w);
         w.b(mitigations[ch] != nullptr);
-        if (mitigations[ch]) {
-            StateIo io(w);
+        if (mitigations[ch])
             mitigations[ch]->transfer(io);
-        }
         w.b(!oracles.empty());
         if (!oracles.empty())
             oracles[ch]->saveState(w);
@@ -741,11 +740,11 @@ System::saveState(StateWriter &w) const
 
     w.b(bh != nullptr);
     if (bh)
-        bh->saveState(w);
+        bh->transfer(io);
 
     w.u64(cores.size());
     for (const auto &core : cores)
-        core->saveState(w);
+        core->transfer(io);
 }
 
 void
@@ -754,8 +753,8 @@ System::loadState(StateReader &r)
     r.tag("system");
     now = r.u64();
     uncachedKeyCounter = r.u64();
-    StateIo hist_io(r);
-    latencyHist.transfer(hist_io);
+    StateIo io(r);
+    latencyHist.transfer(io);
     loadBoolVector(r, &rejectCountsQuota);
     loadBoolVector(r, &rejectTouchesLlc);
     loadU64VectorBulk(r, &demandActsByThread_);
@@ -768,8 +767,8 @@ System::loadState(StateReader &r)
 
     snapKey_ = kNoRejectKey;
 
-    llc.loadState(r);
-    mshr.loadState(r);
+    llc.transfer(io);
+    mshr.transfer(io);
 
     r.tag("channels");
     if (r.u64() != mcs.size()) {
@@ -785,10 +784,8 @@ System::loadState(StateReader &r)
             r.fail();
             return;
         }
-        if (mitigations[ch]) {
-            StateIo io(r);
+        if (mitigations[ch])
             mitigations[ch]->transfer(io);
-        }
         if (r.b() != !oracles.empty()) {
             r.fail();
             return;
@@ -808,14 +805,14 @@ System::loadState(StateReader &r)
         return;
     }
     if (bh)
-        bh->loadState(r);
+        bh->transfer(io);
 
     if (r.u64() != cores.size()) {
         r.fail();
         return;
     }
     for (auto &core : cores)
-        core->loadState(r);
+        core->transfer(io);
 }
 
 std::string

@@ -174,10 +174,11 @@ step(Llc &llc, Addr line, bool is_write)
 }
 
 std::string
-llcState(const Llc &llc)
+llcState(Llc &llc)
 {
     StateWriter w;
-    llc.saveState(w);
+    StateIo io(w);
+    llc.transfer(io);
     return w.take();
 }
 
@@ -227,8 +228,9 @@ TEST(LlcTest, MidRunRestoreKeepsOutcomesAndBytes)
     const std::string mid = llcState(llc);
     Llc restored(cfg);
     StateReader r(mid);
-    restored.loadState(r);
-    ASSERT_TRUE(r.ok());
+    StateIo io(r);
+    restored.transfer(io);
+    ASSERT_TRUE(r.atEnd());
     EXPECT_EQ(restored.filledSets(), llc.filledSets());
     EXPECT_EQ(llcState(restored), mid);
 

@@ -383,16 +383,8 @@ TEST(BreakHammerSnapshotTest, MidWindowRoundTripIsFieldExact)
 
     std::string blob = stateBlob(a);
     std::string mshr_blob = stateBlob(mshr_a);
-    {
-        StateReader r(blob);
-        b.loadState(r);
-        ASSERT_TRUE(r.ok());
-    }
-    {
-        StateReader r(mshr_blob);
-        mshr_b.loadState(r);
-        ASSERT_TRUE(r.ok());
-    }
+    ASSERT_TRUE(loadBlob(b, blob));
+    ASSERT_TRUE(loadBlob(mshr_b, mshr_blob));
     EXPECT_EQ(stateBlob(b), blob);
     EXPECT_EQ(stateBlob(mshr_b), mshr_blob);
     for (ThreadId t = 0; t < 4; ++t) {
