@@ -101,7 +101,7 @@ class Llc
     std::span<const Line> filledSet(Addr line_addr) const;
     Addr tagOf(Addr line_addr) const;
 
-    LlcConfig config_;  // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
+    LlcConfig config_;
     unsigned numSets_ = 0;
     /** Per set: 1 + its block number in `pool`, or 0 if never filled. */
     std::vector<std::uint32_t> slots;

@@ -2,28 +2,30 @@
  * @file
  * Binary state codec for mid-run simulation snapshots.
  *
- * StateWriter/StateReader serialize the mutable state of every simulation
- * component into a flat byte string (little-endian fixed-width integers,
- * doubles as IEEE-754 bit patterns — exact round trips, no text
- * formatting). Section tags (FNV-1a of a name) let a reader detect layout
- * drift early; every read is bounds-checked and failure is sticky, so a
- * truncated or corrupt blob reports `!ok()` instead of crashing — the
- * caller falls back to recomputing from scratch.
+ * StateWriter/StateReader encode and decode a flat byte string
+ * (little-endian fixed-width integers, doubles as IEEE-754 bit patterns
+ * — exact round trips, no text formatting). Section tags (FNV-1a of a
+ * name) let a reader detect layout drift early; every read is
+ * bounds-checked and failure is sticky, so a truncated or corrupt blob
+ * reports `!ok()` instead of crashing — the caller falls back to
+ * recomputing from scratch. Each simulation component states its
+ * mutable state once, in a `transfer(StateIo &)` body that StateIo runs
+ * in either direction.
  *
  * Hash-table state needs more care than contents alone: a resumed run's
  * later snapshots must be *byte-identical* to an uninterrupted run's, and
  * a map is written in iteration order (MisraGries's reclaim scan also
  * drops the first stale slot an iteration finds, which decides which
  * stale keys a later snapshot holds, though never a simulated result).
- * saveUnorderedMap()/loadUnorderedMap() therefore record the bucket
- * count and the elements in iteration order, and rebuild by rehashing
- * to the saved bucket count and inserting in *reverse* order: libstdc++
- * prepends a new node to its bucket (and a new bucket's segment to the
- * global element list), so reverse insertion reproduces the exact
- * iteration order — and, with the bucket count pinned, the exact future
- * rehash points. test_snapshot locks this property in; if a standard
- * library ever breaks it, the round-trip tests fail loudly rather than
- * letting resumed snapshots drift.
+ * StateIo::map() therefore records the bucket count and the elements
+ * in iteration order, and rebuilds by rehashing to the saved bucket
+ * count and inserting in *reverse* order: libstdc++ prepends a new node
+ * to its bucket (and a new bucket's segment to the global element
+ * list), so reverse insertion reproduces the exact iteration order —
+ * and, with the bucket count pinned, the exact future rehash points.
+ * test_snapshot locks this property in; if a standard library ever
+ * breaks it, the round-trip tests fail loudly rather than letting
+ * resumed snapshots drift.
  */
 #pragma once
 
@@ -558,251 +560,6 @@ class StateIo
     StateWriter *w_ = nullptr;
     StateReader *r_ = nullptr;
 };
-
-// --- Container helpers --------------------------------------------------
-
-/** Save a vector; @p save_elem is (StateWriter&, const T&). */
-template <class T, class SaveElem>
-void
-saveVector(StateWriter &w, const std::vector<T> &v, SaveElem save_elem)
-{
-    w.u64(v.size());
-    for (const T &e : v)
-        save_elem(w, e);
-}
-
-/**
- * Load a vector saved by saveVector(); @p load_elem is
- * (StateReader&, T*). The element count is validated against the bytes
- * remaining, so a corrupt length cannot drive a huge allocation.
- */
-template <class T, class LoadElem>
-bool
-loadVector(StateReader &r, std::vector<T> *v, LoadElem load_elem)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) {
-        r.fail();
-        return false;
-    }
-    v->clear();
-    v->reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        T e{};
-        load_elem(r, &e);
-        v->push_back(std::move(e));
-    }
-    return r.ok();
-}
-
-inline void
-saveU64Vector(StateWriter &w, const std::vector<std::uint64_t> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, std::uint64_t e) { sw.u64(e); });
-}
-
-inline bool
-loadU64Vector(StateReader &r, std::vector<std::uint64_t> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, std::uint64_t *e) {
-        *e = sr.u64();
-    });
-}
-
-/**
- * saveU64Vector with a bulk fast path: on little-endian hosts the whole
- * array is one append/memcpy (bit-identical encoding to the element
- * loop). For megabyte-scale state — the LLC tag store — the per-element
- * loop is the snapshot codec's dominant cost.
- */
-inline void
-saveU64VectorBulk(StateWriter &w, const std::vector<std::uint64_t> &v)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    w.u64(v.size());
-    w.bytes(v.data(), v.size() * sizeof(std::uint64_t));
-#else
-    saveU64Vector(w, v);
-#endif
-}
-
-/** Bulk counterpart of loadU64Vector (same encoding, memcpy decode). */
-inline bool
-loadU64VectorBulk(StateReader &r, std::vector<std::uint64_t> *v)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() / sizeof(std::uint64_t)) {
-        r.fail();
-        return false;
-    }
-    v->resize(n);
-    return r.bytes(v->data(), n * sizeof(std::uint64_t));
-#else
-    return loadU64Vector(r, v);
-#endif
-}
-
-inline void
-saveU32Vector(StateWriter &w, const std::vector<std::uint32_t> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, std::uint32_t e) { sw.u32(e); });
-}
-
-inline bool
-loadU32Vector(StateReader &r, std::vector<std::uint32_t> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, std::uint32_t *e) {
-        *e = sr.u32();
-    });
-}
-
-/** u32 counterpart of saveU64VectorBulk (same bulk fast path). */
-inline void
-saveU32VectorBulk(StateWriter &w, const std::vector<std::uint32_t> &v)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    w.u64(v.size());
-    w.bytes(v.data(), v.size() * sizeof(std::uint32_t));
-#else
-    w.u64(v.size());
-    for (std::uint32_t e : v)
-        w.u32(e);
-#endif
-}
-
-/** Bulk counterpart of loadU32Vector's encoding above. */
-inline bool
-loadU32VectorBulk(StateReader &r, std::vector<std::uint32_t> *v)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() / sizeof(std::uint32_t)) {
-        r.fail();
-        return false;
-    }
-    v->resize(n);
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    return r.bytes(v->data(), n * sizeof(std::uint32_t));
-#else
-    for (std::uint32_t &e : *v)
-        e = r.u32();
-    return r.ok();
-#endif
-}
-
-inline void
-saveUnsignedVector(StateWriter &w, const std::vector<unsigned> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, unsigned e) {
-        sw.u64(e);
-    });
-}
-
-inline bool
-loadUnsignedVector(StateReader &r, std::vector<unsigned> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, unsigned *e) {
-        *e = static_cast<unsigned>(sr.u64());
-    });
-}
-
-inline void
-saveDoubleVector(StateWriter &w, const std::vector<double> &v)
-{
-    saveVector(w, v, [](StateWriter &sw, double e) { sw.d(e); });
-}
-
-inline bool
-loadDoubleVector(StateReader &r, std::vector<double> *v)
-{
-    return loadVector(r, v, [](StateReader &sr, double *e) {
-        *e = sr.d();
-    });
-}
-
-inline void
-saveBoolVector(StateWriter &w, const std::vector<bool> &v)
-{
-    w.u64(v.size());
-    for (bool e : v)
-        w.b(e);
-}
-
-inline bool
-loadBoolVector(StateReader &r, std::vector<bool> *v)
-{
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining()) {
-        r.fail();
-        return false;
-    }
-    v->assign(n, false);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        (*v)[i] = r.b();
-    return r.ok();
-}
-
-/**
- * Save an unordered_map: bucket count, then the elements in iteration
- * order (see the file comment for why order is part of the state).
- */
-template <class Map, class SaveKey, class SaveVal>
-void
-saveUnorderedMap(StateWriter &w, const Map &m, SaveKey save_key,
-                 SaveVal save_val)
-{
-    w.u64(m.bucket_count());
-    w.u64(m.size());
-    for (const auto &kv : m) {
-        save_key(w, kv.first);
-        save_val(w, kv.second);
-    }
-}
-
-/**
- * Rebuild a map saved by saveUnorderedMap() with identical contents,
- * bucket count, AND iteration order (reverse-insertion reconstruction).
- */
-template <class Map, class LoadKey, class LoadVal>
-bool
-loadUnorderedMap(StateReader &r, Map *m, LoadKey load_key,
-                 LoadVal load_val)
-{
-    using Key = typename Map::key_type;
-    using Val = typename Map::mapped_type;
-    std::uint64_t buckets = r.u64();
-    std::uint64_t n = r.u64();
-    if (!r.ok() || n > r.remaining() || buckets > kMaxSnapshotBuckets) {
-        r.fail();
-        return false;
-    }
-    std::vector<std::pair<Key, Val>> items;
-    items.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-        Key k{};
-        Val v{};
-        load_key(r, &k);
-        load_val(r, &v);
-        items.emplace_back(std::move(k), std::move(v));
-    }
-    if (!r.ok())
-        return false;
-    // Rebuild into a fresh table: a never-inserted map sits on the
-    // implementation's placeholder bucket count (1 on libstdc++), which
-    // rehash() cannot produce — so only rehash when the saved count
-    // differs from the fresh default. Saved counts of ever-grown maps
-    // are rehash-stable values (primes on libstdc++), so rehash()
-    // reproduces them exactly, and with the count pinned the future
-    // growth schedule matches the original's too.
-    Map fresh;
-    fresh.max_load_factor(m->max_load_factor());
-    if (buckets != fresh.bucket_count())
-        fresh.rehash(static_cast<std::size_t>(buckets));
-    for (auto it = items.rbegin(); it != items.rend(); ++it)
-        fresh.emplace(std::move(it->first), std::move(it->second));
-    *m = std::move(fresh);
-    return true;
-}
 
 // --- Snapshot files -----------------------------------------------------
 

@@ -100,43 +100,24 @@ class RowCensus
         return rows;
     }
 
-    /** Serialize the open window and all completed summaries. */
+    /** Save or load the open window and all completed summaries. */
     void
-    saveState(StateWriter &w) const
+    transfer(StateIo &io)
     {
-        w.tag("census");
-        w.u64(windowStart);
-        w.u64(actsInWindow);
-        saveUnorderedMap(
-            w, counts, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-        saveVector(w, windows_,
-                   [](StateWriter &sw, const WindowSummary &s) {
-                       sw.u64(s.totalActs);
-                       sw.u64(s.rows512);
-                       sw.u64(s.rows128);
-                       sw.u64(s.rows64);
-                   });
-    }
-
-    /** Restore saveState() output. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("census");
-        windowStart = r.u64();
-        actsInWindow = r.u64();
-        loadUnorderedMap(
-            r, &counts,
-            [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-        loadVector(r, &windows_,
-                   [](StateReader &sr, WindowSummary *s) {
-                       s->totalActs = sr.u64();
-                       s->rows512 = sr.u64();
-                       s->rows128 = sr.u64();
-                       s->rows64 = sr.u64();
-                   });
+        io.tag("census");
+        io.u64(windowStart);
+        io.u64(actsInWindow);
+        io.map(counts,
+               [](StateIo &sub, std::uint64_t &row, std::uint32_t &count) {
+                   sub.u64(row);
+                   sub.u32(count);
+               });
+        io.list(windows_, [](StateIo &sub, WindowSummary &s) {
+            sub.u64(s.totalActs);
+            sub.u64(s.rows512);
+            sub.u64(s.rows128);
+            sub.u64(s.rows64);
+        });
     }
 
   private:

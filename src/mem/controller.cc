@@ -585,227 +585,115 @@ MemoryController::tick(Cycle now)
 namespace {
 
 void
-saveRequest(StateWriter &w, const Request &req)
+transferRequest(StateIo &io, Request &req)
 {
-    w.u8(req.type == Request::Type::kWrite ? 1 : 0);
-    w.u64(req.addr);
-    w.u64(req.da.rank);
-    w.u64(req.da.bankGroup);
-    w.u64(req.da.bank);
-    w.u64(req.da.row);
-    w.u64(req.da.column);
-    w.u64(req.flatBank);
-    w.u64(req.thread);
-    w.u64(req.enqueueCycle);
-    w.u64(req.token);
-    w.b(req.uncached);
-}
-
-void
-loadRequest(StateReader &r, Request *req)
-{
-    req->type = r.u8() ? Request::Type::kWrite : Request::Type::kRead;
-    req->addr = r.u64();
-    req->da.rank = static_cast<unsigned>(r.u64());
-    req->da.bankGroup = static_cast<unsigned>(r.u64());
-    req->da.bank = static_cast<unsigned>(r.u64());
-    req->da.row = static_cast<unsigned>(r.u64());
-    req->da.column = static_cast<unsigned>(r.u64());
-    req->flatBank = static_cast<unsigned>(r.u64());
-    req->thread = static_cast<ThreadId>(r.u64());
-    req->enqueueCycle = r.u64();
-    req->token = r.u64();
-    req->uncached = r.b();
+    std::uint8_t write = req.type == Request::Type::kWrite ? 1 : 0;
+    io.u8(write);
+    req.type = write != 0 ? Request::Type::kWrite : Request::Type::kRead;
+    io.u64(req.addr);
+    io.u64(req.da.rank);
+    io.u64(req.da.bankGroup);
+    io.u64(req.da.bank);
+    io.u64(req.da.row);
+    io.u64(req.da.column);
+    io.u64(req.flatBank);
+    io.u64(req.thread);
+    io.u64(req.enqueueCycle);
+    io.u64(req.token);
+    io.b(req.uncached);
 }
 
 } // namespace
 
 void
-BankedRequestQueue::saveState(
-    StateWriter &w, void (*save_req)(StateWriter &, const Request &)) const
+BankedRequestQueue::transfer(StateIo &io)
 {
-    w.tag("bankq");
-    w.u64(banks_.size());
-    for (const std::deque<QueuedRequest> &fifo : banks_) {
-        w.u64(fifo.size());
-        for (const QueuedRequest &qr : fifo) {
-            save_req(w, qr.req);
-            w.u64(qr.seq);
-        }
-    }
+    io.tag("bankq");
+    io.count(banks_.size());
+    for (std::deque<QueuedRequest> &fifo : banks_)
+        io.list(fifo, [](StateIo &sub, QueuedRequest &qr) {
+            transferRequest(sub, qr.req);
+            sub.u64(qr.seq);
+        });
     // The active-bank list order never steers scheduling (candidates
     // compare by seq), but restoring it verbatim keeps a resumed run on
     // the uninterrupted run's exact trajectory.
-    saveUnsignedVector(w, active_);
-    w.u64(nextSeq_);
-}
-
-void
-BankedRequestQueue::loadState(StateReader &r,
-                              void (*load_req)(StateReader &, Request *))
-{
-    r.tag("bankq");
-    if (r.u64() != banks_.size()) {
-        r.fail();
-        return;
-    }
-    size_ = 0;
-    for (std::deque<QueuedRequest> &fifo : banks_) {
-        fifo.clear();
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n > r.remaining()) {
-            r.fail();
-            return;
-        }
-        for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-            QueuedRequest qr;
-            load_req(r, &qr.req);
-            qr.seq = r.u64();
-            fifo.push_back(qr);
-        }
-        size_ += fifo.size();
-    }
-    loadUnsignedVector(r, &active_);
-    nextSeq_ = r.u64();
-    if (!r.ok())
+    io.list(active_, [](StateIo &sub, unsigned &fb) { sub.u64(fb); });
+    io.u64(nextSeq_);
+    if (!io.loading() || !io.ok())
         return;
     std::fill(activePos_.begin(), activePos_.end(), -1);
-    for (std::size_t i = 0; i < active_.size(); ++i) {
+    for (std::size_t i = 0; i < active_.size() && io.ok(); ++i) {
         unsigned fb = active_[i];
-        if (fb >= banks_.size() || banks_[fb].empty()) {
-            r.fail();
-            return;
-        }
-        activePos_[fb] = static_cast<int>(i);
+        io.require(fb < banks_.size() && !banks_[fb].empty());
+        if (io.ok())
+            activePos_[fb] = static_cast<int>(i);
     }
-    for (std::size_t fb = 0; fb < banks_.size(); ++fb)
-        if (!banks_[fb].empty() && activePos_[fb] < 0) {
-            r.fail(); // Non-empty bank absent from the active list.
-            return;
-        }
+    size_ = 0;
+    for (std::size_t fb = 0; fb < banks_.size() && io.ok(); ++fb) {
+        // A non-empty bank must be on the active list.
+        io.require(banks_[fb].empty() || activePos_[fb] >= 0);
+        size_ += banks_[fb].size();
+    }
 }
 
 void
-MemoryController::saveState(StateWriter &w) const
+MemoryController::transfer(StateIo &io)
 {
-    w.tag("controller");
-    StateIo io(w);
-    const_cast<TimingEngine &>(engine_).transfer(io);
-    readQ.saveState(w, &saveRequest);
-    writeQ.saveState(w, &saveRequest);
-    w.b(drainingWrites);
+    io.tag("controller");
+    engine_.transfer(io);
+    readQ.transfer(io);
+    writeQ.transfer(io);
+    io.b(drainingWrites);
 
-    w.u64(maintQ.size());
-    for (const std::deque<MaintOp> &q : maintQ) {
-        w.u64(q.size());
-        for (const MaintOp &op : q) {
-            w.u64(op.duration);
-            w.u64(op.victimRows);
-            w.b(op.isMigration);
-            w.u64(static_cast<std::uint64_t>(op.protectedRow));
-        }
-    }
+    io.count(maintQ.size());
+    for (std::deque<MaintOp> &q : maintQ)
+        io.list(q, [](StateIo &sub, MaintOp &op) {
+            sub.u64(op.duration);
+            sub.u64(op.victimRows);
+            sub.b(op.isMigration);
+            sub.u64(op.protectedRow);
+        });
 
-    // Completions: drain a copy in ready order. Completion times are
-    // strictly increasing with issue order (one column command per
+    // Completions: save drains a copy in ready order. Completion times
+    // are strictly increasing with issue order (one column command per
     // command slot, fixed read latency), so rebuilding by pushes in this
     // order reproduces the pop sequence exactly.
-    saveVector(w, pendingReads, &saveRequest);
-    saveU64Vector(w, freePendingSlots);
-    auto pq = completions;
-    w.u64(pq.size());
-    while (!pq.empty()) {
-        w.u64(pq.top().readyAt);
-        w.u64(pq.top().index);
-        pq.pop();
-    }
+    io.list(pendingReads, transferRequest);
+    io.list(freePendingSlots,
+            [](StateIo &sub, std::uint64_t &slot) { sub.u64(slot); });
+    std::vector<PendingCompletion> ready;
+    if (!io.loading())
+        for (auto pq = completions; !pq.empty(); pq.pop())
+            ready.push_back(pq.top());
+    io.list(ready, [](StateIo &sub, PendingCompletion &c) {
+        sub.u64(c.readyAt);
+        sub.u64(c.index);
+    });
 
-    saveVector(w, nextRefAt, [](StateWriter &sw, Cycle c) { sw.u64(c); });
-    saveUnsignedVector(w, refSweepPos);
+    io.u64s(nextRefAt);
+    io.u64s(refSweepPos);
     std::vector<unsigned> streak;
     for (const BankRecord &rec : bank_)
         streak.push_back(rec.hitStreak);
-    saveUnsignedVector(w, streak);
-    w.u64(nextCommandAt);
-    w.u64(lastSeenCycle);
-    w.u64(preventiveActions_);
-    w.u64(demandActs_);
-    w.u64(readsServed_);
-    w.u64(writesServed_);
-}
-
-void
-MemoryController::loadState(StateReader &r)
-{
-    r.tag("controller");
-    StateIo io(r);
-    engine_.transfer(io);
-    readQ.loadState(r, &loadRequest);
-    writeQ.loadState(r, &loadRequest);
-    drainingWrites = r.b();
-
-    if (r.u64() != maintQ.size()) {
-        r.fail();
+    io.u64s(streak);
+    io.u64(nextCommandAt);
+    io.u64(lastSeenCycle);
+    io.u64(preventiveActions_);
+    io.u64(demandActs_);
+    io.u64(readsServed_);
+    io.u64(writesServed_);
+    if (!io.loading())
         return;
-    }
-    maintOpsPending_ = 0;
-    for (std::deque<MaintOp> &q : maintQ) {
-        q.clear();
-        std::uint64_t n = r.u64();
-        if (!r.ok() || n > r.remaining()) {
-            r.fail();
-            return;
-        }
-        for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-            MaintOp op;
-            op.duration = r.u64();
-            op.victimRows = static_cast<unsigned>(r.u64());
-            op.isMigration = r.b();
-            op.protectedRow = static_cast<long>(r.u64());
-            q.push_back(op);
-        }
-        maintOpsPending_ += q.size();
-    }
 
-    loadVector(r, &pendingReads, &loadRequest);
-    loadU64Vector(r, &freePendingSlots);
     completions = decltype(completions)();
-    std::uint64_t n_completions = r.u64();
-    if (!r.ok() || n_completions > r.remaining()) {
-        r.fail();
-        return;
-    }
-    for (std::uint64_t i = 0; i < n_completions && r.ok(); ++i) {
-        PendingCompletion c{};
-        c.readyAt = r.u64();
-        c.index = r.u64();
-        if (c.index >= pendingReads.size()) {
-            r.fail();
-            return;
-        }
+    for (const PendingCompletion &c : ready) {
+        io.require(c.index < pendingReads.size());
         completions.push(c);
     }
-
-    std::vector<Cycle> ref_at;
-    std::vector<unsigned> sweep, streak;
-    loadVector(r, &ref_at, [](StateReader &sr, Cycle *c) { *c = sr.u64(); });
-    loadUnsignedVector(r, &sweep);
-    loadUnsignedVector(r, &streak);
-    if (!r.ok() || ref_at.size() != nextRefAt.size() ||
-        sweep.size() != refSweepPos.size() ||
-        streak.size() != bank_.size()) {
-        r.fail();
-        return;
-    }
-    nextRefAt = std::move(ref_at);
-    refSweepPos = std::move(sweep);
-    nextCommandAt = r.u64();
-    lastSeenCycle = r.u64();
-    preventiveActions_ = r.u64();
-    demandActs_ = r.u64();
-    readsServed_ = r.u64();
-    writesServed_ = r.u64();
-
+    maintOpsPending_ = 0;
+    for (const std::deque<MaintOp> &q : maintQ)
+        maintOpsPending_ += q.size();
     // The replay anchor is left to the caller, which knows the cycle the
     // saved drain flag was caught up to (see anchorReplayAt()). The
     // per-bank records and the wake memo are pure accelerations:

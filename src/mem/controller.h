@@ -116,13 +116,11 @@ class BankedRequestQueue
     /** Non-empty banks, unordered (candidates compare by seq anyway). */
     const std::vector<unsigned> &activeBanks() const { return active_; }
 
-    /** Serialize the per-bank FIFOs and the global sequence counter. */
-    void saveState(StateWriter &w,
-                   void (*save_req)(StateWriter &, const Request &)) const;
-
-    /** Restore saveState() output into a same-bank-count queue. */
-    void loadState(StateReader &r,
-                   void (*load_req)(StateReader &, Request *));
+    /**
+     * Save or load the per-bank FIFOs, the active-bank list and the
+     * global sequence counter (same bank count).
+     */
+    void transfer(StateIo &io);
 
     void
     push(const Request &req)
@@ -157,10 +155,9 @@ class BankedRequestQueue
   private:
     std::vector<std::deque<QueuedRequest>> banks_;
     std::vector<unsigned> active_;
-    // bh-audit: skip(activePos_) -- index over active_, rebuilt in loadState
-    std::vector<int> activePos_; ///< Per bank: index into active_, or -1.
-    // bh-audit: skip(size_) -- recomputed from the fifos in loadState
-    std::size_t size_ = 0;
+    /** Per bank: index into active_, or -1 (rebuilt on load). */
+    std::vector<int> activePos_;
+    std::size_t size_ = 0; ///< Recomputed from the fifos on load.
     std::uint64_t nextSeq_ = 0;
 };
 
@@ -213,7 +210,7 @@ class MemoryController : public IMitigationHost
     /**
      * The next cycle this controller must be ticked: a memoized
      * nextEventCycle(lastSeenCycle), recomputed lazily after tick() or
-     * loadState(), and forced to the enqueue cycle by
+     * a load, and forced to the enqueue cycle by
      * enqueueRead()/enqueueWrite(). Until then every tick is a no-op
      * apart from the drain-hysteresis step, which the controller replays
      * lazily (see catchUp()), so System need not visit it at all.
@@ -238,9 +235,9 @@ class MemoryController : public IMitigationHost
     void catchUp(Cycle last) { replayBefore(last + 1); }
 
     /**
-     * Declare every drain step before @p cycle applied. loadState() does
-     * not know the cycle its state was caught up to, so whoever restores
-     * a controller re-anchors it at the restored cycle.
+     * Declare every drain step before @p cycle applied. A load does not
+     * know the cycle its state was caught up to, so whoever restores a
+     * controller re-anchors it at the restored cycle.
      */
     void anchorReplayAt(Cycle cycle) { replayFrom_ = cycle; }
 
@@ -321,15 +318,12 @@ class MemoryController : public IMitigationHost
     std::size_t writeQueueDepth() const { return writeQ.size(); }
 
     /**
-     * Serialize the controller's complete mutable state: queues,
+     * Save or load the controller's complete mutable state: queues,
      * maintenance ops, in-flight completions, refresh bookkeeping,
      * drain/cap/command-slot state, counters, and the timing engine.
-     * The mitigation mechanism serializes separately (System owns it).
+     * The mitigation mechanism transfers separately (System owns it).
      */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output into a same-config controller. */
-    void loadState(StateReader &r);
+    void transfer(StateIo &io);
 
   private:
     /** One pending RowHammer-preventive maintenance operation. */
@@ -377,30 +371,30 @@ class MemoryController : public IMitigationHost
      */
     struct alignas(64) BankRecord
     {
-        // bh-audit: skip(actAt) -- derived, rebuilt in loadState
+        // bh-audit: skip(actAt) -- derived, rebuilt on load
         Cycle actAt = 0; ///< Bank-local earliest ACT (nextAct, blackouts).
-        // bh-audit: skip(preAt) -- derived, rebuilt in loadState
+        // bh-audit: skip(preAt) -- derived, rebuilt on load
         Cycle preAt = 0; ///< Bank-local earliest PRE (nextPre, blackouts).
-        // bh-audit: skip(colAt) -- derived, rebuilt in loadState
+        // bh-audit: skip(colAt) -- derived, rebuilt on load
         Cycle colAt = 0; ///< Bank-local earliest RD/WR (nextRdWr, ...).
         /** Consecutive row hits served while an older row conflict
          *  waits (FR-FCFS cap state; serialized). */
         unsigned hitStreak = 0;
-        // bh-audit: skip(rank) -- derived, rebuilt in loadState
+        // bh-audit: skip(rank) -- derived, rebuilt on load
         unsigned rank = 0;
-        // bh-audit: skip(group) -- derived, rebuilt in loadState
+        // bh-audit: skip(group) -- derived, rebuilt on load
         unsigned group = 0; ///< Bank group within the rank.
-        // bh-audit: skip(open) -- derived, rebuilt in loadState
+        // bh-audit: skip(open) -- derived, rebuilt on load
         bool open = false;
-        // bh-audit: skip(maintPending) -- derived, rebuilt in loadState
+        // bh-audit: skip(maintPending) -- derived, rebuilt on load
         bool maintPending = false; ///< maintQ of the bank is non-empty.
-        // bh-audit: skip(scanValid) -- derived, rebuilt in loadState
+        // bh-audit: skip(scanValid) -- derived, rebuilt on load
         bool scanValid[2] = {false, false}; ///< Per scan[] entry.
-        // bh-audit: skip(scan) -- derived, rebuilt in loadState
+        // bh-audit: skip(scan) -- derived, rebuilt on load
         BankScan scan[2]; ///< Read queue first (see scanIndex()).
-        // bh-audit: skip(openRow) -- derived, rebuilt in loadState
+        // bh-audit: skip(openRow) -- derived, rebuilt on load
         unsigned openRow = 0;
-        // bh-audit: skip(blockedUntil) -- derived, rebuilt in loadState
+        // bh-audit: skip(blockedUntil) -- derived, rebuilt on load
         Cycle blockedUntil = 0; ///< The bank's own blackout.
 
         void invalidateScans() { scanValid[0] = scanValid[1] = false; }
@@ -518,8 +512,8 @@ class MemoryController : public IMitigationHost
     bool drainingWrites = false;
 
     std::vector<std::deque<MaintOp>> maintQ; ///< Per flat bank.
-    // bh-audit: skip(maintOpsPending_) -- recomputed from maintQ in loadState
-    std::size_t maintOpsPending_ = 0; ///< Total ops across maintQ.
+    /** Total ops across maintQ (recomputed on load). */
+    std::size_t maintOpsPending_ = 0;
 
     // Read completions in flight.
     std::vector<Request> pendingReads;
@@ -544,9 +538,8 @@ class MemoryController : public IMitigationHost
     Cycle replayFrom_ = 0;
 
     /** wakeAt()'s memo; wakeDirty_ forces a recompute. */
-    // bh-audit: skip(wakeDirty_) -- lazy cache, reset in loadState
     mutable bool wakeDirty_ = true;
-    // bh-audit: skip(wakeAt_) -- lazy cache, reset in loadState
+    // bh-audit: skip(wakeAt_) -- lazy cache, reset on load
     mutable Cycle wakeAt_ = 0;
 
     /**
@@ -554,20 +547,18 @@ class MemoryController : public IMitigationHost
      * command, enqueue and host action clears cmdBoundValid_ (see
      * commandBoundHolds()).
      */
-    // bh-audit: skip(cmdBound_) -- lazy cache, reset in loadState
+    // bh-audit: skip(cmdBound_) -- lazy cache, reset on load
     mutable Cycle cmdBound_ = 0;
-    // bh-audit: skip(cmdBoundAt_) -- lazy cache, reset in loadState
+    // bh-audit: skip(cmdBoundAt_) -- lazy cache, reset on load
     mutable Cycle cmdBoundAt_ = 0;
-    // bh-audit: skip(cmdBoundValid_) -- lazy cache, reset in loadState
     mutable bool cmdBoundValid_ = false;
     /**
      * Per queue (scanIndex()), every ungated bank's candidates from the
      * walk behind cmdBound_, when that walk visited every bank: while the
      * bound holds, they decide a tick without walking the records.
      */
-    // bh-audit: skip(plan_) -- lazy cache, reset in loadState
+    // bh-audit: skip(plan_) -- lazy cache, reset on load
     mutable std::vector<PlanEntry> plan_[2];
-    // bh-audit: skip(planComplete_) -- lazy cache, reset in loadState
     mutable bool planComplete_[2] = {false, false};
 
     std::uint64_t preventiveActions_ = 0;

@@ -59,7 +59,7 @@ class Hydra : public IMitigation
     std::unordered_map<std::uint64_t, std::uint32_t> rct;
     /** RCC: LRU cache over RCT keys. */
     std::list<std::uint64_t> rccLru;
-    // bh-audit: skip(rccIndex) -- iterator index over rccLru, rebuilt on load
+    /** Iterator index over rccLru, rebuilt on load. */
     std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
         rccIndex;
 

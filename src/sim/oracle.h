@@ -74,29 +74,18 @@ class HammerOracle
 
     unsigned threshold() const { return nRh; }
 
-    /** Serialize the per-row counts and the verdict counters. */
+    /** Save or load the per-row counts and the verdict counters. */
     void
-    saveState(StateWriter &w) const
+    transfer(StateIo &io)
     {
-        w.tag("oracle");
-        saveUnorderedMap(
-            w, counts, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-            [](StateWriter &sw, std::uint32_t v) { sw.u32(v); });
-        w.u64(violations_);
-        w.u64(maxCount_);
-    }
-
-    /** Restore saveState() output. */
-    void
-    loadState(StateReader &r)
-    {
-        r.tag("oracle");
-        loadUnorderedMap(
-            r, &counts,
-            [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint32_t *v) { *v = sr.u32(); });
-        violations_ = r.u64();
-        maxCount_ = static_cast<std::uint32_t>(r.u64());
+        io.tag("oracle");
+        io.map(counts,
+               [](StateIo &sub, std::uint64_t &row, std::uint32_t &count) {
+                   sub.u64(row);
+                   sub.u32(count);
+               });
+        io.u64(violations_);
+        io.u64(maxCount_);
     }
 
   private:

@@ -414,7 +414,7 @@ System::run(std::uint64_t benign_target, Cycle max_cycles)
     if (resumePending_) {
         // A restored snapshot re-enters the loop exactly where the
         // interrupted run left it: `now` and every component came from
-        // loadState(). Saving is side-effect-free, so from here on the
+        // transfer(). Saving is side-effect-free, so from here on the
         // results are the uninterrupted run's (the reset reject key may
         // simulate one cycle that run skipped, a no-op tick).
         resumePending_ = false;
@@ -706,117 +706,53 @@ System::configFingerprint() const
 }
 
 void
-System::saveState(StateWriter &w) const
+System::transfer(StateIo &io)
 {
-    w.tag("system");
-    w.u64(now);
-    w.u64(uncachedKeyCounter);
-    auto &self = const_cast<System &>(*this);
-    StateIo io(w);
-    self.latencyHist.transfer(io);
-    saveBoolVector(w, rejectCountsQuota);
-    saveBoolVector(w, rejectTouchesLlc);
-    saveU64VectorBulk(w, demandActsByThread_);
-
-    self.llc.transfer(io);
-    self.mshr.transfer(io);
-
-    // One section per channel: controller, then its mitigation/oracle/
-    // census instances (presence flags match the constructed graph).
-    w.tag("channels");
-    w.u64(mcs.size());
-    for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
-        mcs[ch]->saveState(w);
-        w.b(mitigations[ch] != nullptr);
-        if (mitigations[ch])
-            mitigations[ch]->transfer(io);
-        w.b(!oracles.empty());
-        if (!oracles.empty())
-            oracles[ch]->saveState(w);
-        w.b(!censuses.empty());
-        if (!censuses.empty())
-            censuses[ch]->saveState(w);
-    }
-
-    w.b(bh != nullptr);
-    if (bh)
-        bh->transfer(io);
-
-    w.u64(cores.size());
-    for (const auto &core : cores)
-        core->transfer(io);
-}
-
-void
-System::loadState(StateReader &r)
-{
-    r.tag("system");
-    now = r.u64();
-    uncachedKeyCounter = r.u64();
-    StateIo io(r);
+    io.tag("system");
+    io.u64(now);
+    io.u64(uncachedKeyCounter);
     latencyHist.transfer(io);
-    loadBoolVector(r, &rejectCountsQuota);
-    loadBoolVector(r, &rejectTouchesLlc);
-    loadU64VectorBulk(r, &demandActsByThread_);
-    if (!r.ok() || rejectCountsQuota.size() != config_.numCores ||
-        rejectTouchesLlc.size() != config_.numCores ||
-        demandActsByThread_.size() != config_.numCores) {
-        r.fail();
-        return;
-    }
-
-    snapKey_ = kNoRejectKey;
+    io.bools(rejectCountsQuota);
+    io.bools(rejectTouchesLlc);
+    io.u64s(demandActsByThread_);
+    if (io.loading())
+        snapKey_ = kNoRejectKey;
 
     llc.transfer(io);
     mshr.transfer(io);
 
-    r.tag("channels");
-    if (r.u64() != mcs.size()) {
-        r.fail();
-        return;
-    }
+    // One section per channel: controller, then its mitigation/oracle/
+    // census instances (presence flags match the constructed graph).
+    io.tag("channels");
+    io.count(mcs.size());
     for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
-        mcs[ch]->loadState(r);
+        mcs[ch]->transfer(io);
         // A checkpoint is cut before cycle `now` runs, with every drain
         // step before it applied.
-        mcs[ch]->anchorReplayAt(now);
-        if (r.b() != (mitigations[ch] != nullptr)) {
-            r.fail();
-            return;
-        }
+        if (io.loading())
+            mcs[ch]->anchorReplayAt(now);
+        io.present(mitigations[ch] != nullptr);
         if (mitigations[ch])
             mitigations[ch]->transfer(io);
-        if (r.b() != !oracles.empty()) {
-            r.fail();
-            return;
-        }
+        io.present(!oracles.empty());
         if (!oracles.empty())
-            oracles[ch]->loadState(r);
-        if (r.b() != !censuses.empty()) {
-            r.fail();
-            return;
-        }
+            oracles[ch]->transfer(io);
+        io.present(!censuses.empty());
         if (!censuses.empty())
-            censuses[ch]->loadState(r);
+            censuses[ch]->transfer(io);
     }
 
-    if (r.b() != (bh != nullptr)) {
-        r.fail();
-        return;
-    }
+    io.present(bh != nullptr);
     if (bh)
         bh->transfer(io);
 
-    if (r.u64() != cores.size()) {
-        r.fail();
-        return;
-    }
+    io.count(cores.size());
     for (auto &core : cores)
         core->transfer(io);
 }
 
 std::string
-System::snapshotBlob() const
+System::snapshotBlob()
 {
     StateWriter w;
     w.reserve(3 << 20);
@@ -824,7 +760,8 @@ System::snapshotBlob() const
     w.u32(kSnapshotVersion);
     w.str(checkpoint_.identity);
     w.u64(configFingerprint());
-    saveState(w);
+    StateIo io(w);
+    transfer(io);
     std::string blob = w.take();
     std::uint64_t checksum = fnv1a64Chunked(blob.data(), blob.size());
     StateWriter tail;
@@ -834,7 +771,7 @@ System::snapshotBlob() const
 }
 
 bool
-System::saveSnapshot(const std::string &path, std::string *error) const
+System::saveSnapshot(const std::string &path, std::string *error)
 {
     return writeFileAtomic(path, snapshotBlob(), error);
 }
@@ -900,7 +837,8 @@ System::restoreSnapshotBlob(const std::string &blob, std::string *error)
         return false;
     }
 
-    loadState(r);
+    StateIo io(r);
+    transfer(io);
     if (!r.ok() || !r.atEnd()) {
         if (error)
             *error = "snapshot payload is malformed";

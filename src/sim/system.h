@@ -228,10 +228,10 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * checksum; any mismatch on load falls back to recompute.
      */
     bool saveSnapshot(const std::string &path,
-                      std::string *error = nullptr) const;
+                      std::string *error = nullptr);
 
     /** The saveSnapshot() byte string without the file write. */
-    std::string snapshotBlob() const;
+    std::string snapshotBlob();
 
     /**
      * Restore a snapshotBlob()/saveSnapshot() byte string into this
@@ -314,11 +314,11 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      */
     std::uint64_t configFingerprint() const;
 
-    /** Serialize all mutable state (the payload of saveSnapshot()). */
-    void saveState(StateWriter &w) const;
-
-    /** Restore saveState() output; failure leaves partial state. */
-    void loadState(StateReader &r);
+    /**
+     * Save or load all mutable state (the payload of saveSnapshot()); a
+     * failed load leaves partial state.
+     */
+    void transfer(StateIo &io);
 
     /**
      * Whether restored sections agree with each other: every read a
@@ -347,7 +347,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     /** Worst-case writeback room: write space on every channel. */
     bool allChannelsHaveWriteRoom() const;
 
-    // bh-audit: skip(config_) -- constructor config; loadState validates it against the stream
+    // bh-audit: skip(config_) -- constructor config; a restore checks its fingerprint
     SystemConfig config_;
     // bh-audit: skip(mapper) -- derived from config_.spec at construction
     AddressMap mapper;
@@ -364,7 +364,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     std::vector<std::unique_ptr<HammerOracle>> oracles;
     std::vector<std::unique_ptr<RowCensus>> censuses;
 
-    // bh-audit: skip(traces) -- each trace is serialized by its Core (Core::saveState)
+    // bh-audit: skip(traces) -- each trace is transferred by its Core (Core::transfer)
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<std::unique_ptr<Core>> cores;
     // bh-audit: skip(benignSlot) -- derived from the workload mix at construction
@@ -389,9 +389,10 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     std::vector<std::uint64_t> demandActsByThread_;
 
     /** rejectKey() when the skip loop last saw a reject-blocked core;
-     *  kNoRejectKey makes the next such iteration simulate its cycle. */
+     *  kNoRejectKey makes the next such iteration simulate its cycle.
+     *  A derived event key, never serialized: run() and a load reset
+     *  it. */
     static constexpr std::uint64_t kNoRejectKey = ~0ull;
-    // bh-audit: skip(snapKey_) -- derived event key, never serialized; run() and loadState invalidate it
     std::uint64_t snapKey_ = kNoRejectKey;
 
     Cycle now = 0;

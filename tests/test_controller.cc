@@ -352,24 +352,23 @@ scriptedArrivals(const AddressMap &map, Cycle horizon)
 }
 
 std::string
-controllerState(const MemoryController &mc, IMitigation *mitigation)
+controllerState(MemoryController &mc, IMitigation *mitigation)
 {
     StateWriter w;
-    mc.saveState(w);
-    if (mitigation != nullptr) {
-        StateIo io(w);
+    StateIo io(w);
+    mc.transfer(io);
+    if (mitigation != nullptr)
         mitigation->transfer(io);
-    }
     return w.take();
 }
 
 /**
- * saveState() bytes with lastSeenCycle (the fifth-last u64 of the
+ * transfer() bytes with lastSeenCycle (the fifth-last u64 of the
  * section) cut out: it records when a controller was last ticked, which
  * a controller caught up without a tick legitimately leaves behind.
  */
 std::string
-stateWithoutLastTick(const MemoryController &mc)
+stateWithoutLastTick(MemoryController &mc)
 {
     std::string state = controllerState(mc, nullptr);
     return state.erase(state.size() - 5 * sizeof(std::uint64_t),
@@ -507,13 +506,12 @@ scheduleDigest(Cycle restore_at)
             if (t == restore_at) {
                 mc->catchUp(t - 1);
                 StateReader r(controllerState(*mc, mitigation.get()));
+                StateIo io(r);
                 build();
-                mc->loadState(r);
+                mc->transfer(io);
                 mc->anchorReplayAt(t);
-                if (mitigation != nullptr) {
-                    StateIo io(r);
+                if (mitigation != nullptr)
                     mitigation->transfer(io);
-                }
                 EXPECT_TRUE(r.atEnd()) << mitigationName(type);
             }
             for (; next < arrivals.size() && arrivals[next].at == t; ++next) {
@@ -559,13 +557,15 @@ TEST_F(ControllerFixture, WakeMemoResetsOnRestore)
     runUntil(50);
     const Cycle last = now - 1;
     StateWriter saved;
-    mc.saveState(saved);
+    StateIo save(saved);
+    mc.transfer(save);
 
     mc.enqueueRead(readReq(addrOf(5)), now);
     ASSERT_EQ(mc.wakeAt(), now);
     StateReader r(saved.take());
-    mc.loadState(r);
-    ASSERT_TRUE(r.ok());
+    StateIo load(r);
+    mc.transfer(load);
+    ASSERT_TRUE(r.atEnd());
     EXPECT_EQ(mc.wakeAt(), mc.nextEventCycle(last));
     EXPECT_GT(mc.wakeAt(), now);
 

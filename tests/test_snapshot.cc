@@ -47,12 +47,8 @@ std::string
 stateBlob(T &component)
 {
     StateWriter w;
-    if constexpr (requires(StateIo &io) { component.transfer(io); }) {
-        StateIo io(w);
-        component.transfer(io);
-    } else {
-        component.saveState(w);
-    }
+    StateIo io(w);
+    component.transfer(io);
     return w.take();
 }
 
@@ -127,9 +123,22 @@ TEST(SnapshotCodecTest, CorruptLengthDoesNotAllocate)
     StateWriter w;
     w.u64(static_cast<std::uint64_t>(-1)); // Absurd element count.
     StateReader r(w.take());
+    StateIo io(r);
     std::vector<std::uint64_t> v;
-    EXPECT_FALSE(loadU64Vector(r, &v));
+    io.list(v, [](StateIo &sub, std::uint64_t &e) { sub.u64(e); });
     EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(v.empty());
+}
+
+using U64Map = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+void
+transferMap(StateIo &io, U64Map &m)
+{
+    io.map(m, [](StateIo &sub, std::uint64_t &k, std::uint64_t &v) {
+        sub.u64(k);
+        sub.u64(v);
+    });
 }
 
 TEST(SnapshotCodecTest, AbsurdBucketCountIsRefusedNotAllocated)
@@ -142,10 +151,9 @@ TEST(SnapshotCodecTest, AbsurdBucketCountIsRefusedNotAllocated)
         w.u64(buckets);
         w.u64(0); // No elements.
         StateReader r(w.take());
-        std::unordered_map<std::uint64_t, std::uint64_t> m;
-        EXPECT_FALSE(loadUnorderedMap(
-            r, &m, [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-            [](StateReader &sr, std::uint64_t *v) { *v = sr.u64(); }));
+        StateIo io(r);
+        U64Map m;
+        transferMap(io, m);
         EXPECT_FALSE(r.ok());
     }
 }
@@ -154,17 +162,49 @@ TEST(SnapshotCodecTest, EmptyBulkVectorsRoundTrip)
 {
     // Regression (snapshot mutation test, UBSan): an empty vector's
     // data() is null, and the bulk decoders passed it to memcpy.
-    StateWriter w;
-    saveU32VectorBulk(w, {});
-    saveU64VectorBulk(w, {});
-    StateReader r(w.take());
     std::vector<std::uint32_t> v32; // Never allocated: data() is null.
     std::vector<std::uint64_t> v64;
-    EXPECT_TRUE(loadU32VectorBulk(r, &v32));
-    EXPECT_TRUE(loadU64VectorBulk(r, &v64));
+    StateWriter w;
+    StateIo save(w);
+    save.u32s(v32);
+    save.u64s(v64);
+    StateReader r(w.take());
+    StateIo load(r);
+    load.u32s(v32);
+    load.u64s(v64);
     EXPECT_TRUE(v32.empty());
     EXPECT_TRUE(v64.empty());
     EXPECT_TRUE(r.atEnd());
+}
+
+TEST(SnapshotCodecTest, VectorWidthIsNamedNotDeduced)
+{
+    // The bulk copy and the element loop write the same bytes, and the
+    // call names the width: unsigned elements travel as u64 through
+    // u64s() and as u32 through u32s(), whatever their own size.
+    std::vector<std::uint64_t> wide = {1, 2, 0xffffffffull};
+    std::vector<unsigned> narrow = {1, 2, 0xffffffffu};
+    std::vector<std::uint32_t> narrow32 = {1, 2, 0xffffffffu};
+    auto bytes = [](auto &v, bool as_u64) {
+        StateWriter w;
+        StateIo io(w);
+        if (as_u64)
+            io.u64s(v);
+        else
+            io.u32s(v);
+        return w.take();
+    };
+    EXPECT_EQ(bytes(wide, true), bytes(narrow, true));
+    EXPECT_EQ(bytes(narrow, true).size(), 8u + 3 * 8);
+    EXPECT_EQ(bytes(narrow32, false), bytes(narrow, false));
+    EXPECT_EQ(bytes(narrow, false).size(), 8u + 3 * 4);
+
+    // A load of a config-sized vector refuses another length.
+    std::vector<unsigned> four(4);
+    StateReader r(bytes(narrow, true));
+    StateIo io(r);
+    io.u64s(four);
+    EXPECT_FALSE(r.ok());
 }
 
 TEST(SnapshotCodecTest, UnorderedMapPreservesIterationOrder)
@@ -172,7 +212,7 @@ TEST(SnapshotCodecTest, UnorderedMapPreservesIterationOrder)
     // The property that keeps a resumed run's snapshot bytes equal to
     // an uninterrupted run's: reloading a map reproduces not just its
     // contents but its exact iteration order and bucket count.
-    std::unordered_map<std::uint64_t, std::uint64_t> m;
+    U64Map m;
     Rng rng(42);
     for (int i = 0; i < 1000; ++i)
         m[rng.next() % 1500] = i;
@@ -180,15 +220,14 @@ TEST(SnapshotCodecTest, UnorderedMapPreservesIterationOrder)
         m.erase(rng.next() % 1500);
 
     StateWriter w;
-    saveUnorderedMap(
-        w, m, [](StateWriter &sw, std::uint64_t k) { sw.u64(k); },
-        [](StateWriter &sw, std::uint64_t v) { sw.u64(v); });
+    StateIo save(w);
+    transferMap(save, m);
 
-    std::unordered_map<std::uint64_t, std::uint64_t> back;
+    U64Map back;
     StateReader r(w.take());
-    ASSERT_TRUE(loadUnorderedMap(
-        r, &back, [](StateReader &sr, std::uint64_t *k) { *k = sr.u64(); },
-        [](StateReader &sr, std::uint64_t *v) { *v = sr.u64(); }));
+    StateIo load(r);
+    transferMap(load, back);
+    ASSERT_TRUE(r.atEnd());
 
     EXPECT_EQ(back.bucket_count(), m.bucket_count());
     std::vector<std::pair<std::uint64_t, std::uint64_t>> a(m.begin(),

@@ -4,7 +4,7 @@ Four passes prove, at CI time, the structural halves of the repo's
 dynamic guarantees:
 
   snapshot-coverage   every data member of a snapshottable class is
-                      serialized in saveState() AND loadState()
+                      referenced in its one transfer() body
   key-coverage        every ExperimentConfig field reaches the content
                       address
   determinism         no wall clocks / global RNG / stray getenv /

@@ -3,15 +3,9 @@
 namespace bh {
 
 void
-Widget::saveState(StateWriter &w) const
+Widget::transfer(StateIo &io)
 {
-    w.u64(counter);
-}
-
-void
-Widget::loadState(StateReader &r)
-{
-    counter = static_cast<unsigned>(r.u64());
+    io.u64(counter);
 }
 
 } // namespace bh

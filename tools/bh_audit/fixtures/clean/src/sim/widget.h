@@ -1,4 +1,4 @@
-// Fixture: fully covered snapshot class — every member is serialized
+// Fixture: fully covered snapshot class — every member is transferred
 // or carries a reasoned skip. The selftest requires zero findings.
 #pragma once
 
@@ -6,8 +6,7 @@ namespace bh {
 
 class Widget {
   public:
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    void transfer(StateIo &io);
 
   private:
     unsigned counter = 0;

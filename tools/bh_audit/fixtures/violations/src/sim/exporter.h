@@ -1,5 +1,5 @@
-// Fixture: a StateWriter path that range-fors a hash container —
-// byte output would depend on implementation-defined iteration order.
+// Fixture: a StateIo transfer that range-fors a hash container — byte
+// output would depend on implementation-defined iteration order.
 #pragma once
 
 #include <cstdint>
@@ -9,10 +9,10 @@ namespace bh {
 
 class Exporter {
   public:
-    void saveState(StateWriter &w) const
+    void transfer(StateIo &io)
     {
-        for (const auto &kv : table)
-            w.u64(kv.second);
+        for (auto &kv : table)
+            io.u64(kv.second);
     }
 
   private:

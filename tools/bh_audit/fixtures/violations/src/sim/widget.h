@@ -1,4 +1,4 @@
-// Fixture: `missed` is declared but never serialized (the classic
+// Fixture: `missed` is declared but never transferred (the classic
 // added-a-field-forgot-the-snapshot bug); `tuned` carries a skip
 // annotation with no reason, which must itself be reported and must
 // NOT suppress the coverage finding.
@@ -8,8 +8,7 @@ namespace bh {
 
 class Widget {
   public:
-    void saveState(StateWriter &w) const;
-    void loadState(StateReader &r);
+    void transfer(StateIo &io);
 
   private:
     unsigned counter = 0;

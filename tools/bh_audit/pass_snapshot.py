@@ -4,9 +4,7 @@ For every class that declares `transfer(StateIo&)`, every instance data
 member declared in its header must be referenced (by name) in the
 transfer() body, the one body that both saves and loads it. This is
 what turns "added a field, forgot the snapshot" from a silent
-resume-corruption bug into a CI failure. A class still on a
-`saveState(StateWriter&)` / `loadState` pair must reference each member
-in both bodies.
+resume-corruption bug into a CI failure.
 
 Members that are legitimately not part of the serialized state
 (constructor-derived configuration, non-owning wiring pointers, state
@@ -28,14 +26,9 @@ from report import Report
 CHECK = "snapshot-coverage"
 
 
-def _snapshot_bodies(sf: SourceFile, cls: CxxClass) -> list[str]:
-    """Names of the class's state-transfer functions, or []."""
+def _declares_transfer(sf: SourceFile, cls: CxxClass) -> bool:
     body = sf.stripped[cls.body_start:cls.body_end]
-    if "transfer" in body and "StateIo" in body:
-        return ["transfer"]
-    if "saveState" in body and "StateWriter" in body:
-        return ["saveState", "loadState"]
-    return []
+    return "transfer" in body and "StateIo" in body
 
 
 def _function_text(tree: SourceTree, sf: SourceFile, cls: CxxClass,
@@ -59,14 +52,12 @@ def run(tree: SourceTree, report: Report) -> None:
             continue
         sf = tree.file(path)
         for cls in sf.classes():
-            names = _snapshot_bodies(sf, cls)
-            if not names:
+            if not _declares_transfer(sf, cls):
                 continue
-            bodies = {name: _function_text(tree, sf, cls, name)
-                      for name in names}
-            if any(text is None for text in bodies.values()):
-                # Interface default / pure declaration with no body
-                # anywhere we can see: nothing to check against.
+            body = _function_text(tree, sf, cls, "transfer")
+            if body is None:
+                # Pure declaration with no body anywhere we can see:
+                # nothing to check against.
                 continue
             classes_checked += 1
             cls_range = (sf.line_of(cls.body_start),
@@ -74,9 +65,7 @@ def run(tree: SourceTree, report: Report) -> None:
             rel = tree.rel(path)
             for member in cls.members:
                 members_checked += 1
-                missing = [name for name, text in bodies.items()
-                           if not token_in(member.name, text)]
-                if not missing:
+                if token_in(member.name, body):
                     continue
                 skip = sf.skip_for(member.name, line=member.line,
                                    line_range=cls_range)
@@ -87,9 +76,8 @@ def run(tree: SourceTree, report: Report) -> None:
                 report.add(
                     CHECK, "member-not-serialized", rel, member.line,
                     f"{cls.name}::{member.name}",
-                    f"data member is not referenced in "
-                    f"{' or '.join(missing)}; serialize it or annotate "
-                    f"the declaration with "
+                    f"data member is not referenced in transfer(); "
+                    f"transfer it or annotate the declaration with "
                     f"'// bh-audit: skip({member.name}) -- <reason>'")
     report.note_stats(CHECK, classes=classes_checked,
                       members=members_checked)

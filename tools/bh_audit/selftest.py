@@ -29,7 +29,7 @@ EXPECTED_VIOLATIONS = {
     ("key-coverage", "field-not-in-key",
      "ExperimentConfig::stealthFactor"),
     ("determinism", "clock", "steady_clock::now"),
-    ("determinism", "unordered-iter", "saveState(): for(... : table)"),
+    ("determinism", "unordered-iter", "transfer(): for(... : table)"),
     ("determinism", "global-state", "thread_local tlDepth"),
     ("determinism", "global-state", "static mutex"),
     ("determinism", "global-state", "static name"),
