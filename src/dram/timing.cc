@@ -208,6 +208,8 @@ TimingEngine::transfer(StateIo &io)
         io.u64(rank.fawCount);
         io.u64(rank.fawHead);
         io.u64(rank.blockedUntil);
+        // The next ACT writes the window slot at fawHead.
+        io.require(rank.fawHead < rank.fawWindow.size());
         if (io.loading() && io.ok())
             deriveActBounds(rank);
     }

@@ -686,11 +686,23 @@ MemoryController::transfer(StateIo &io)
     if (!io.loading())
         return;
 
+    // Each pending-read slot is free or awaited by exactly one
+    // completion: issueColumn() fills a free slot unchecked, so an
+    // aliased or out-of-range one would corrupt an in-flight read.
+    std::vector<bool> held(pendingReads.size(), false);
+    auto claim = [&](std::uint64_t slot) {
+        io.require(slot < held.size() && !held[slot]);
+        if (io.ok())
+            held[slot] = true;
+    };
+    for (std::uint64_t slot : freePendingSlots)
+        claim(slot);
     completions = decltype(completions)();
     for (const PendingCompletion &c : ready) {
-        io.require(c.index < pendingReads.size());
+        claim(c.index);
         completions.push(c);
     }
+    io.require(freePendingSlots.size() + ready.size() == held.size());
     maintOpsPending_ = 0;
     for (const std::deque<MaintOp> &q : maintQ)
         maintOpsPending_ += q.size();

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -573,6 +575,58 @@ TEST_F(ControllerFixture, WakeMemoResetsOnRestore)
     // restore into a fresh controller rebuilds every derived per-bank
     // field and continues with the uninterrupted run's decisions.
     EXPECT_EQ(scheduleDigest(4321), kPinnedScheduleDigest);
+}
+
+TEST_F(ControllerFixture, RestoreRefusesAliasedOrOutOfRangeFreeSlots)
+{
+    // Three reads to three bank groups; stop at the first completion,
+    // which frees its pending-read slot while the others are in flight.
+    for (unsigned g = 0; g < 3; ++g)
+        mc.enqueueRead(readReq(addrOf(5, 0, g), 0, g), now);
+    while (completions.empty())
+        mc.tick(now++);
+    StateWriter w;
+    StateIo save(w);
+    mc.transfer(save);
+    const std::string state = w.take();
+
+    // The first read's slot is free; the other two are awaited.
+    ASSERT_EQ(completions.size(), 1u);
+    const std::uint64_t free = 1, in_flight = 2;
+
+    // Locate the free-slot and completion lists from the end of the
+    // section: after them come nextRefAt and refSweepPos (per rank),
+    // the hit streaks (per bank) and six counters.
+    auto u64_at = [&state](std::size_t at) {
+        std::uint64_t v;
+        std::memcpy(&v, state.data() + at, sizeof(v));
+        return v;
+    };
+    const std::size_t tail =
+        (3 + 2 * spec.org.ranks + spec.org.totalBanks() + 6) * 8;
+    const std::size_t completions_at =
+        state.size() - tail - 8 - 16 * in_flight;
+    const std::size_t free_at = completions_at - 8 * free;
+    ASSERT_EQ(u64_at(completions_at), in_flight);
+    ASSERT_EQ(u64_at(free_at - 8), free);
+    const std::uint64_t slots = free + in_flight;
+    ASSERT_LT(u64_at(free_at), slots);
+    const std::uint64_t awaited = u64_at(completions_at + 16);
+
+    auto loads = [&](const std::string &bytes) {
+        MemoryController fresh(spec, map, McConfig{});
+        StateReader r(bytes);
+        StateIo load(r);
+        fresh.transfer(load);
+        return r.atEnd();
+    };
+    EXPECT_TRUE(loads(state));
+    for (std::uint64_t slot : {slots, awaited}) {
+        SCOPED_TRACE(slot);
+        std::string bad = state;
+        std::memcpy(bad.data() + free_at, &slot, sizeof(slot));
+        EXPECT_FALSE(loads(bad));
+    }
 }
 
 TEST(ControllerWakeMemoTest, TickingOnlyAtWakeMatchesTickingEveryCycle)

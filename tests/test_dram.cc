@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/rng.h"
 #include "dram/address.h"
 #include "dram/row_census.h"
@@ -244,6 +247,34 @@ TEST_F(TimingEngineTest, ActThenReadRespectsTrcd)
     EXPECT_FALSE(engine.canIssue(DramCommand::kRead, 0,
                                  spec.timing.tRCD - 1));
     EXPECT_TRUE(engine.canIssue(DramCommand::kRead, 0, spec.timing.tRCD));
+}
+
+TEST_F(TimingEngineTest, RestoreRefusesAnFawHeadPastTheWindow)
+{
+    // The next ACT writes fawWindow[fawHead], so a restored head must
+    // index the four-slot window.
+    engine.issueAct(0, 100, 0);
+    StateWriter w;
+    StateIo save(w);
+    engine.transfer(save);
+    const std::string state = w.take();
+    // Tag, bank count, banks (open byte + five u64s), rank count, then
+    // the first rank: lastAct, lastActBankGroup, hasLastAct, fawWindow,
+    // fawCount, fawHead.
+    const std::size_t head_at =
+        4 + 8 + spec.org.totalBanks() * 41 + 8 + 8 + 8 + 1 + 4 * 8 + 8;
+    auto loads = [&](std::uint64_t head) {
+        std::string bytes = state;
+        std::memcpy(bytes.data() + head_at, &head, sizeof(head));
+        TimingEngine fresh(spec);
+        StateReader r(bytes);
+        StateIo load(r);
+        fresh.transfer(load);
+        return r.atEnd();
+    };
+    EXPECT_TRUE(loads(1)); // issueAct advanced the head to 1.
+    EXPECT_TRUE(loads(3));
+    EXPECT_FALSE(loads(4));
 }
 
 TEST_F(TimingEngineTest, ReadDataLatency)
