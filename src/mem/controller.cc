@@ -683,7 +683,7 @@ MemoryController::transfer(StateIo &io)
     io.u64(demandActs_);
     io.u64(readsServed_);
     io.u64(writesServed_);
-    if (!io.loading())
+    if (!io.loading() || !io.ok())
         return;
 
     // Each pending-read slot is free or awaited by exactly one
