@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/snapshot.h"
 #include "common/types.h"
 
 namespace bh {
@@ -100,26 +99,6 @@ class RowCensus
         return rows;
     }
 
-    /** Save or load the open window and all completed summaries. */
-    void
-    transfer(StateIo &io)
-    {
-        io.tag("census");
-        io.u64(windowStart);
-        io.u64(actsInWindow);
-        io.map(counts,
-               [](StateIo &sub, std::uint64_t &row, std::uint32_t &count) {
-                   sub.u64(row);
-                   sub.u32(count);
-               });
-        io.list(windows_, [](StateIo &sub, WindowSummary &s) {
-            sub.u64(s.totalActs);
-            sub.u64(s.rows512);
-            sub.u64(s.rows128);
-            sub.u64(s.rows64);
-        });
-    }
-
   private:
     void
     rollTo(Cycle now)
@@ -148,7 +127,7 @@ class RowCensus
         actsInWindow = 0;
     }
 
-    Cycle windowLength;  // bh-audit: skip(windowLength) -- constructor config, keyed by ExperimentConfig
+    Cycle windowLength;
     Cycle windowStart = 0;
     std::uint64_t actsInWindow = 0;
     std::unordered_map<std::uint64_t, std::uint32_t> counts;

@@ -91,23 +91,14 @@ System::System(const SystemConfig &config,
                 oracle->onRowProtected(bank, row);
             };
         }
-        if (config_.enableCensus)
-            censuses.push_back(
-                std::make_unique<RowCensus>(msToCycles(64.0)));
 
         HammerOracle *oracle =
             config_.enableOracle ? oracles.back().get() : nullptr;
-        RowCensus *census =
-            config_.enableCensus ? censuses.back().get() : nullptr;
-        mc->onDemandAct = [this, oracle, census](unsigned bank,
-                                                 unsigned row,
-                                                 ThreadId thread,
-                                                 Cycle cycle) {
+        mc->onDemandAct = [this, oracle](unsigned bank, unsigned row,
+                                         ThreadId thread, Cycle) {
             ++demandActsByThread_[thread];
             if (oracle)
                 oracle->onActivate(bank, row);
-            if (census)
-                census->recordAct(bank, row, cycle);
         };
         mc->onPeriodicRefresh = [oracle](unsigned rank, unsigned start,
                                          unsigned rows) {
@@ -585,24 +576,6 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             std::max(result.oracleMaxCount, oracle->maxCount());
     }
     result.benignReadLatencyNs = latencyHist;
-    if (!censuses.empty()) {
-        // Censuses run on the same window grid; merge element-wise,
-        // padding to the longest channel's window list.
-        for (const auto &census : censuses)
-            census->flush(now);
-        for (const auto &census : censuses) {
-            const auto &windows = census->windows();
-            if (windows.size() > result.censusWindows.size())
-                result.censusWindows.resize(windows.size());
-            for (std::size_t i = 0; i < windows.size(); ++i) {
-                RowCensus::WindowSummary &w = result.censusWindows[i];
-                w.totalActs += windows[i].totalActs;
-                w.rows512 += windows[i].rows512;
-                w.rows128 += windows[i].rows128;
-                w.rows64 += windows[i].rows64;
-            }
-        }
-    }
 
     for (unsigned i = 0; i < cores.size(); ++i) {
         CoreResult cr;
@@ -683,7 +656,6 @@ System::configFingerprint() const
     w.b(config_.bh.singleCounterSet);
     w.b(config_.bluntThrottle);
     w.b(config_.enableOracle);
-    w.b(config_.enableCensus);
     w.u64(config_.seed);
     for (const WorkloadSlot &slot : slots_) {
         w.u64(static_cast<std::uint64_t>(slot.kind));
@@ -721,8 +693,8 @@ System::transfer(StateIo &io)
     llc.transfer(io);
     mshr.transfer(io);
 
-    // One section per channel: controller, then its mitigation/oracle/
-    // census instances (presence flags match the constructed graph).
+    // One section per channel: controller, then its mitigation and
+    // oracle instances (presence flags match the constructed graph).
     io.tag("channels");
     io.count(mcs.size());
     for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
@@ -737,9 +709,6 @@ System::transfer(StateIo &io)
         io.present(!oracles.empty());
         if (!oracles.empty())
             oracles[ch]->transfer(io);
-        io.present(!censuses.empty());
-        if (!censuses.empty())
-            censuses[ch]->transfer(io);
     }
 
     io.present(bh != nullptr);

@@ -23,7 +23,6 @@
 #include "cache/mshr.h"
 #include "core/core.h"
 #include "dram/address.h"
-#include "dram/row_census.h"
 #include "dram/spec.h"
 #include "mem/controller.h"
 #include "mitigation/factory.h"
@@ -76,7 +75,6 @@ struct SystemConfig
      */
     bool bluntThrottle = false;
     bool enableOracle = false;
-    bool enableCensus = false;
     std::uint64_t seed = 1;
 };
 
@@ -120,7 +118,6 @@ struct RunResult
      */
     std::vector<std::uint64_t> demandActsPerThread;
     Histogram benignReadLatencyNs{2.0, 4096};
-    std::vector<RowCensus::WindowSummary> censusWindows;
     bool hitCycleCap = false;
 
     /** IPC of benign cores, in slot order. */
@@ -173,8 +170,10 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      *      config fingerprint also covers the new slot fields.
      *  v5: the skip loop's retry-state snapshot section, the completed-
      *      read count and the MSHR quota-write count are gone (the loop
-     *      gates on rejectKey() alone). */
-    static constexpr std::uint32_t kSnapshotVersion = 5;
+     *      gates on rejectKey() alone).
+     *  v6: the per-channel row-census presence byte is gone (the
+     *      System-level census was deleted). */
+    static constexpr std::uint32_t kSnapshotVersion = 6;
 
     /** How run() runs: mid-run checkpointing and the loop mode. */
     struct CheckpointConfig
@@ -222,7 +221,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * pipeline and trace-cursor state, LLC tags, MSHR contents, the
      * memory controller (queues, maintenance, completions, refresh,
      * timing engine, energy counters), the mitigation mechanism,
-     * BreakHammer, oracle/census when attached, RNG streams, and the
+     * BreakHammer, the oracle when attached, RNG streams, and the
      * in-flight latency histogram. The blob is versioned, carries a
      * config fingerprint plus the caller identity, and ends in a
      * checksum; any mismatch on load falls back to recompute.
@@ -351,8 +350,8 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     SystemConfig config_;
     // bh-audit: skip(mapper) -- derived from config_.spec at construction
     AddressMap mapper;
-    /** One controller per channel, index == channel id. Mitigation,
-     *  oracle, and census instances pair with controllers one-to-one
+    /** One controller per channel, index == channel id. Mitigation
+     *  and oracle instances pair with controllers one-to-one
      *  (tables are per-channel structures; flat banks are channel-local,
      *  so per-rank state lives in each channel's instance). BreakHammer
      *  is shared: it scores threads, not banks. */
@@ -362,7 +361,6 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     std::vector<std::unique_ptr<IMitigation>> mitigations;
     std::unique_ptr<BreakHammer> bh;
     std::vector<std::unique_ptr<HammerOracle>> oracles;
-    std::vector<std::unique_ptr<RowCensus>> censuses;
 
     // bh-audit: skip(traces) -- each trace is transferred by its Core (Core::transfer)
     std::vector<std::unique_ptr<TraceSource>> traces;

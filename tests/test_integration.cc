@@ -167,19 +167,6 @@ TEST(SystemTest, LatencyHistogramPopulated)
     EXPECT_LT(r.benignReadLatencyNs.percentile(50), 2000.0);
 }
 
-TEST(SystemTest, CensusCollectsWindows)
-{
-    SystemConfig cfg = baseConfig();
-    cfg.enableCensus = true;
-    System sys(cfg, attackSlots());
-    RunResult r = sys.run(kInsts / 2, kCap);
-    ASSERT_FALSE(r.censusWindows.empty());
-    std::uint64_t acts = 0;
-    for (const auto &w : r.censusWindows)
-        acts += w.totalActs;
-    EXPECT_GT(acts, 0u);
-}
-
 TEST(SystemTest, EnergyGrowsWithPreventiveActions)
 {
     SystemConfig cfg = baseConfig();

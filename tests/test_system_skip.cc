@@ -123,13 +123,6 @@ expectRunResultsMatch(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.bhQuotas, b.bhQuotas);
     EXPECT_EQ(a.demandActsPerThread, b.demandActsPerThread);
     EXPECT_TRUE(a.benignReadLatencyNs == b.benignReadLatencyNs);
-    ASSERT_EQ(a.censusWindows.size(), b.censusWindows.size());
-    for (std::size_t i = 0; i < a.censusWindows.size(); ++i) {
-        EXPECT_EQ(a.censusWindows[i].totalActs, b.censusWindows[i].totalActs);
-        EXPECT_EQ(a.censusWindows[i].rows512, b.censusWindows[i].rows512);
-        EXPECT_EQ(a.censusWindows[i].rows128, b.censusWindows[i].rows128);
-        EXPECT_EQ(a.censusWindows[i].rows64, b.censusWindows[i].rows64);
-    }
     EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
     ASSERT_EQ(a.cores.size(), b.cores.size());
     for (std::size_t i = 0; i < a.cores.size(); ++i) {
