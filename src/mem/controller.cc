@@ -37,7 +37,6 @@ MemoryController::enqueueRead(Request req, Cycle now)
     BH_ASSERT(req.da.channel == channel_, "read routed to wrong channel");
     req.flatBank = mapper.flatBank(req.da);
     req.enqueueCycle = now;
-    replayBefore(now); // The drain step reads the queue sizes.
     readQ.push(req);
     bank_[req.flatBank].scanValid[scanIndex(true)] = false;
     cmdBoundValid_ = false;
@@ -53,7 +52,6 @@ MemoryController::enqueueWrite(Request req, Cycle now)
     BH_ASSERT(req.da.channel == channel_, "write routed to wrong channel");
     req.flatBank = mapper.flatBank(req.da);
     req.enqueueCycle = now;
-    replayBefore(now); // The drain step reads the queue sizes.
     writeQ.push(req);
     bank_[req.flatBank].scanValid[scanIndex(false)] = false;
     cmdBoundValid_ = false;
@@ -515,44 +513,30 @@ MemoryController::stepDrainFlag(bool draining) const
            (readQ.empty() && !writeQ.empty());
 }
 
-void
-MemoryController::replayDrainSteps(Cycle steps)
-{
-    bool f1 = stepDrainFlag(drainingWrites);
-    if (f1 == drainingWrites)
-        return; // Fixed point.
-    if (stepDrainFlag(f1) == f1) {
-        drainingWrites = f1; // Converges after one step.
-        return;
-    }
-    // Period-2 oscillation: parity of the step count decides.
-    if (steps % 2 != 0)
-        drainingWrites = f1;
-}
-
 bool
 MemoryController::serviceDemand(Cycle now)
 {
-    drainingWrites = stepDrainFlag(drainingWrites);
-
-    if (drainingWrites && !writeQ.empty()) {
-        if (tryIssueForQueue(writeQ, false, now))
-            return true;
+    // The drain mode is decided afresh at every demand attempt, but it is
+    // stored only when a command issues: a cycle that issues nothing
+    // leaves no state, so the skip loop need not visit it.
+    const bool draining = stepDrainFlag(drainingWrites);
+    bool issued;
+    if (draining && !writeQ.empty()) {
         // Keep reads flowing if writes are timing-blocked.
-        return tryIssueForQueue(readQ, true, now);
+        issued = tryIssueForQueue(writeQ, false, now) ||
+                 tryIssueForQueue(readQ, true, now);
+    } else {
+        issued = tryIssueForQueue(readQ, true, now) ||
+                 (!writeQ.empty() && tryIssueForQueue(writeQ, false, now));
     }
-    if (tryIssueForQueue(readQ, true, now))
-        return true;
-    return !writeQ.empty() && tryIssueForQueue(writeQ, false, now);
+    if (issued)
+        drainingWrites = draining;
+    return issued;
 }
 
 void
 MemoryController::tick(Cycle now)
 {
-    // The cycles since the last visit replay first; this tick is the
-    // dense tick of `now` itself.
-    replayBefore(now);
-    replayFrom_ = std::max(replayFrom_, now + 1);
     lastSeenCycle = now;
     wakeDirty_ = true;
     // Roll time-based mitigation state (epoch boundaries) before any
@@ -566,13 +550,10 @@ MemoryController::tick(Cycle now)
     processCompletions(now);
     if (!commandSlotFree(now))
         return;
-    if (commandBoundHolds(now) && cmdBound_ > now) {
-        // Nothing has changed since the bound was taken, and it says no
-        // command is legal yet: only the drain hysteresis steps, exactly
-        // as the failing walks below would have left it.
-        drainingWrites = stepDrainFlag(drainingWrites);
+    // Nothing has changed since the bound was taken, and it says no
+    // command is legal yet: the walks below would all fail.
+    if (commandBoundHolds(now) && cmdBound_ > now)
         return;
-    }
     if (serviceRefresh(now))
         return;
     if (serviceMaintenance(now))
@@ -703,12 +684,27 @@ MemoryController::transfer(StateIo &io)
         completions.push(c);
     }
     io.require(freePendingSlots.size() + ready.size() == held.size());
+    // Every queued or awaited request must be one enqueue could have
+    // made: its address decodes to its stored coordinates on this
+    // channel, and a queued one sits in its own bank's FIFO. The
+    // scheduler indexes banks and rows by these fields unchecked.
+    auto decodes = [&](const Request &req) {
+        DramAddress da = req.da;
+        da.channel = channel_; // Not serialized; enqueue checked it.
+        return mapper.decode(req.addr) == da &&
+               req.flatBank == mapper.flatBank(da);
+    };
+    for (unsigned fb = 0; fb < bank_.size(); ++fb)
+        for (const BankedRequestQueue *q : {&readQ, &writeQ})
+            for (const QueuedRequest &qr : q->bank(fb))
+                io.require(qr.req.flatBank == fb && decodes(qr.req));
+    if (io.ok())
+        for (const PendingCompletion &c : ready)
+            io.require(decodes(pendingReads[c.index]));
     maintOpsPending_ = 0;
     for (const std::deque<MaintOp> &q : maintQ)
         maintOpsPending_ += q.size();
-    // The replay anchor is left to the caller, which knows the cycle the
-    // saved drain flag was caught up to (see anchorReplayAt()). The
-    // per-bank records and the wake memo are pure accelerations:
+    // The per-bank records and the wake memo are pure accelerations:
     // apart from the hit streak, rebuild them from the restored engine,
     // maintenance queues and FIFOs rather than serializing them.
     for (unsigned fb = 0; fb < bank_.size(); ++fb) {

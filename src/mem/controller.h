@@ -212,8 +212,8 @@ class MemoryController : public IMitigationHost
      * nextEventCycle(lastSeenCycle), recomputed lazily after tick() or
      * a load, and forced to the enqueue cycle by
      * enqueueRead()/enqueueWrite(). Until then every tick is a no-op
-     * apart from the drain-hysteresis step, which the controller replays
-     * lazily (see catchUp()), so System need not visit it at all.
+     * (the drain mode is stored only when a demand command issues), so
+     * System need not visit the controller at all.
      * Mitigation host actions arrive only from inside tick(), so they
      * need no reset.
      */
@@ -222,24 +222,6 @@ class MemoryController : public IMitigationHost
     {
         return wakeDirty_ ? recomputeWake() : wakeAt_;
     }
-
-    /**
-     * Apply the drain-hysteresis steps of every cycle from the replay
-     * anchor through @p last that the controller was not ticked at,
-     * leaving the state a tick at every one of those cycles would have
-     * left. tick() and enqueueRead()/enqueueWrite() replay up to their
-     * own cycle first; callers catch up before serializing the state.
-     * A no-op when @p last precedes the anchor (catchUp(now - 1) at
-     * now == 0 included).
-     */
-    void catchUp(Cycle last) { replayBefore(last + 1); }
-
-    /**
-     * Declare every drain step before @p cycle applied. A load does not
-     * know the cycle its state was caught up to, so whoever restores a
-     * controller re-anchors it at the restored cycle.
-     */
-    void anchorReplayAt(Cycle cycle) { replayFrom_ = cycle; }
 
     /**
      * Monotone count of the events that move a queue depth or a served
@@ -254,19 +236,23 @@ class MemoryController : public IMitigationHost
     }
 
     /**
-     * Calls @p fn with every read this controller holds, queued or
-     * issued and awaiting its data return, in no particular order
-     * (System's post-restore consistency check).
+     * Calls @p fn(req, is_read) with every request this controller
+     * holds: queued reads and writes, and issued reads awaiting their
+     * data return, in no particular order (System's post-restore
+     * consistency check).
      */
     template <typename Fn>
     void
-    forEachInflightRead(Fn fn) const
+    forEachRequest(Fn fn) const
     {
-        for (unsigned fb = 0; fb < bank_.size(); ++fb)
+        for (unsigned fb = 0; fb < bank_.size(); ++fb) {
             for (const QueuedRequest &q : readQ.bank(fb))
-                fn(q.req);
+                fn(q.req, true);
+            for (const QueuedRequest &q : writeQ.bank(fb))
+                fn(q.req, false);
+        }
         for (auto pending = completions; !pending.empty(); pending.pop())
-            fn(pendingReads[pending.top().index]);
+            fn(pendingReads[pending.top().index], true);
     }
 
     /** Fires when read data is fully returned. */
@@ -367,34 +353,24 @@ class MemoryController : public IMitigationHost
      * so a visit to the read queue touches one cache line. syncBank()
      * copies the row and timing fields from the engine after every
      * command to the bank or its rank; each `*At` already includes both
-     * the bank's and the rank's blackout.
+     * the bank's and the rank's blackout. Every field but hitStreak is
+     * derived and rebuilt on load.
      */
     struct alignas(64) BankRecord
     {
-        // bh-audit: skip(actAt) -- derived, rebuilt on load
         Cycle actAt = 0; ///< Bank-local earliest ACT (nextAct, blackouts).
-        // bh-audit: skip(preAt) -- derived, rebuilt on load
         Cycle preAt = 0; ///< Bank-local earliest PRE (nextPre, blackouts).
-        // bh-audit: skip(colAt) -- derived, rebuilt on load
         Cycle colAt = 0; ///< Bank-local earliest RD/WR (nextRdWr, ...).
         /** Consecutive row hits served while an older row conflict
          *  waits (FR-FCFS cap state; serialized). */
         unsigned hitStreak = 0;
-        // bh-audit: skip(rank) -- derived, rebuilt on load
         unsigned rank = 0;
-        // bh-audit: skip(group) -- derived, rebuilt on load
         unsigned group = 0; ///< Bank group within the rank.
-        // bh-audit: skip(open) -- derived, rebuilt on load
         bool open = false;
-        // bh-audit: skip(maintPending) -- derived, rebuilt on load
         bool maintPending = false; ///< maintQ of the bank is non-empty.
-        // bh-audit: skip(scanValid) -- derived, rebuilt on load
         bool scanValid[2] = {false, false}; ///< Per scan[] entry.
-        // bh-audit: skip(scan) -- derived, rebuilt on load
         BankScan scan[2]; ///< Read queue first (see scanIndex()).
-        // bh-audit: skip(openRow) -- derived, rebuilt on load
         unsigned openRow = 0;
-        // bh-audit: skip(blockedUntil) -- derived, rebuilt on load
         Cycle blockedUntil = 0; ///< The bank's own blackout.
 
         void invalidateScans() { scanValid[0] = scanValid[1] = false; }
@@ -411,30 +387,6 @@ class MemoryController : public IMitigationHost
     }
 
     bool stepDrainFlag(bool draining) const;
-    void replayDrainSteps(Cycle steps);
-
-    /**
-     * Replay the cycles from the anchor through @p end - 1 that the
-     * controller sat out, and move the anchor to @p end. Each such cycle
-     * with a free command slot would have re-evaluated the write-drain
-     * hysteresis, whose flag can oscillate with period 2 when the read
-     * queue is empty and the write queue sits at/below the low watermark,
-     * so its final state depends on how many evaluations ran, not just on
-     * the frozen queue sizes. Exact because nothing the step reads
-     * (nextCommandAt, the queue sizes) moves outside tick() and enqueue,
-     * which both call this first.
-     */
-    void
-    replayBefore(Cycle end)
-    {
-        if (end <= replayFrom_)
-            return;
-        Cycle start = std::max(replayFrom_, nextCommandAt);
-        if (start < end)
-            replayDrainSteps(end - start);
-        replayFrom_ = end;
-    }
-
     void processCompletions(Cycle now);
     bool serviceRefresh(Cycle now);
     bool serviceMaintenance(Cycle now);
@@ -500,15 +452,16 @@ class MemoryController : public IMitigationHost
     Cycle recomputeWake() const;
 
     DramSpec spec_;            // bh-audit: skip(spec_) -- constructor config, keyed by ExperimentConfig
-    const AddressMap &mapper;  // bh-audit: skip(mapper) -- non-owning wiring, owned by System
+    const AddressMap &mapper;  ///< Non-owning; owned by System.
     McConfig config_;          // bh-audit: skip(config_) -- constructor config, keyed by ExperimentConfig
-    unsigned channel_ = 0;     // bh-audit: skip(channel_) -- construction identity, fixed for the run
+    unsigned channel_ = 0;     ///< The channel this controller serves.
     TimingEngine engine_;
 
     BankedRequestQueue readQ;
     BankedRequestQueue writeQ;
     /** Per flat bank; scans are refreshed lazily (see scanOf()). */
     mutable std::vector<BankRecord> bank_;
+    /** Write-drain mode as of the last demand command (serviceDemand()). */
     bool drainingWrites = false;
 
     std::vector<std::deque<MaintOp>> maintQ; ///< Per flat bank.
@@ -532,10 +485,6 @@ class MemoryController : public IMitigationHost
 
     Cycle nextCommandAt = 0;
     Cycle lastSeenCycle = 0;
-
-    /** First cycle whose drain step is not applied yet (replayBefore()). */
-    // bh-audit: skip(replayFrom_) -- derived replay anchor, never serialized; restorers re-anchor it
-    Cycle replayFrom_ = 0;
 
     /** wakeAt()'s memo; wakeDirty_ forces a recompute. */
     mutable bool wakeDirty_ = true;

@@ -103,8 +103,12 @@ class ResultStore
      * (IMitigation::advanceTo) instead of at scheduler probe times, so
      * BlockHammer-point records written by v1 no longer match what the
      * simulator computes.
+     * v3: the memory controller stores its write-drain mode only when a
+     * demand command issues, so a checkpoint's saved drain flag means
+     * something else; the bump retires v2 snapshots through the
+     * checkpoint identity, which embeds this version.
      */
-    static constexpr std::uint64_t kSchemaVersion = 2;
+    static constexpr std::uint64_t kSchemaVersion = 3;
 
     /** @param threads Worker threads for prefetch() grids. */
     explicit ResultStore(unsigned threads = 1);

@@ -379,13 +379,6 @@ System::accountSkippedCycles(Cycle skipped)
     }
 }
 
-void
-System::catchUpControllers(Cycle last)
-{
-    for (auto &mc : mcs)
-        mc->catchUp(last);
-}
-
 std::uint64_t
 System::rejectKey() const
 {
@@ -459,7 +452,6 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
                               checkpoint_.progressEveryInsts)
                    : 0;
 
-    bool all_done = false;
     while (now < max_cycles) {
         if (ckpt_armed) {
             // Top-of-iteration is the one place a snapshot can cut the
@@ -478,9 +470,6 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
                 }
             }
             if (due) {
-                // Controllers that sat out cycles replay their drain
-                // steps first: the saved state is the dense loop's.
-                catchUpControllers(now - 1);
                 std::string error;
                 if (!saveSnapshot(checkpoint_.path, &error))
                     std::fprintf(stderr, "checkpoint failed: %s\n",
@@ -496,7 +485,7 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             }
         }
 
-        all_done = true;
+        bool all_done = true;
         bool any_reject = false;
         bool core_issues_next = false;
         for (auto &core : cores) {
@@ -506,9 +495,7 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
             any_reject |= core->stalledOnReject();
             core_issues_next |= core->issuesNextCycle();
         }
-        // A controller before its own wake would run a no-op tick apart
-        // from the drain-hysteresis step, which it replays itself at its
-        // next tick, enqueue or catch-up.
+        // A controller before its own wake would run a no-op tick.
         for (auto &mc : mcs)
             if (dense || now >= mc->wakeAt())
                 mc->tick(now);
@@ -544,10 +531,6 @@ System::runLoop(Cycle max_cycles, std::uint64_t ipc_target)
         }
         now = next;
     }
-    // Leave every controller as the dense loop would: the break came
-    // after ticking `now`, the cap after the cycles before it.
-    catchUpControllers(all_done ? now : now - 1);
-
     RunResult result;
     result.cycles = now;
     result.hitCycleCap = now >= max_cycles;
@@ -699,10 +682,6 @@ System::transfer(StateIo &io)
     io.count(mcs.size());
     for (std::size_t ch = 0; ch < mcs.size(); ++ch) {
         mcs[ch]->transfer(io);
-        // A checkpoint is cut before cycle `now` runs, with every drain
-        // step before it applied.
-        if (io.loading())
-            mcs[ch]->anchorReplayAt(now);
         io.present(mitigations[ch] != nullptr);
         if (mitigations[ch])
             mitigations[ch]->transfer(io);
@@ -815,8 +794,8 @@ System::restoreSnapshotBlob(const std::string &blob, std::string *error)
     }
     if (!sectionsAgree()) {
         if (error)
-            *error = "snapshot sections disagree (MSHR entries, in-flight "
-                     "reads, core loads)";
+            *error = "snapshot sections disagree (request threads, MSHR "
+                     "entries, in-flight reads, core loads)";
         return false;
     }
     resumePending_ = true;
@@ -827,11 +806,15 @@ bool
 System::sectionsAgree() const
 {
     std::vector<Addr> reads;
+    bool threads_known = true;
     for (const auto &mc : mcs)
-        mc->forEachInflightRead(
-            [&reads](const Request &req) { reads.push_back(req.token); });
+        mc->forEachRequest([&](const Request &req, bool is_read) {
+            threads_known = threads_known && req.thread < cores.size();
+            if (is_read)
+                reads.push_back(req.token);
+        });
     std::sort(reads.begin(), reads.end());
-    if (reads.size() != mshr.totalInflight() ||
+    if (!threads_known || reads.size() != mshr.totalInflight() ||
         std::adjacent_find(reads.begin(), reads.end()) != reads.end())
         return false;
     for (Addr token : reads)

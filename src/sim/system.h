@@ -172,8 +172,11 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      *      read count and the MSHR quota-write count are gone (the loop
      *      gates on rejectKey() alone).
      *  v6: the per-channel row-census presence byte is gone (the
-     *      System-level census was deleted). */
-    static constexpr std::uint32_t kSnapshotVersion = 6;
+     *      System-level census was deleted).
+     *  v7: the controller's drain flag is the write-drain mode at its
+     *      last demand command, no longer the flag a tick at every cycle
+     *      up to the checkpoint would have left. */
+    static constexpr std::uint32_t kSnapshotVersion = 7;
 
     /** How run() runs: mid-run checkpointing and the loop mode. */
     struct CheckpointConfig
@@ -295,9 +298,6 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      */
     RunResult runLoop(Cycle max_cycles, std::uint64_t ipc_target);
 
-    /** Apply every controller's drain steps through @p last. */
-    void catchUpControllers(Cycle last);
-
     /**
      * Monotone count of every event that can flip a rejected access's
      * retry outcome: MSHR allocate/release/setQuota (a read completion
@@ -320,10 +320,12 @@ class System : public ICoreMemory, public IThrottleFeedbackView
     void transfer(StateIo &io);
 
     /**
-     * Whether restored sections agree with each other: every read a
-     * controller holds is exactly one MSHR entry's fill, and every MSHR
-     * load waiter exactly one busy window slot of its core. Completions
-     * release and wake by token, so a disagreement would panic later.
+     * Whether restored sections agree with each other: every request a
+     * controller holds names a core (its ACT indexes the per-thread
+     * counts, a write's included), every read it holds is exactly one
+     * MSHR entry's fill, and every MSHR load waiter exactly one busy
+     * window slot of its core. Completions release and wake by token,
+     * so a disagreement would panic later.
      */
     bool sectionsAgree() const;
 
@@ -335,8 +337,7 @@ class System : public ICoreMemory, public IThrottleFeedbackView
      * reject-blocked core repeats one identical rejected retry per cycle
      * (a reject-stall, plus a quota-rejection count when the rejection
      * was quota-caused). All other component state is provably frozen
-     * across the skipped range; the controllers replay their drain steps
-     * themselves (MemoryController::catchUp()).
+     * across the skipped range.
      */
     void accountSkippedCycles(Cycle skipped);
 

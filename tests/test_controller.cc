@@ -364,27 +364,16 @@ controllerState(MemoryController &mc, IMitigation *mitigation)
     return w.take();
 }
 
-/**
- * transfer() bytes with lastSeenCycle (the fifth-last u64 of the
- * section) cut out: it records when a controller was last ticked, which
- * a controller caught up without a tick legitimately leaves behind.
- */
-std::string
-stateWithoutLastTick(MemoryController &mc)
-{
-    std::string state = controllerState(mc, nullptr);
-    return state.erase(state.size() - 5 * sizeof(std::uint64_t),
-                       sizeof(std::uint64_t));
-}
-
-TEST(ControllerDrainReplayTest, UnvisitedSpansReplayLikeDenseTicks)
+TEST(ControllerDrainFlagTest, UnvisitedSpansLeaveNoState)
 {
     // A few writes (at or below the low watermark), no reads, and a
-    // rank-wide blackout: nothing can issue, and the drain flag flips on
-    // every cycle. A controller left unvisited between its wakes must
-    // come out of each span where the dense controller is, whether an
-    // enqueue, a tick or a catch-up closes it, after an odd or an even
-    // number of missed steps.
+    // rank-wide blackout: nothing can issue, so the drain-mode step
+    // would flip on every cycle if it were stored. It is stored only
+    // when a demand command issues, so a controller left unvisited
+    // between its wakes must come out of each span exactly where the
+    // densely ticked one is, in full state and with no catch-up call,
+    // whether an enqueue or a tick closes it, after an odd or an even
+    // number of unvisited cycles.
     DramSpec spec = DramSpec::ddr5();
     AddressMap map(spec.org);
     MemoryController dense(spec, map, McConfig{});
@@ -408,48 +397,33 @@ TEST(ControllerDrainReplayTest, UnvisitedSpansReplayLikeDenseTicks)
     const Cycle quiet_until =
         std::min<Cycle>(kRfms * spec.timing.tRFM, spec.timing.tREFI);
 
-    // Span lengths alternate odd and even while the closers rotate, so
-    // each closer sees both parities.
+    // Span lengths alternate odd and even while the closer changes every
+    // two spans, so each closer sees both parities.
     const Cycle gaps[] = {5, 8, 3, 6, 7, 4, 11, 2, 9, 10, 1, 12};
-    enum Closer { kEnqueue, kTick, kCatchUp };
     std::size_t span = 0;
     Cycle close_at = gaps[0];
-    unsigned stale_spans = 0;
     for (Cycle t = 0; span < std::size(gaps); ++t) {
         ASSERT_LT(t, quiet_until);
         const bool closing = t == close_at;
-        const Closer closer = static_cast<Closer>(span % 3);
-        if (closing) {
-            SCOPED_TRACE(t);
-            // The state a missed odd number of flips leaves behind.
-            if (stateWithoutLastTick(lazy) != stateWithoutLastTick(dense))
-                ++stale_spans;
-            if (closer == kEnqueue)
-                enqueue_both(t);
-        }
+        const bool by_enqueue = span / 2 % 2 == 0;
+        if (closing && by_enqueue)
+            enqueue_both(t);
         dense.tick(t);
-        if (t >= lazy.wakeAt() || (closing && closer == kTick)) {
+        if (t >= lazy.wakeAt() || (closing && !by_enqueue)) {
             // Only the enqueue at cycle 0 or a closing one wakes it.
             EXPECT_TRUE(t == 0 || closing) << t;
             lazy.tick(t);
-        } else if (closing && closer == kCatchUp) {
-            lazy.catchUp(t);
         }
         if (!closing)
             continue;
         SCOPED_TRACE(t);
-        EXPECT_EQ(stateWithoutLastTick(lazy), stateWithoutLastTick(dense));
-        if (closer != kCatchUp) {
-            EXPECT_EQ(controllerState(lazy, nullptr),
-                      controllerState(dense, nullptr));
-        }
+        EXPECT_EQ(controllerState(lazy, nullptr),
+                  controllerState(dense, nullptr));
         ++span;
         if (span < std::size(gaps))
             close_at = t + gaps[span];
     }
     EXPECT_EQ(dense.writesServed(), 0u);
-    // Every even gap leaves an odd number of flips unapplied.
-    EXPECT_EQ(stale_spans, 6u);
 }
 
 /** Every mechanism, in MitigationType order. */
@@ -506,12 +480,10 @@ scheduleDigest(Cycle restore_at)
         std::uint64_t token = 0;
         for (Cycle t = 0; t < kHorizon; ++t) {
             if (t == restore_at) {
-                mc->catchUp(t - 1);
                 StateReader r(controllerState(*mc, mitigation.get()));
                 StateIo io(r);
                 build();
                 mc->transfer(io);
-                mc->anchorReplayAt(t);
                 if (mitigation != nullptr)
                     mitigation->transfer(io);
                 EXPECT_TRUE(r.atEnd()) << mitigationName(type);
@@ -534,14 +506,24 @@ scheduleDigest(Cycle restore_at)
             if (t >= mc->wakeAt())
                 mc->tick(t);
         }
-        mc->catchUp(kHorizon - 1);
         log.str(controllerState(*mc, mitigation.get()));
     }
     return fnv1a64(log.data().data(), log.data().size());
 }
 
-/** scheduleDigest() of the scheduler these tests pin. */
-constexpr std::uint64_t kPinnedScheduleDigest = 0xbd910f8bed4641b4ull;
+/**
+ * scheduleDigest() of the scheduler these tests pin. It moved from
+ * 0xbd910f8bed4641b4 when the write-drain mode began to be stored only
+ * when a demand command issues. Only REGA's decisions changed (620
+ * instead of 621; Hydra's and BlockHammer's final state differs in the
+ * saved drain flag alone). REGA's first difference is the ACT at cycle
+ * 22351 to bank 20, with 36 reads and 18 writes queued. A flag stepped
+ * on every cycle had settled on read mode and drew row 100 for thread 2
+ * from the read queue; the mode kept from the last issue is still
+ * draining (18 writes exceed the low watermark) and draws row 101 for
+ * thread 1 from the write queue.
+ */
+constexpr std::uint64_t kPinnedScheduleDigest = 0x0f7771c297798802ull;
 
 TEST(ControllerDecisionTest, ScriptedDecisionsArePinnedForEveryMechanism)
 {

@@ -801,12 +801,11 @@ TEST(SystemSnapshotTest, FourChannelWriteHeavyKillResumeIsByteExact)
 {
     // Store-streaming cores behind a 16 KiB LLC on four channels: while a
     // controller's read queue is empty and a few writes wait out a
-    // blackout, its write-drain flag flips every cycle, and the skip loop
-    // leaves the controller unvisited, behind its replay anchor. A
-    // checkpoint cut then must catch it up before saving, and the resume
-    // must re-anchor it at the restored cycle. Each kill point below
-    // resumes and runs a few cycles on, still inside such a span, and
-    // must serialize exactly like the uninterrupted run at that cycle.
+    // blackout, the skip loop leaves the controller unvisited, and its
+    // write-drain mode is whatever it was at its last demand command.
+    // Each kill point below resumes and runs a few cycles on, still
+    // inside such a span, and must serialize exactly like the
+    // uninterrupted run at that cycle.
     SystemConfig sys;
     sys.numCores = 3;
     sys.spec.org.channels = 4;
@@ -824,7 +823,6 @@ TEST(SystemSnapshotTest, FourChannelWriteHeavyKillResumeIsByteExact)
     std::string snap = tempPath("sys_four_channel_writes.snap");
     std::string error;
     unsigned resumed = 0;
-    unsigned anchor_sensitive = 0;
     for (Cycle at = 15000; at < 23000; at += 97) {
         SCOPED_TRACE(at);
         std::remove(snap.c_str());
@@ -848,24 +846,12 @@ TEST(SystemSnapshotTest, FourChannelWriteHeavyKillResumeIsByteExact)
             (void)system.run(insts, at + kProbeCycles);
             expected = system.snapshotBlob();
         }
-        for (bool late_anchor : {false, true}) {
-            System system(sys, slots);
-            ASSERT_TRUE(system.resumeFromSnapshot(snap, &error)) << error;
-            // A resume anchored at the probe cycle skips the drain steps
-            // since the checkpoint; when that shows in the bytes, the
-            // checkpoint left a controller behind its anchor.
-            if (late_anchor)
-                for (unsigned ch = 0; ch < system.numChannels(); ++ch)
-                    system.controller(ch).anchorReplayAt(at + kProbeCycles);
-            (void)system.run(insts, at + kProbeCycles);
-            if (!late_anchor)
-                EXPECT_EQ(system.snapshotBlob(), expected);
-            else if (system.snapshotBlob() != expected)
-                ++anchor_sensitive;
-        }
+        System system(sys, slots);
+        ASSERT_TRUE(system.resumeFromSnapshot(snap, &error)) << error;
+        (void)system.run(insts, at + kProbeCycles);
+        EXPECT_EQ(system.snapshotBlob(), expected);
     }
     EXPECT_GT(resumed, 40u);
-    EXPECT_GT(anchor_sensitive, 0u);
 
     // Killed mid-run off any natural grid, a resumed run finishes exactly
     // like the uninterrupted one, results and final state alike.
@@ -918,28 +904,28 @@ struct PinnedRegime
  */
 const PinnedRegime kPinnedRegimes[] = {
     {"HHMA", MitigationType::kGraphene, 512, true, false, 1, nullptr,
-     1131776u, 0xda7283b6ca0c54c7ull},
+     1131776u, 0x93f5b65ba32531baull},
     {"LLLA", MitigationType::kPrac, 256, true, true, 1, nullptr, 1127537u,
-     0x3da585887bbd3c44ull},
+     0x5feaf18d0337067aull},
     {"LLLA", MitigationType::kBlockHammer, 128, false, false, 1, nullptr,
-     1134153u, 0x410ec8bd41ea49f9ull},
+     1134153u, 0x16f03a9f5fc57ec3ull},
     {"HHMM", MitigationType::kHydra, 512, false, false, 2, nullptr,
-     1260029u, 0x811cf0e5883a8d97ull},
+     1260029u, 0x271e5952238f0d6dull},
     {"HHMA", MitigationType::kAqua, 256, true, false, 1, nullptr, 1131784u,
-     0x38e398d3db8f0988ull},
+     0x59970ffe77d7fcceull},
     {"LLLA", MitigationType::kTwice, 512, false, false, 1, nullptr,
-     1127089u, 0x1dee727adb402e52ull},
+     1127089u, 0xa7baa43b74d3c282ull},
     {"HHMA", MitigationType::kRega, 256, true, false, 1, nullptr, 1125013u,
-     0x560b5d39a925abe7ull},
+     0xbb79799a2f287998ull},
     {"LLLA", MitigationType::kRfm, 256, true, false, 1, nullptr, 1125409u,
-     0x15a85dff3dc0a8d0ull},
+     0x5e20e30e5de9f8f9ull},
     {"MMAA", MitigationType::kPara, 512, true, false, 1,
      "pat=half,obs=32,bub=64,grp=2,ho=512", 1124076u,
-     0x74aed4b5873bfd11ull},
+     0x4494ae8910b1adefull},
     {"HHMA", MitigationType::kNone, 1024, false, false, 1, nullptr,
-     1125168u, 0x3eba70ad5734e7cfull},
+     1125168u, 0x05c6c3d8f9dea2b7ull},
     {"HHMA", MitigationType::kHydra, 512, true, false, 4, nullptr,
-     1397829u, 0x53dface5d1777fefull},
+     1397829u, 0x7c1f40f19eb411b7ull},
 };
 
 /** The mutation test's seeds: the first nine pinned regimes. */
@@ -1326,6 +1312,74 @@ TEST(SystemSnapshotTest, SectionsSplicedFromAnotherCycleAreRefused)
             EXPECT_FALSE(system.restoreSnapshotBlob(sealed(spliced), &error));
             EXPECT_NE(error.find("disagree"), std::string::npos) << error;
         }
+    }
+}
+
+TEST(SystemSnapshotTest, QueuedRequestsThatEnqueueCouldNotMakeAreRefused)
+{
+    // A re-sealed blob whose first queued request names another bank's
+    // FIFO, a row past the bank or a thread past the cores parses, and
+    // the MSHR and cores still agree with it; run on, its ACT would index
+    // the timing engine's banks, a bank's rows or the per-thread ACT
+    // counts out of range. A restore must refuse each.
+    const PinnedRegime &regime = kPinnedRegimes[0];
+    FuzzSeed seed = midRunSeed(regime);
+    auto u64_at = [](const std::string &body, std::size_t at) {
+        std::uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = v << 8 | static_cast<unsigned char>(body[at + i]);
+        return v;
+    };
+    auto put_u64 = [](std::string &body, std::size_t at, std::uint64_t v) {
+        StateWriter w;
+        w.u64(v);
+        body.replace(at, 8, w.data());
+    };
+    // The first queued request: each queue is its "bankq" tag (u32), the
+    // bank count, then per bank a length and that many entries.
+    std::size_t req_at = std::string::npos;
+    std::uint64_t fifo_bank = 0;
+    for (std::size_t q = tagAt(seed.body, "bankq", 0);
+         q != std::string::npos && req_at == std::string::npos;
+         q = tagAt(seed.body, "bankq", q + 4)) {
+        std::size_t at = q + 4;
+        const std::uint64_t banks = u64_at(seed.body, at);
+        at += 8;
+        for (std::uint64_t fb = 0; fb < banks; ++fb, at += 8) {
+            if (u64_at(seed.body, at) != 0) {
+                req_at = at + 8;
+                fifo_bank = fb;
+                break;
+            }
+            // An empty FIFO is its zero length alone.
+        }
+    }
+    ASSERT_NE(req_at, std::string::npos);
+    // transferRequest's layout: the type byte, then addr, rank, bank
+    // group, bank, row, column, flatBank and thread as u64s.
+    const std::size_t row_at = req_at + 1 + 4 * 8;
+    const std::size_t flat_bank_at = req_at + 1 + 6 * 8;
+    const std::size_t thread_at = req_at + 1 + 7 * 8;
+    ASSERT_EQ(u64_at(seed.body, flat_bank_at), fifo_bank);
+    ASSERT_LT(u64_at(seed.body, thread_at), seed.sys.numCores);
+    {
+        System intact(seed.sys, seed.slots);
+        std::string error;
+        ASSERT_TRUE(intact.restoreSnapshotBlob(sealed(seed.body), &error))
+            << error;
+    }
+    const unsigned banks = seed.sys.spec.org.totalBanks();
+    const std::pair<std::size_t, std::uint64_t> edits[] = {
+        {flat_bank_at, (fifo_bank + 1) % banks},
+        {row_at, seed.sys.spec.org.rowsPerBank},
+        {thread_at, seed.sys.numCores},
+    };
+    for (const auto &[at, value] : edits) {
+        SCOPED_TRACE(at - req_at);
+        std::string body = seed.body;
+        put_u64(body, at, value);
+        System system(seed.sys, seed.slots);
+        EXPECT_FALSE(system.restoreSnapshotBlob(sealed(body), nullptr));
     }
 }
 

@@ -182,11 +182,12 @@ TEST(SystemSkipTest, WriteHeavyRunMatchesDenseTick)
     // A store-streaming core (lbm_like writes 40% of its accesses) behind
     // a 16 KiB LLC: dirty evictions keep a few writes queued while the
     // read queue runs dry between the core's misses. That is where the
-    // write-drain flag oscillates every cycle, so each controller has to
-    // replay it for every cycle the skip loop leaves it unticked
-    // (MemoryController::catchUp). The regimes above are read-dominated
-    // at this horizon and never reach that state. On four channels most
-    // controllers sit out most wakes, so the replay spans are long.
+    // write-drain step would flip every cycle if a tick that issues
+    // nothing stored it; the controller stores the mode only when a
+    // demand command issues, so the cycles the skip loop leaves it
+    // unticked change nothing. The regimes above are read-dominated at
+    // this horizon and never reach that state. On four channels most
+    // controllers sit out most wakes, so the unvisited spans are long.
     struct Regime
     {
         std::vector<const char *> apps;

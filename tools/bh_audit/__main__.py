@@ -21,7 +21,9 @@ Exit status: 0 clean, 1 findings, 2 usage/internal error.
 
 Suppressions: `// bh-audit: skip(<what>) -- <reason>` on or above the
 flagged line (see each pass's module docstring for what `<what>` names).
-An annotation without a reason is itself a finding.
+An annotation without a reason is itself a finding, and so is one that
+no pass honors (a full run only: `--check` leaves the other passes'
+annotations unused).
 """
 
 from __future__ import annotations

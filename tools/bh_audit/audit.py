@@ -26,19 +26,28 @@ def audit(root: str, checks: list[str] | None = None) -> Report:
         return report
     for name in (checks or PASSES):
         PASSES[name](tree, report)
-    check_annotations(tree, report)
+    check_annotations(tree, report, every_pass_ran=checks is None)
     return report
 
 
-def check_annotations(tree: SourceTree, report: Report) -> None:
+def check_annotations(tree: SourceTree, report: Report,
+                      every_pass_ran: bool) -> None:
     """Malformed skip annotations are findings: the escape hatch
-    requires a named target and a non-empty reason."""
+    requires a named target and a non-empty reason. So is a well-formed
+    one that no pass honored (once every pass has run): it excuses
+    nothing, and a later finding it happens to match would go unseen."""
+    honored = {(s["file"], s["line"]) for s in report.skips_used}
     for sf in tree.files():
+        rel = tree.rel(sf.path)
         for s in sf.skips:
             if s.malformed:
                 report.add(
-                    "audit", "malformed-skip", tree.rel(sf.path),
+                    "audit", "malformed-skip", rel,
                     s.line, s.what or "<unnamed>",
                     "bh-audit skip annotation must be "
                     "'// bh-audit: skip(<what>) -- <reason>' with a "
                     "non-empty reason")
+            elif every_pass_ran and (rel, s.line) not in honored:
+                report.add(
+                    "audit", "unused-skip", rel, s.line, s.what,
+                    "no pass honors this skip annotation; delete it")
