@@ -1,6 +1,8 @@
 #include "sim/experiment.h"
 
+#include <array>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -370,175 +372,227 @@ experimentResultToJson(const ExperimentConfig &config,
 
 namespace {
 
-/** Member @p key of @p obj iff it exists with type @p type, else null.
- *  This is the store's corruption gate: every access in
- *  experimentResultFromJson goes through it so a wrong-typed or
- *  truncated payload reads as a cache miss, never a crash. */
-const JsonValue *
-typedMember(const JsonValue &obj, const char *key, JsonValue::Type type)
-{
-    if (!obj.isObject())
-        return nullptr;
-    const JsonValue *member = obj.find(key);
-    if (member == nullptr || member->type() != type)
-        return nullptr;
-    return member;
-}
-
-/** Member @p key of @p obj iff it is a number asU64() reads exactly
- *  (finite, integral, in [0, 2^64)): the gate every count goes through,
- *  so a negative or huge count reads as a cache miss, not a crash or an
- *  undefined cast. */
-const JsonValue *
-u64Member(const JsonValue &obj, const char *key)
-{
-    const JsonValue *member = typedMember(obj, key, JsonValue::Type::kNumber);
-    return member != nullptr && member->isU64() ? member : nullptr;
-}
-
-/** Validate the histogramToJson() shape before the (assert-happy)
- *  histogramFromJson() parser touches it. */
+/**
+ * Read the array at @p cursor into @p out with @p read_one, one element
+ * at a time. Elements are gathered on the stack in batches, so an array
+ * of up to kBatch elements costs @p out one allocation of its exact size.
+ */
+template <class T, class ReadOne>
 bool
-histogramJsonIsWellFormed(const JsonValue &v)
+readArray(JsonCursor &cursor, int depth, std::vector<T> *out,
+          ReadOne &&read_one)
 {
-    // A generous ceiling on the bin vector a record may ask us to
-    // allocate (the simulator's histograms use 4096 bins): a corrupt
-    // num_bins must read as a cache miss, not throw bad_alloc.
-    constexpr std::uint64_t kMaxBins = 1u << 20;
-    const JsonValue *bin_width =
-        typedMember(v, "bin_width", JsonValue::Type::kNumber);
-    const JsonValue *num_bins = u64Member(v, "num_bins");
-    const JsonValue *bins =
-        typedMember(v, "bins", JsonValue::Type::kArray);
-    if (bin_width == nullptr || bin_width->asDouble() <= 0.0 ||
-        num_bins == nullptr || num_bins->asU64() > kMaxBins ||
-        bins == nullptr ||
-        typedMember(v, "sum", JsonValue::Type::kNumber) == nullptr ||
-        typedMember(v, "max", JsonValue::Type::kNumber) == nullptr)
-        return false;
-    for (std::size_t i = 0; i < bins->size(); ++i) {
-        const JsonValue &pair = bins->at(i);
-        if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(0).isU64() || !pair.at(1).isU64() ||
-            pair.at(0).asU64() > num_bins->asU64())
-            return false;
-    }
-    return true;
+    constexpr std::size_t kBatch = 16;
+    std::array<T, kBatch> batch;
+    std::size_t n = 0;
+    out->clear();
+    auto flush = [&] {
+        out->insert(out->end(), std::make_move_iterator(batch.begin()),
+                    std::make_move_iterator(batch.begin() + n));
+        n = 0;
+    };
+    const bool read = cursor.array(depth, [&] {
+        if (n == kBatch)
+            flush();
+        batch[n] = T{};
+        return read_one(&batch[n++]);
+    });
+    flush();
+    return read;
+}
+
+bool
+readCore(JsonCursor &cursor, int depth, CoreResult *core)
+{
+    enum : unsigned
+    {
+        kName,
+        kBenign,
+        kRetired,
+        kFinish,
+        kIpc,
+        kStalls,
+        kAll
+    };
+    JsonFields fields(cursor, depth);
+    return cursor.object(depth, [&](std::string_view key) {
+        if (key == "name")
+            return fields.string(kName, &core->name);
+        if (key == "benign")
+            return fields.boolean(kBenign, &core->benign);
+        if (key == "retired")
+            return fields.u64(kRetired, &core->retired);
+        if (key == "finish_cycle")
+            return fields.u64(kFinish, &core->finishCycle);
+        if (key == "ipc")
+            return fields.number(kIpc, &core->ipc);
+        if (key == "reject_stalls")
+            return fields.u64(kStalls, &core->rejectStalls);
+        return fields.skip();
+    }) && fields.all(kAll);
+}
+
+/** The benign_read_latency_ns object: only its histogram is read. */
+bool
+readLatency(JsonCursor &cursor, int depth, Histogram *out)
+{
+    JsonFields fields(cursor, depth);
+    return cursor.object(depth, [&](std::string_view key) {
+        if (key == "histogram")
+            return fields.read(0, [&] {
+                return readHistogram(cursor, fields.memberDepth(), out);
+            });
+        return fields.skip();
+    }) && fields.all(1);
+}
+
+bool
+readRaw(JsonCursor &cursor, int depth, RunResult *raw)
+{
+    enum : unsigned
+    {
+        kCycles,
+        kDemand,
+        kMarks,
+        kRejections,
+        kCapped,
+        kPrevEnergy,
+        kViolations,
+        kMaxCount,
+        kCores,
+        kScores,
+        kQuotas,
+        kLatency,
+        kAll
+    };
+    JsonFields fields(cursor, depth);
+    const int inner = fields.memberDepth();
+    std::uint64_t max_count = 0;
+    const bool read = cursor.object(depth, [&](std::string_view key) {
+        if (key == "cycles")
+            return fields.u64(kCycles, &raw->cycles);
+        if (key == "demand_acts")
+            return fields.u64(kDemand, &raw->demandActs);
+        if (key == "suspect_marks")
+            return fields.u64(kMarks, &raw->suspectMarks);
+        if (key == "quota_rejections")
+            return fields.u64(kRejections, &raw->quotaRejections);
+        if (key == "hit_cycle_cap")
+            return fields.boolean(kCapped, &raw->hitCycleCap);
+        if (key == "preventive_energy_nj")
+            return fields.number(kPrevEnergy, &raw->preventiveEnergyNj);
+        if (key == "oracle_violations")
+            return fields.u64(kViolations, &raw->oracleViolations);
+        if (key == "oracle_max_count")
+            return fields.u64(kMaxCount, &max_count);
+        if (key == "cores")
+            return fields.read(kCores, [&] {
+                return readArray(cursor, inner, &raw->cores,
+                                 [&](CoreResult *core) {
+                                     return readCore(cursor, inner + 1, core);
+                                 });
+            });
+        if (key == "bh_scores")
+            return fields.read(kScores, [&] {
+                return readArray(cursor, inner, &raw->bhScores,
+                                 [&](double *score) {
+                                     return cursor.number(score);
+                                 });
+            });
+        if (key == "bh_quotas")
+            return fields.read(kQuotas, [&] {
+                return readArray(cursor, inner, &raw->bhQuotas,
+                                 [&](unsigned *quota) {
+                                     std::uint64_t q = 0;
+                                     if (!cursor.u64(&q))
+                                         return false;
+                                     *quota = static_cast<unsigned>(q);
+                                     return true;
+                                 });
+            });
+        if (key == "benign_read_latency_ns")
+            return fields.read(kLatency, [&] {
+                return readLatency(cursor, inner, &raw->benignReadLatencyNs);
+            });
+        return fields.skip();
+    });
+    raw->oracleMaxCount = static_cast<std::uint32_t>(max_count);
+    return read && fields.all(kAll);
+}
+
+/** The red-team block: the spec must be a string (it is not kept), and
+ *  every per-thread count a u64. */
+bool
+readRedteam(JsonCursor &cursor, int depth, std::vector<std::uint64_t> *acts)
+{
+    JsonFields fields(cursor, depth);
+    return cursor.object(depth, [&](std::string_view key) {
+        if (key == "spec")
+            return fields.string(0, nullptr);
+        if (key == "demand_acts_per_thread")
+            return fields.read(1, [&] {
+                return readArray(cursor, fields.memberDepth(), acts,
+                                 [&](std::uint64_t *a) {
+                                     return cursor.u64(a);
+                                 });
+            });
+        return fields.skip();
+    }) && fields.all(2);
 }
 
 } // namespace
 
 bool
-experimentResultFromJson(const JsonValue &v, ExperimentResult *out)
+experimentResultFromJson(std::string_view text, ExperimentResult *out)
 {
-    // Everything is checked for presence AND type before use: a record
+    // Every member is checked for presence AND kind before use: a record
     // from an older layout — or a same-version record damaged on disk —
     // reports false and is treated as a cache miss, per the ResultStore
     // "recompute, never misread" contract.
-    using Type = JsonValue::Type;
-    const JsonValue *ws = typedMember(v, "weighted_speedup", Type::kNumber);
-    const JsonValue *sd = typedMember(v, "max_slowdown", Type::kNumber);
-    const JsonValue *energy = typedMember(v, "energy_nj", Type::kNumber);
-    const JsonValue *prev = u64Member(v, "preventive_actions");
-    const JsonValue *raw = typedMember(v, "raw", Type::kObject);
-    if (!ws || !sd || !energy || !prev || !raw)
-        return false;
-
-    const JsonValue *cycles = u64Member(*raw, "cycles");
-    const JsonValue *demand = u64Member(*raw, "demand_acts");
-    const JsonValue *marks = u64Member(*raw, "suspect_marks");
-    const JsonValue *rejections = u64Member(*raw, "quota_rejections");
-    const JsonValue *capped =
-        typedMember(*raw, "hit_cycle_cap", Type::kBool);
-    const JsonValue *prev_energy =
-        typedMember(*raw, "preventive_energy_nj", Type::kNumber);
-    const JsonValue *violations = u64Member(*raw, "oracle_violations");
-    const JsonValue *max_count = u64Member(*raw, "oracle_max_count");
-    const JsonValue *cores = typedMember(*raw, "cores", Type::kArray);
-    const JsonValue *bh_scores =
-        typedMember(*raw, "bh_scores", Type::kArray);
-    const JsonValue *bh_quotas =
-        typedMember(*raw, "bh_quotas", Type::kArray);
-    const JsonValue *latency =
-        typedMember(*raw, "benign_read_latency_ns", Type::kObject);
-    if (!cycles || !demand || !marks || !rejections || !capped ||
-        !prev_energy || !violations || !max_count || !cores ||
-        !bh_scores || !bh_quotas || !latency)
-        return false;
-    const JsonValue *histogram =
-        typedMember(*latency, "histogram", Type::kObject);
-    if (histogram == nullptr || !histogramJsonIsWellFormed(*histogram))
-        return false;
-    for (std::size_t i = 0; i < bh_scores->size(); ++i)
-        if (!bh_scores->at(i).isNumber())
-            return false;
-    for (std::size_t i = 0; i < bh_quotas->size(); ++i)
-        if (!bh_quotas->at(i).isU64())
-            return false;
-
+    enum : unsigned
+    {
+        kSpeedup,
+        kSlowdown,
+        kEnergy,
+        kPreventive,
+        kRaw,
+        kRequired,
+        kRedteam = kRequired
+    };
+    JsonCursor cursor(text);
+    JsonFields fields(cursor, 0);
     ExperimentResult r;
-    r.weightedSpeedup = ws->asDouble();
-    r.maxSlowdown = sd->asDouble();
-    r.energyNj = energy->asDouble();
-    r.preventiveActions = prev->asU64();
-
-    // The redteam block is optional (only probe records carry it), but
-    // when present it must be complete: a truncated one is corruption.
-    if (const JsonValue *redteam = v.find("redteam")) {
-        const JsonValue *spec =
-            typedMember(*redteam, "spec", Type::kString);
-        const JsonValue *acts =
-            typedMember(*redteam, "demand_acts_per_thread", Type::kArray);
-        if (!spec || !acts)
-            return false;
-        for (std::size_t i = 0; i < acts->size(); ++i)
-            if (!acts->at(i).isU64())
-                return false;
-        for (std::size_t i = 0; i < acts->size(); ++i)
-            r.raw.demandActsPerThread.push_back(acts->at(i).asU64());
-    }
-
-    r.raw.cycles = cycles->asU64();
-    r.raw.demandActs = demand->asU64();
-    r.raw.suspectMarks = marks->asU64();
-    r.raw.quotaRejections = rejections->asU64();
-    r.raw.hitCycleCap = capped->asBool();
-    r.raw.preventiveEnergyNj = prev_energy->asDouble();
-    r.raw.oracleViolations = violations->asU64();
-    r.raw.oracleMaxCount = static_cast<std::uint32_t>(max_count->asU64());
+    std::vector<std::uint64_t> acts;
+    bool has_redteam = false;
+    const bool read = cursor.object(0, [&](std::string_view key) {
+        if (key == "weighted_speedup")
+            return fields.number(kSpeedup, &r.weightedSpeedup);
+        if (key == "max_slowdown")
+            return fields.number(kSlowdown, &r.maxSlowdown);
+        if (key == "energy_nj")
+            return fields.number(kEnergy, &r.energyNj);
+        if (key == "preventive_actions")
+            return fields.u64(kPreventive, &r.preventiveActions);
+        if (key == "raw")
+            return fields.read(kRaw,
+                               [&] { return readRaw(cursor, 1, &r.raw); });
+        // Optional (only probe records carry it), but when present it
+        // must be complete: a truncated one is corruption.
+        if (key == "redteam") {
+            has_redteam = true;
+            return fields.read(kRedteam,
+                               [&] { return readRedteam(cursor, 1, &acts); });
+        }
+        return fields.skip();
+    });
+    if (!read || !cursor.atEnd() || !fields.all(kRequired) ||
+        (has_redteam && !fields.has(kRedteam)))
+        return false;
+    r.raw.demandActsPerThread = std::move(acts);
     // The top-level metrics mirror their raw counterparts (runExperiment
     // copies them out); restore both so direct RunResult readers agree.
     r.raw.energyNj = r.energyNj;
     r.raw.preventiveActions = r.preventiveActions;
-
-    for (std::size_t i = 0; i < cores->size(); ++i) {
-        const JsonValue &c = cores->at(i);
-        const JsonValue *name = typedMember(c, "name", Type::kString);
-        const JsonValue *benign = typedMember(c, "benign", Type::kBool);
-        const JsonValue *retired = u64Member(c, "retired");
-        const JsonValue *finish = u64Member(c, "finish_cycle");
-        const JsonValue *ipc = typedMember(c, "ipc", Type::kNumber);
-        const JsonValue *stalls = u64Member(c, "reject_stalls");
-        if (!name || !benign || !retired || !finish || !ipc || !stalls)
-            return false;
-        CoreResult core;
-        core.name = name->asString();
-        core.benign = benign->asBool();
-        core.retired = retired->asU64();
-        core.finishCycle = finish->asU64();
-        core.ipc = ipc->asDouble();
-        core.rejectStalls = stalls->asU64();
-        r.raw.cores.push_back(std::move(core));
-    }
-
-    for (std::size_t i = 0; i < bh_scores->size(); ++i)
-        r.raw.bhScores.push_back(bh_scores->at(i).asDouble());
-    for (std::size_t i = 0; i < bh_quotas->size(); ++i)
-        r.raw.bhQuotas.push_back(
-            static_cast<unsigned>(bh_quotas->at(i).asU64()));
-
-    r.raw.benignReadLatencyNs = histogramFromJson(*histogram);
-
     *out = std::move(r);
     return true;
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/mixes.h"
@@ -193,13 +194,23 @@ JsonValue experimentResultToJson(const ExperimentConfig &config,
                                  const ExperimentResult &result);
 
 /**
- * Rebuild an ExperimentResult from experimentResultToJson() output. The
- * round trip is exact: re-serializing the parsed result against the same
- * config reproduces the original document byte for byte (doubles are
- * dumped with 17 significant digits; the histogram round-trips raw bins).
- * @return false when @p v is missing required fields (e.g. a record
- *         written by an older schema), in which case @p out is untouched.
+ * Rebuild an ExperimentResult from the bytes of an
+ * experimentResultToJson() document. The bytes are read once, with
+ * JsonValue::parse()'s grammar but no tree, straight into the result:
+ * one allocation per vector the result owns, plus core names too long
+ * for a short string. The round trip is exact: re-serializing the result
+ * against the same config reproduces the original document byte for byte
+ * (doubles are dumped with 17 significant digits; the histogram
+ * round-trips raw bins). It accepts exactly what parsing the text into a
+ * tree and reading that would: every required member with its kind,
+ * every count a u64 (JsonValue::isU64()), a complete redteam block when
+ * there is one, the histogram limits of readHistogram(), the last of
+ * duplicate keys, unknown members that parse, and nothing after the
+ * object.
+ * @return false when @p text is malformed or misses required fields
+ *         (e.g. a record written by an older schema), in which case
+ *         @p out is untouched.
  */
-bool experimentResultFromJson(const JsonValue &v, ExperimentResult *out);
+bool experimentResultFromJson(std::string_view text, ExperimentResult *out);
 
 } // namespace bh

@@ -176,7 +176,7 @@ ResultStore::loadFile(const std::string &path)
             }
             // Keep the payload's bytes, not a parsed tree: a store can
             // hold far more records than one run requests, and
-            // resolveFromDisk() parses only the requested ones.
+            // resolveFromDisk() decodes only the requested ones.
             if (diskPayloads.try_emplace(key->asString(), payload).second)
                 ++counters.loaded;
         } else if (kind->asString() == "solo") {
@@ -268,10 +268,8 @@ ResultStore::resolveFromDisk(const std::string &key,
     auto disk = diskPayloads.find(key);
     if (disk == diskPayloads.end())
         return nullptr;
-    JsonValue payload;
     ExperimentResult parsed;
-    if (!JsonValue::parse(disk->second, &payload) ||
-        !experimentResultFromJson(payload, &parsed)) {
+    if (!experimentResultFromJson(disk->second, &parsed)) {
         // Same version but unreadable payload: drop it and recompute.
         diskPayloads.erase(disk);
         ++counters.skipped;
@@ -394,7 +392,7 @@ ResultStore::ingest(const ExperimentConfig &config,
     ExperimentConfig resolved = resolve(config);
     std::string key = experimentKey(resolved);
     ExperimentResult parsed;
-    if (!experimentResultFromJson(payload, &parsed)) {
+    if (!experimentResultFromJson(payload.dump(), &parsed)) {
         if (error)
             *error = "result payload for " + key +
                      " is not a valid experiment record";

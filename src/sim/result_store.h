@@ -23,16 +23,17 @@
  * which applies parse()'s grammar without building a tree: members may
  * come in any order, and every member but the payload ("v", "kind",
  * "key", or the solo fields) is decoded. An experiment payload's bytes
- * are kept verbatim and parsed only when its point is requested. Every
- * count read from disk ("v", "insts", and every count in a payload)
- * passes JsonValue::isU64(), so a negative, fractional or huge value
- * reads as a skipped line or a miss, never an abort. Records whose "v"
- * differs from kSchemaVersion are skipped at load (a schema change
- * triggers recompute, never corruption), as are torn or malformed lines.
- * Appends write whole lines with a single O_APPEND-style write, so two
- * stores can be merged by concatenating their results.jsonl files;
- * duplicate keys are benign (first record wins — deterministic
- * simulation makes them identical).
+ * are kept verbatim, and only when its point is requested does
+ * experimentResultFromJson() read them, straight into a result with no
+ * JSON tree in between. Every count read from disk ("v", "insts", and
+ * every count in a payload) passes JsonValue::isU64(), so a negative,
+ * fractional or huge value reads as a skipped line or a miss, never an
+ * abort. Records whose "v" differs from kSchemaVersion are skipped at
+ * load (a schema change triggers recompute, never corruption), as are
+ * torn or malformed lines. Appends write whole lines with a single
+ * O_APPEND-style write, so two stores can be merged by concatenating
+ * their results.jsonl files; duplicate keys are benign (first record
+ * wins — deterministic simulation makes them identical).
  *
  * Sharding: setShard(i, n) makes prefetch() compute only the points
  * whose content address hashes to shard i of n (1-based), so a grid can
@@ -187,9 +188,10 @@ class ResultStore
 
     /**
      * Ingest an externally computed record (experimentResultToJson()
-     * output for @p config): parse it, cache it, and append it to the
-     * backing file in the canonical serialization, exactly as if this
-     * process had simulated the point. A key already resolved is left
+     * output for @p config): decode its dump() bytes as a disk record
+     * is decoded, cache it, and append it to the backing file in the
+     * canonical serialization, exactly as if this process had simulated
+     * the point. A key already resolved is left
      * untouched (first record wins, like concatenated shard files).
      * benchmark/bh_perf.cc stores the points it simulates on its traced
      * path through this.
@@ -238,7 +240,7 @@ class ResultStore
     mutable std::mutex mutex;
     std::map<std::string, Entry> cache;
     /** Loaded but not-yet-requested records: key -> payload bytes as
-     *  stored, parsed lazily by resolveFromDisk(). */
+     *  stored, decoded lazily by resolveFromDisk(). */
     std::map<std::string, std::string> diskPayloads;
     ResultStoreStats counters;
     int fd = -1;

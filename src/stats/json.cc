@@ -80,14 +80,17 @@ JsonValue::asDouble() const
 }
 
 bool
-JsonValue::isU64() const
+JsonValue::isU64Number(double v)
 {
     // 2^64 exactly; NaN and ±inf fail one of the comparisons.
     constexpr double kLimit = 18446744073709551616.0;
-    if (!isNumber())
-        return false;
-    const double v = std::get<double>(value_);
     return v >= 0.0 && v < kLimit && v == std::floor(v);
+}
+
+bool
+JsonValue::isU64() const
+{
+    return isNumber() && isU64Number(std::get<double>(value_));
 }
 
 std::uint64_t
@@ -259,6 +262,25 @@ isDigit(char c)
 }
 
 /**
+ * Append BMP code point @p code as UTF-8. The simulator only emits ASCII
+ * control escapes; the rest is decoded for completeness.
+ */
+void
+appendUtf8(std::string &out, unsigned code)
+{
+    if (code < 0x80) {
+        out += static_cast<char>(code);
+    } else if (code < 0x800) {
+        out += static_cast<char>(0xC0 | (code >> 6));
+        out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+        out += static_cast<char>(0xE0 | (code >> 12));
+        out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+}
+
+/**
  * Merge an object's duplicate keys: the last value wins, at the first
  * key's position, as repeated set() calls would leave it. Small objects
  * compare keys pairwise; larger ones index them, so an object with many
@@ -305,91 +327,239 @@ mergeDuplicateKeys(JsonValue::Object &members)
 
 } // namespace
 
+bool
+JsonCursor::literal(const char *word)
+{
+    const char *q = p;
+    while (*word) {
+        if (q >= end || *q != *word)
+            return false;
+        ++q;
+        ++word;
+    }
+    p = q;
+    return true;
+}
+
+bool
+JsonCursor::string(std::string *out)
+{
+    if (!consume('"'))
+        return false;
+    if (out)
+        out->clear();
+    while (true) {
+        const char *run = p;
+        while (p < end && *p != '"' && *p != '\\')
+            ++p;
+        if (out)
+            out->append(run, p);
+        if (p >= end)
+            return fail("unterminated string");
+        if (*p == '"')
+            break;
+        ++p; // backslash
+        if (p >= end)
+            return fail("bad escape");
+        char c = 0;
+        switch (*p) {
+          case '"': c = '"'; break;
+          case '\\': c = '\\'; break;
+          case '/': c = '/'; break;
+          case 'n': c = '\n'; break;
+          case 'r': c = '\r'; break;
+          case 't': c = '\t'; break;
+          case 'b': c = '\b'; break;
+          case 'f': c = '\f'; break;
+          case 'u': {
+            if (end - p < 5)
+                return fail("bad \\u escape");
+            unsigned code = 0;
+            for (int i = 1; i <= 4; ++i) {
+                char h = p[i];
+                code <<= 4;
+                if (h >= '0' && h <= '9')
+                    code |= static_cast<unsigned>(h - '0');
+                else if (h >= 'a' && h <= 'f')
+                    code |= static_cast<unsigned>(h - 'a' + 10);
+                else if (h >= 'A' && h <= 'F')
+                    code |= static_cast<unsigned>(h - 'A' + 10);
+                else
+                    return fail("bad \\u escape");
+            }
+            if (out)
+                appendUtf8(*out, code);
+            p += 5;
+            continue;
+          }
+          default: return fail("bad escape");
+        }
+        if (out)
+            *out += c;
+        ++p;
+    }
+    ++p; // closing quote
+    return true;
+}
+
+bool
+JsonCursor::key(std::string_view *out)
+{
+    skipWs();
+    if (p >= end || *p != '"')
+        return fail("expected object key");
+    // Most keys have no escape: view them in place.
+    const char *q = p + 1;
+    while (q < end && *q != '"' && *q != '\\')
+        ++q;
+    if (q < end && *q == '"') {
+        *out = {p + 1, static_cast<std::size_t>(q - p - 1)};
+        p = q + 1;
+    } else {
+        if (!string(&keyBuffer))
+            return false;
+        *out = keyBuffer;
+    }
+    return consume(':') || fail("expected ':'");
+}
+
+bool
+JsonCursor::digits(const char *&q) const
+{
+    if (q >= end || !isDigit(*q))
+        return false;
+    while (q < end && isDigit(*q))
+        ++q;
+    return true;
+}
+
+bool
+JsonCursor::number(double *out)
+{
+    // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+    skipWs();
+    const char *q = p;
+    const bool negative = q < end && *q == '-';
+    if (negative)
+        ++q;
+    const char *int_begin = q;
+    if (q < end && *q == '0')
+        ++q;
+    else if (q >= end || *q < '1' || *q > '9' || !digits(q))
+        return fail("bad number");
+    const char *int_end = q;
+    if (q < end && *q == '.') {
+        ++q;
+        if (!digits(q))
+            return fail("bad number");
+    }
+    if (q < end && (*q == 'e' || *q == 'E')) {
+        ++q;
+        if (q < end && (*q == '+' || *q == '-'))
+            ++q;
+        if (!digits(q))
+            return fail("bad number");
+    }
+    if (!out) {
+        p = q;
+        return true;
+    }
+    double v = 0.0;
+    if (int_end == q && int_end - int_begin <= 15) {
+        // A plain integer below 10^15 < 2^53: exact as an integer, so
+        // converting it gives strtod's bits (negating keeps "-0").
+        std::int64_t n = 0;
+        for (const char *d = int_begin; d < int_end; ++d)
+            n = n * 10 + (*d - '0');
+        v = negative ? -static_cast<double>(n) : static_cast<double>(n);
+    } else {
+        auto [num_end, ec] = std::from_chars(p, q, v);
+        if (ec == std::errc::result_out_of_range)
+            // Beyond a double's range: read it as strtod does (±inf, ±0).
+            v = std::strtod(std::string(p, q).c_str(), nullptr);
+        else if (ec != std::errc() || num_end != q)
+            return fail("bad number");
+    }
+    p = q;
+    *out = v;
+    return true;
+}
+
+bool
+JsonCursor::u64(std::uint64_t *out)
+{
+    double v = 0.0;
+    if (!number(&v) || !JsonValue::isU64Number(v))
+        return false;
+    *out = static_cast<std::uint64_t>(v);
+    return true;
+}
+
+bool
+JsonCursor::boolean(bool *out)
+{
+    skipWs();
+    if (literal("true"))
+        *out = true;
+    else if (literal("false"))
+        *out = false;
+    else
+        return false;
+    return true;
+}
+
 /**
- * Recursive-descent JSON parser over a raw character range. A null
- * output selects the no-tree mode: the same grammar, depth cap and error
- * messages, with nothing stored and no number converted.
+ * Recursive-descent JSON parser over a JsonCursor, which reads the
+ * tokens. A null output selects the no-tree mode: the same grammar,
+ * depth cap and error messages, with nothing stored and no number
+ * converted.
  */
 class JsonParser
 {
   public:
-    JsonParser(std::string_view text,
-               const JsonValue::MemberVisitor *visit = nullptr)
-        : p(text.data()), end(text.data() + text.size()), visit(visit)
+    explicit JsonParser(JsonCursor &cursor,
+                        const JsonValue::MemberVisitor *visit = nullptr)
+        : c(cursor), visit(visit)
     {}
 
-    /** Parse the whole range into @p out (nullptr: check it only). */
+    /** Parse the whole text into @p out (nullptr: check it only). */
     bool
     parse(JsonValue *out, std::string *error)
     {
-        bool ok = parseValue(out, 0) && (skipWs(), p == end);
+        bool ok = parseValue(out, 0) && c.atEnd();
         if (!ok && error)
-            *error = err.empty() ? "trailing garbage" : err;
+            *error = c.err ? c.err : "trailing garbage";
         return ok;
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                           *p == '\r'))
-            ++p;
-    }
-
-    bool
-    fail(const char *msg)
-    {
-        if (err.empty())
-            err = msg;
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const char *q = p;
-        while (*word) {
-            if (q >= end || *q != *word)
-                return false;
-            ++q;
-            ++word;
-        }
-        p = q;
-        return true;
     }
 
     /** Parse one value enclosed by @p depth arrays/objects. */
     bool
     parseValue(JsonValue *out, int depth)
     {
-        skipWs();
-        if (p >= end)
-            return fail("unexpected end of input");
-        switch (*p) {
+        c.skipWs();
+        if (c.p >= c.end)
+            return c.fail("unexpected end of input");
+        switch (*c.p) {
           case 'n':
-            if (!literal("null"))
-                return fail("bad literal");
+            if (!c.literal("null"))
+                return c.fail("bad literal");
             if (out)
                 out->value_ = std::monostate{};
             return true;
           case 't':
-            if (!literal("true"))
-                return fail("bad literal");
+          case 'f': {
+            bool b = false;
+            if (!c.boolean(&b))
+                return c.fail("bad literal");
             if (out)
-                out->value_ = true;
+                out->value_ = b;
             return true;
-          case 'f':
-            if (!literal("false"))
-                return fail("bad literal");
-            if (out)
-                out->value_ = false;
-            return true;
+          }
           case '"': {
             if (!out)
-                return parseString(nullptr);
+                return c.string(nullptr);
             auto s = std::make_unique<std::string>();
-            if (!parseString(s.get()))
+            if (!c.string(s.get()))
                 return false;
             out->value_ = std::move(s);
             return true;
@@ -397,187 +567,41 @@ class JsonParser
           case '[':
           case '{':
             if (depth >= JsonValue::kMaxParseDepth)
-                return fail("nesting too deep");
-            return *p == '[' ? parseArray(out, depth + 1)
-                             : parseObject(out, depth + 1);
-          default: return parseNumber(out);
-        }
-    }
-
-    /** Parse a string literal into @p out (nullptr: check it only). */
-    bool
-    parseString(std::string *out)
-    {
-        ++p; // opening quote
-        if (out)
-            out->clear();
-        while (true) {
-            const char *run = p;
-            while (p < end && *p != '"' && *p != '\\')
-                ++p;
+                return c.fail("nesting too deep");
+            return *c.p == '[' ? parseArray(out, depth + 1)
+                               : parseObject(out, depth + 1);
+          default: {
+            double v = 0.0;
+            if (!c.number(out ? &v : nullptr))
+                return false;
             if (out)
-                out->append(run, p);
-            if (p >= end)
-                return fail("unterminated string");
-            if (*p == '"')
-                break;
-            ++p; // backslash
-            if (p >= end)
-                return fail("bad escape");
-            char c = 0;
-            switch (*p) {
-              case '"': c = '"'; break;
-              case '\\': c = '\\'; break;
-              case '/': c = '/'; break;
-              case 'n': c = '\n'; break;
-              case 'r': c = '\r'; break;
-              case 't': c = '\t'; break;
-              case 'b': c = '\b'; break;
-              case 'f': c = '\f'; break;
-              case 'u': {
-                if (end - p < 5)
-                    return fail("bad \\u escape");
-                unsigned code = 0;
-                for (int i = 1; i <= 4; ++i) {
-                    char h = p[i];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                if (out)
-                    appendUtf8(*out, code);
-                p += 5;
-                continue;
-              }
-              default: return fail("bad escape");
-            }
-            if (out)
-                *out += c;
-            ++p;
-        }
-        ++p; // closing quote
-        return true;
-    }
-
-    /**
-     * Append BMP code point @p code as UTF-8. The simulator only emits
-     * ASCII control escapes; the rest is decoded for completeness.
-     */
-    static void
-    appendUtf8(std::string &out, unsigned code)
-    {
-        if (code < 0x80) {
-            out += static_cast<char>(code);
-        } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-        } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-        }
-    }
-
-    /** Skip one or more digits at @p q; false when there are none. */
-    bool
-    digits(const char *&q) const
-    {
-        if (q >= end || !isDigit(*q))
-            return false;
-        while (q < end && isDigit(*q))
-            ++q;
-        return true;
-    }
-
-    bool
-    parseNumber(JsonValue *out)
-    {
-        // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
-        const char *q = p;
-        const bool negative = q < end && *q == '-';
-        if (negative)
-            ++q;
-        const char *int_begin = q;
-        if (q < end && *q == '0')
-            ++q;
-        else if (q >= end || *q < '1' || *q > '9' || !digits(q))
-            return fail("bad number");
-        const char *int_end = q;
-        if (q < end && *q == '.') {
-            ++q;
-            if (!digits(q))
-                return fail("bad number");
-        }
-        if (q < end && (*q == 'e' || *q == 'E')) {
-            ++q;
-            if (q < end && (*q == '+' || *q == '-'))
-                ++q;
-            if (!digits(q))
-                return fail("bad number");
-        }
-        if (!out) {
-            p = q;
+                out->value_ = v;
             return true;
+          }
         }
-        double v = 0.0;
-        if (int_end == q && int_end - int_begin <= 15) {
-            // A plain integer below 10^15 < 2^53: exact as an integer, so
-            // converting it gives strtod's bits (negating keeps "-0").
-            std::int64_t n = 0;
-            for (const char *d = int_begin; d < int_end; ++d)
-                n = n * 10 + (*d - '0');
-            v = negative ? -static_cast<double>(n) : static_cast<double>(n);
-        } else {
-            auto [num_end, ec] = std::from_chars(p, q, v);
-            if (ec == std::errc::result_out_of_range)
-                // Beyond a double's range: read it as strtod does (±inf,
-                // ±0).
-                v = std::strtod(std::string(p, q).c_str(), nullptr);
-            else if (ec != std::errc() || num_end != q)
-                return fail("bad number");
-        }
-        p = q;
-        out->value_ = v;
-        return true;
     }
 
+  private:
     bool
     parseArray(JsonValue *out, int depth)
     {
-        ++p; // '['
+        ++c.p; // '['
         std::unique_ptr<JsonValue::Array> elements;
         if (out)
             elements = std::make_unique<JsonValue::Array>();
-        skipWs();
-        if (p < end && *p == ']') {
-            ++p;
-        } else {
+        if (!c.consume(']')) {
             // Most arrays in a record are a histogram's [index, count]
             // pairs: room for two up front saves a regrowth per pair.
             if (elements)
                 elements->reserve(2);
-            while (true) {
+            do {
                 if (!parseValue(elements ? &elements->emplace_back()
                                          : nullptr,
                                 depth))
                     return false;
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == ']') {
-                    ++p;
-                    break;
-                }
-                return fail("expected ',' or ']'");
-            }
+            } while (c.consume(','));
+            if (!c.consume(']'))
+                return c.fail("expected ',' or ']'");
         }
         if (out)
             out->value_ = std::move(elements);
@@ -587,21 +611,18 @@ class JsonParser
     bool
     parseObject(JsonValue *out, int depth)
     {
-        ++p; // '{'
+        ++c.p; // '{'
         std::unique_ptr<JsonValue::Object> members;
         if (out)
             members = std::make_unique<JsonValue::Object>();
         // Only the top-level object's members are reported, and only
         // their keys are decoded in the no-tree mode.
         const bool visiting = !out && visit && depth == 1;
-        skipWs();
-        if (p < end && *p == '}') {
-            ++p;
-        } else {
-            while (true) {
-                skipWs();
-                if (p >= end || *p != '"')
-                    return fail("expected object key");
+        if (!c.consume('}')) {
+            do {
+                c.skipWs();
+                if (c.p >= c.end || *c.p != '"')
+                    return c.fail("expected object key");
                 std::string *key = visiting ? &visitKey : nullptr;
                 JsonValue *value = nullptr;
                 if (members) {
@@ -609,30 +630,20 @@ class JsonParser
                     key = &member.first;
                     value = &member.second;
                 }
-                if (!parseString(key))
+                if (!c.string(key))
                     return false;
-                skipWs();
-                if (p >= end || *p != ':')
-                    return fail("expected ':'");
-                ++p;
-                skipWs();
-                const char *raw = p;
+                if (!c.consume(':'))
+                    return c.fail("expected ':'");
+                c.skipWs();
+                const char *raw = c.p;
                 if (!parseValue(value, depth))
                     return false;
                 if (visiting)
                     (*visit)(visitKey,
-                             {raw, static_cast<std::size_t>(p - raw)});
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == '}') {
-                    ++p;
-                    break;
-                }
-                return fail("expected ',' or '}'");
-            }
+                             {raw, static_cast<std::size_t>(c.p - raw)});
+            } while (c.consume(','));
+            if (!c.consume('}'))
+                return c.fail("expected ',' or '}'");
             if (members)
                 mergeDuplicateKeys(*members);
         }
@@ -641,12 +652,16 @@ class JsonParser
         return true;
     }
 
-    const char *p;
-    const char *end;
+    JsonCursor &c;
     const JsonValue::MemberVisitor *visit;
     std::string visitKey; ///< The reported member's key (no-tree mode).
-    std::string err;
 };
+
+bool
+JsonCursor::skip(int depth)
+{
+    return JsonParser(*this).parseValue(nullptr, depth);
+}
 
 void
 JsonValue::dumpTo(std::string &out, int indent, int depth) const
@@ -720,14 +735,16 @@ JsonValue::dump(int indent) const
 bool
 JsonValue::parse(std::string_view text, JsonValue *out, std::string *error)
 {
-    return JsonParser(text).parse(out, error);
+    JsonCursor cursor(text);
+    return JsonParser(cursor).parse(out, error);
 }
 
 bool
 JsonValue::scan(std::string_view text, const MemberVisitor &visit,
                 std::string *error)
 {
-    return JsonParser(text, visit ? &visit : nullptr).parse(nullptr, error);
+    JsonCursor cursor(text);
+    return JsonParser(cursor, visit ? &visit : nullptr).parse(nullptr, error);
 }
 
 JsonValue

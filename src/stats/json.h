@@ -1,7 +1,8 @@
 /**
  * @file
- * Minimal JSON document model used for stats export, the result store,
- * the sweep-service wire protocol and golden files.
+ * Minimal JSON document model used for stats export, the result store's
+ * record lines and golden files, and the cursor that reads JSON text
+ * without building one.
  *
  * The model is deliberately small: an ordered object (insertion order is
  * preserved so serialization is deterministic), arrays, strings, numbers,
@@ -37,13 +38,22 @@
  * member of an object as its key and the raw bytes of its value, so a
  * caller can read a few members and keep the rest as text (the result
  * store reads a line's version, kind and key this way and keeps the
- * payload's bytes for a later parse()).
+ * payload's bytes for a later decode with a JsonCursor).
  *
- * Untrusted input. parse() is also the decoder for sweep-service frames,
- * so it bounds its own work: arrays and objects nest at most
- * kMaxParseDepth deep (deeper input fails with "nesting too deep"), and
- * an object's duplicate keys are merged in linear time, keeping the last
- * value at the first key's position as repeated set() calls would.
+ * Untrusted input. parse() decodes the small members of result-store
+ * lines, which another process wrote and a crash may have torn, so it
+ * bounds its own work: arrays and objects nest at most kMaxParseDepth
+ * deep (deeper input fails with "nesting too deep"), and an object's
+ * duplicate keys are merged in linear time, keeping the last value at
+ * the first key's position as repeated set() calls would.
+ *
+ * Cursor. JsonCursor is the lexer parse() and scan() run on: whitespace,
+ * literals, strings, numbers (the same grammar and conversion) and
+ * skip(), which checks one value of any kind as scan() does. A decoder
+ * of a known document walks it with the cursor and fills its own types
+ * straight from the bytes, with no tree (experimentResultFromJson() and
+ * histogramFromJson() do); JsonFields tracks which members of an object
+ * decoded, so that the last of duplicate keys decides as in parse().
  */
 #pragma once
 
@@ -193,6 +203,10 @@ class JsonValue
 
   private:
     friend class JsonParser;
+    friend class JsonCursor;
+
+    /** isU64() of the number @p v. */
+    static bool isU64Number(double v);
 
     using Storage =
         std::variant<std::monostate, bool, double, std::unique_ptr<std::string>,
@@ -201,6 +215,210 @@ class JsonValue
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Storage value_;
+};
+
+/**
+ * A forward cursor over JSON text with parse()'s grammar. Every read
+ * first skips whitespace, and returns false on malformed text or on a
+ * token of another kind; the position is then unspecified, and a caller
+ * that wants to go on reads through JsonFields, which rewinds. Depths
+ * count the arrays and objects that enclose a value, as parse()'s cap
+ * does: a value at depth kMaxParseDepth may not be an array or an
+ * object.
+ */
+class JsonCursor
+{
+  public:
+    explicit JsonCursor(std::string_view text)
+        : p(text.data()), end(text.data() + text.size())
+    {}
+
+    /** Consume @p c when it is the next token. */
+    bool
+    consume(char c)
+    {
+        skipWs();
+        if (p >= end || *p != c)
+            return false;
+        ++p;
+        return true;
+    }
+
+    /** Whether nothing but whitespace is left. */
+    bool
+    atEnd()
+    {
+        skipWs();
+        return p == end;
+    }
+
+    /** Read a string into @p out (nullptr: check it only). */
+    bool string(std::string *out);
+
+    /**
+     * Read an object key and the ':' after it. @p out views the text, or,
+     * when the key has escapes, a buffer the cursor reuses for the next
+     * key.
+     */
+    bool key(std::string_view *out);
+
+    /** Read a number exactly as parse() converts it (nullptr: check it
+     *  only). */
+    bool number(double *out);
+
+    /** Read a number that passes JsonValue::isU64(). */
+    bool u64(std::uint64_t *out);
+
+    /** Read true or false. */
+    bool boolean(bool *out);
+
+    /** Check one value of any kind at @p depth, as scan() does. */
+    bool skip(int depth);
+
+    /**
+     * Walk the object at @p depth: @p member(key) is called with the
+     * cursor at each member's value, which it must read.
+     */
+    template <class Member>
+    bool
+    object(int depth, Member &&member)
+    {
+        if (depth >= JsonValue::kMaxParseDepth || !consume('{'))
+            return false;
+        if (consume('}'))
+            return true;
+        do {
+            std::string_view name;
+            if (!key(&name) || !member(name))
+                return false;
+        } while (consume(','));
+        return consume('}');
+    }
+
+    /** Walk the array at @p depth: @p element() reads each element. */
+    template <class Element>
+    bool
+    array(int depth, Element &&element)
+    {
+        if (depth >= JsonValue::kMaxParseDepth || !consume('['))
+            return false;
+        if (consume(']'))
+            return true;
+        do {
+            if (!element())
+                return false;
+        } while (consume(','));
+        return consume(']');
+    }
+
+  private:
+    friend class JsonParser;
+    friend class JsonFields;
+
+    void
+    skipWs()
+    {
+        while (p < end &&
+               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
+            ++p;
+    }
+
+    /** Record @p msg (a literal) unless an earlier error is recorded. */
+    bool
+    fail(const char *msg)
+    {
+        if (err == nullptr)
+            err = msg;
+        return false;
+    }
+
+    bool literal(const char *word);
+    bool digits(const char *&q) const;
+
+    const char *p;
+    const char *end;
+    const char *err = nullptr; ///< The first error message, if any.
+    std::string keyBuffer;     ///< key()'s decoded escaped key.
+};
+
+/**
+ * The members of one object that a decoder reads, one bit each. A read
+ * sets its member's bit when the value decodes and clears it when not;
+ * a refused value is checked again from its start by skip(), so a member
+ * of a wrong kind or range leaves the walk going. With duplicate keys
+ * the last occurrence therefore decides, as parse() keeps the last.
+ * Every read returns false only when the text is malformed.
+ */
+class JsonFields
+{
+  public:
+    /** Members of the object at @p object_depth. */
+    JsonFields(JsonCursor &cursor, int object_depth)
+        : cursor(cursor), depth(object_depth + 1)
+    {}
+
+    /** Read the member's value with @p decode, into bit @p bit. */
+    template <class Decode>
+    bool
+    read(unsigned bit, Decode &&decode)
+    {
+        cursor.skipWs();
+        const char *start = cursor.p;
+        if (decode()) {
+            bits |= 1u << bit;
+            return true;
+        }
+        bits &= ~(1u << bit);
+        cursor.p = start;
+        cursor.err = nullptr;
+        return cursor.skip(depth);
+    }
+
+    bool
+    number(unsigned bit, double *out)
+    {
+        return read(bit, [&] { return cursor.number(out); });
+    }
+
+    bool
+    u64(unsigned bit, std::uint64_t *out)
+    {
+        return read(bit, [&] { return cursor.u64(out); });
+    }
+
+    bool
+    boolean(unsigned bit, bool *out)
+    {
+        return read(bit, [&] { return cursor.boolean(out); });
+    }
+
+    bool
+    string(unsigned bit, std::string *out)
+    {
+        return read(bit, [&] { return cursor.string(out); });
+    }
+
+    /** Check a member no bit tracks. */
+    bool skip() { return cursor.skip(depth); }
+
+    /** Whether bit @p bit is set. */
+    bool has(unsigned bit) const { return (bits >> bit) & 1u; }
+
+    /** Whether bits [0, @p count) are all set. */
+    bool
+    all(unsigned count) const
+    {
+        const std::uint32_t mask = (1u << count) - 1;
+        return (bits & mask) == mask;
+    }
+
+    /** The members' depth, for a reader of a nested value. */
+    int memberDepth() const { return depth; }
+
+  private:
+    JsonCursor &cursor;
+    int depth;
+    std::uint32_t bits = 0;
 };
 
 } // namespace bh

@@ -5,7 +5,8 @@
  * Histograms export their full raw state so a parsed histogram answers
  * every query (count, mean, max, percentiles) identically to the one that
  * was dumped; bins are run-length compressed as [index, count] pairs since
- * latency histograms are sparse.
+ * latency histograms are sparse. They are read back from the bytes with a
+ * JsonCursor, with no JsonValue tree.
  */
 #pragma once
 
@@ -38,26 +39,19 @@ histogramToJson(const Histogram &h)
 }
 
 /**
- * Rebuild a histogram dumped by histogramToJson(). Storage is sized to
- * the highest listed bin, not to num_bins.
+ * Read the histogramToJson() object at @p cursor, nested in @p depth
+ * arrays/objects, into @p out. Every member histogramToJson() writes must
+ * be there with its kind: bin_width > 0, num_bins a count of at most
+ * 2^20, and each bin an [index, count] pair of counts with index <=
+ * num_bins. Other members are checked and skipped; with duplicate keys
+ * the last one decides. Storage is sized to the highest listed bin, not
+ * to num_bins.
+ * @return false on malformed or refused input; @p out is then untouched.
  */
-inline Histogram
-histogramFromJson(const JsonValue &v)
-{
-    std::size_t num_bins = v.get("num_bins").asU64();
-    const JsonValue &bins = v.get("bins");
-    std::vector<std::uint64_t> raw;
-    for (std::size_t i = 0; i < bins.size(); ++i) {
-        const JsonValue &pair = bins.at(i);
-        std::size_t idx = pair.at(0).asU64();
-        BH_ASSERT(idx <= num_bins, "histogram JSON: bin out of range");
-        if (idx >= raw.size())
-            raw.resize(idx + 1, 0);
-        raw[idx] = pair.at(1).asU64();
-    }
-    return Histogram::fromRaw(v.get("bin_width").asDouble(), num_bins,
-                              std::move(raw), v.get("sum").asDouble(),
-                              v.get("max").asDouble());
-}
+bool readHistogram(JsonCursor &cursor, int depth, Histogram *out);
+
+/** Rebuild a histogram from histogramToJson().dump() bytes: the whole
+ *  of @p text must be one object readHistogram() accepts. */
+bool histogramFromJson(std::string_view text, Histogram *out);
 
 } // namespace bh

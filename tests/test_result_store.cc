@@ -10,18 +10,21 @@
  * (the same line a local run writes, first record wins, garbage
  * refused), the single-writer flock, and untrusted bytes: damaged lines
  * and out-of-range counts read as skipped or missed, lines in any member
- * order load, and a seeded mutation test holds open() to a full-parse
- * reference decode. "Cross-process" is modeled by destroying one store
- * and opening another on the same directory — the disk file is the only
- * state they share.
+ * order load, a seeded mutation test holds open() to a full-parse
+ * reference decode, and seeded payload mutants hold the byte decoder to
+ * the tree decoder it replaced. "Cross-process" is modeled by destroying
+ * one store and opening another on the same directory — the disk file
+ * is the only state they share.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -184,9 +187,8 @@ TEST(ResultStoreTest, ExperimentJsonRoundTripIsByteExact)
     JsonValue doc = experimentResultToJson(cfg, direct);
     std::string first = doc.dump(2);
 
-    JsonValue reparsed = JsonValue::parseOrDie(first);
     ExperimentResult restored;
-    ASSERT_TRUE(experimentResultFromJson(reparsed, &restored));
+    ASSERT_TRUE(experimentResultFromJson(first, &restored));
     expectIdentical(direct, restored);
 
     // Re-serializing the restored result reproduces the document byte
@@ -198,9 +200,9 @@ TEST(ResultStoreTest, ExperimentJsonRoundTripIsByteExact)
     // percentiles: the parsed histogram answers every query identically.
     EXPECT_TRUE(restored.raw.benignReadLatencyNs ==
                 direct.raw.benignReadLatencyNs);
-    const JsonValue &lat =
-        reparsed.get("raw").get("benign_read_latency_ns");
-    Histogram h = histogramFromJson(lat.get("histogram"));
+    const JsonValue &lat = doc.get("raw").get("benign_read_latency_ns");
+    Histogram h;
+    ASSERT_TRUE(histogramFromJson(lat.get("histogram").dump(), &h));
     EXPECT_TRUE(h == direct.raw.benignReadLatencyNs);
 }
 
@@ -226,8 +228,8 @@ TEST(ResultStoreTest, FromJsonRejectsOlderSchemaLayouts)
     }
 
     ExperimentResult out;
-    EXPECT_FALSE(experimentResultFromJson(stripped, &out));
-    EXPECT_TRUE(experimentResultFromJson(doc, &out));
+    EXPECT_FALSE(experimentResultFromJson(stripped.dump(), &out));
+    EXPECT_TRUE(experimentResultFromJson(doc.dump(), &out));
 }
 
 // ---------------------------------------------------------------------
@@ -675,9 +677,7 @@ TEST(ResultStoreTest, CountsOutsideU64AreRefusedNotCast)
     const std::string doc =
         experimentResultToJson(cfg, runExperiment(cfg)).dump();
     ExperimentResult out;
-    JsonValue parsed;
-    ASSERT_TRUE(JsonValue::parse(doc, &parsed));
-    ASSERT_TRUE(experimentResultFromJson(parsed, &out));
+    ASSERT_TRUE(experimentResultFromJson(doc, &out));
 
     const std::pair<const char *, const char *> damage[] = {
         {"\"bins\":[[", "-1"},     // a bin index
@@ -691,9 +691,8 @@ TEST(ResultStoreTest, CountsOutsideU64AreRefusedNotCast)
     };
     for (const auto &[prefix, value] : damage) {
         const std::string bad = withValue(doc, prefix, value);
-        ASSERT_TRUE(JsonValue::parse(bad, &parsed)) << prefix;
-        EXPECT_FALSE(experimentResultFromJson(parsed, &out))
-            << prefix << value;
+        ASSERT_TRUE(JsonValue::scan(bad)) << prefix;
+        EXPECT_FALSE(experimentResultFromJson(bad, &out)) << prefix << value;
     }
 
     // The same damage on disk: the record loads, its lookup misses (and
@@ -753,15 +752,191 @@ TEST(ResultStoreTest, OpenAcceptsAnyMemberOrderAndWhitespace)
     EXPECT_EQ(warm.toJson().dump(), cold_json);
 }
 
+/** Member @p key of @p obj iff it exists with type @p type, else null. */
+const JsonValue *
+typedMember(const JsonValue &obj, const char *key, JsonValue::Type type)
+{
+    if (!obj.isObject())
+        return nullptr;
+    const JsonValue *member = obj.find(key);
+    if (member == nullptr || member->type() != type)
+        return nullptr;
+    return member;
+}
+
+/** Member @p key of @p obj iff it is a number asU64() reads exactly. */
+const JsonValue *
+u64Member(const JsonValue &obj, const char *key)
+{
+    const JsonValue *member = typedMember(obj, key, JsonValue::Type::kNumber);
+    return member != nullptr && member->isU64() ? member : nullptr;
+}
+
+/** The histogram limits a stored record must meet. */
+bool
+histogramJsonIsWellFormed(const JsonValue &v)
+{
+    constexpr std::uint64_t kMaxBins = 1u << 20;
+    const JsonValue *bin_width =
+        typedMember(v, "bin_width", JsonValue::Type::kNumber);
+    const JsonValue *num_bins = u64Member(v, "num_bins");
+    const JsonValue *bins = typedMember(v, "bins", JsonValue::Type::kArray);
+    if (bin_width == nullptr || bin_width->asDouble() <= 0.0 ||
+        num_bins == nullptr || num_bins->asU64() > kMaxBins ||
+        bins == nullptr ||
+        typedMember(v, "sum", JsonValue::Type::kNumber) == nullptr ||
+        typedMember(v, "max", JsonValue::Type::kNumber) == nullptr)
+        return false;
+    for (std::size_t i = 0; i < bins->size(); ++i) {
+        const JsonValue &pair = bins->at(i);
+        if (!pair.isArray() || pair.size() != 2 || !pair.at(0).isU64() ||
+            !pair.at(1).isU64() || pair.at(0).asU64() > num_bins->asU64())
+            return false;
+    }
+    return true;
+}
+
+/**
+ * The reference decoder of a stored experiment record: the tree decoder
+ * the store used before experimentResultFromJson() read bytes. It reads
+ * a parse()d tree member by member, so with duplicate keys the last one
+ * counts, and the byte decoder must accept and refuse exactly what it
+ * does.
+ */
+bool
+referenceFromJson(const JsonValue &v, ExperimentResult *out)
+{
+    using Type = JsonValue::Type;
+    const JsonValue *ws = typedMember(v, "weighted_speedup", Type::kNumber);
+    const JsonValue *sd = typedMember(v, "max_slowdown", Type::kNumber);
+    const JsonValue *energy = typedMember(v, "energy_nj", Type::kNumber);
+    const JsonValue *prev = u64Member(v, "preventive_actions");
+    const JsonValue *raw = typedMember(v, "raw", Type::kObject);
+    if (!ws || !sd || !energy || !prev || !raw)
+        return false;
+
+    const JsonValue *cycles = u64Member(*raw, "cycles");
+    const JsonValue *demand = u64Member(*raw, "demand_acts");
+    const JsonValue *marks = u64Member(*raw, "suspect_marks");
+    const JsonValue *rejections = u64Member(*raw, "quota_rejections");
+    const JsonValue *capped = typedMember(*raw, "hit_cycle_cap", Type::kBool);
+    const JsonValue *prev_energy =
+        typedMember(*raw, "preventive_energy_nj", Type::kNumber);
+    const JsonValue *violations = u64Member(*raw, "oracle_violations");
+    const JsonValue *max_count = u64Member(*raw, "oracle_max_count");
+    const JsonValue *cores = typedMember(*raw, "cores", Type::kArray);
+    const JsonValue *bh_scores = typedMember(*raw, "bh_scores", Type::kArray);
+    const JsonValue *bh_quotas = typedMember(*raw, "bh_quotas", Type::kArray);
+    const JsonValue *latency =
+        typedMember(*raw, "benign_read_latency_ns", Type::kObject);
+    if (!cycles || !demand || !marks || !rejections || !capped ||
+        !prev_energy || !violations || !max_count || !cores || !bh_scores ||
+        !bh_quotas || !latency)
+        return false;
+    const JsonValue *histogram =
+        typedMember(*latency, "histogram", Type::kObject);
+    if (histogram == nullptr || !histogramJsonIsWellFormed(*histogram))
+        return false;
+    for (std::size_t i = 0; i < bh_scores->size(); ++i)
+        if (!bh_scores->at(i).isNumber())
+            return false;
+    for (std::size_t i = 0; i < bh_quotas->size(); ++i)
+        if (!bh_quotas->at(i).isU64())
+            return false;
+
+    ExperimentResult r;
+    r.weightedSpeedup = ws->asDouble();
+    r.maxSlowdown = sd->asDouble();
+    r.energyNj = energy->asDouble();
+    r.preventiveActions = prev->asU64();
+
+    if (const JsonValue *redteam = v.find("redteam")) {
+        const JsonValue *spec = typedMember(*redteam, "spec", Type::kString);
+        const JsonValue *acts =
+            typedMember(*redteam, "demand_acts_per_thread", Type::kArray);
+        if (!spec || !acts)
+            return false;
+        for (std::size_t i = 0; i < acts->size(); ++i)
+            if (!acts->at(i).isU64())
+                return false;
+        for (std::size_t i = 0; i < acts->size(); ++i)
+            r.raw.demandActsPerThread.push_back(acts->at(i).asU64());
+    }
+
+    r.raw.cycles = cycles->asU64();
+    r.raw.demandActs = demand->asU64();
+    r.raw.suspectMarks = marks->asU64();
+    r.raw.quotaRejections = rejections->asU64();
+    r.raw.hitCycleCap = capped->asBool();
+    r.raw.preventiveEnergyNj = prev_energy->asDouble();
+    r.raw.oracleViolations = violations->asU64();
+    r.raw.oracleMaxCount = static_cast<std::uint32_t>(max_count->asU64());
+    r.raw.energyNj = r.energyNj;
+    r.raw.preventiveActions = r.preventiveActions;
+
+    for (std::size_t i = 0; i < cores->size(); ++i) {
+        const JsonValue &c = cores->at(i);
+        const JsonValue *name = typedMember(c, "name", Type::kString);
+        const JsonValue *benign = typedMember(c, "benign", Type::kBool);
+        const JsonValue *retired = u64Member(c, "retired");
+        const JsonValue *finish = u64Member(c, "finish_cycle");
+        const JsonValue *ipc = typedMember(c, "ipc", Type::kNumber);
+        const JsonValue *stalls = u64Member(c, "reject_stalls");
+        if (!name || !benign || !retired || !finish || !ipc || !stalls)
+            return false;
+        CoreResult core;
+        core.name = name->asString();
+        core.benign = benign->asBool();
+        core.retired = retired->asU64();
+        core.finishCycle = finish->asU64();
+        core.ipc = ipc->asDouble();
+        core.rejectStalls = stalls->asU64();
+        r.raw.cores.push_back(std::move(core));
+    }
+
+    for (std::size_t i = 0; i < bh_scores->size(); ++i)
+        r.raw.bhScores.push_back(bh_scores->at(i).asDouble());
+    for (std::size_t i = 0; i < bh_quotas->size(); ++i)
+        r.raw.bhQuotas.push_back(
+            static_cast<unsigned>(bh_quotas->at(i).asU64()));
+
+    std::size_t num_bins = histogram->get("num_bins").asU64();
+    const JsonValue &bins = histogram->get("bins");
+    std::vector<std::uint64_t> raw_bins;
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+        std::size_t idx = bins.at(i).at(0).asU64();
+        if (idx >= raw_bins.size())
+            raw_bins.resize(idx + 1, 0);
+        raw_bins[idx] = bins.at(i).at(1).asU64();
+    }
+    r.raw.benignReadLatencyNs = Histogram::fromRaw(
+        histogram->get("bin_width").asDouble(), num_bins,
+        std::move(raw_bins), histogram->get("sum").asDouble(),
+        histogram->get("max").asDouble());
+
+    *out = std::move(r);
+    return true;
+}
+
+/** referenceFromJson() of @p text's tree; false when it does not parse. */
+bool
+referenceFromText(const std::string &text, ExperimentResult *out)
+{
+    JsonValue tree;
+    return JsonValue::parse(text, &tree) && referenceFromJson(tree, out);
+}
+
 /** What open() must report for a results.jsonl, decoded the slow way:
  *  every line parsed into a tree, as the loader did before it learned
- *  to check lines without one. */
+ *  to check lines without one, and every payload decoded from its tree
+ *  by referenceFromJson(). */
 struct ReferenceLoad
 {
     std::size_t loaded = 0;
     std::size_t skipped = 0;
     std::size_t soloLoaded = 0;
-    std::map<std::string, JsonValue> payloads; ///< First record per key.
+    /** First record per key; nullopt when its payload does not decode. */
+    std::map<std::string, std::optional<ExperimentResult>> results;
 };
 
 ReferenceLoad
@@ -798,10 +973,16 @@ referenceLoad(const std::string &text)
         } else if (kind->asString() == "experiment") {
             const JsonValue *key = rec.find("key");
             const JsonValue *payload = rec.find("payload");
-            if (key == nullptr || !key->isString() || payload == nullptr)
+            if (key == nullptr || !key->isString() || payload == nullptr) {
                 ++ref.skipped;
-            else if (ref.payloads.emplace(key->asString(), *payload).second)
+            } else if (!ref.results.count(key->asString())) {
+                ExperimentResult result;
+                ref.results[key->asString()] =
+                    referenceFromJson(*payload, &result)
+                        ? std::optional<ExperimentResult>(std::move(result))
+                        : std::nullopt;
                 ++ref.loaded;
+            }
         } else if (kind->asString() == "solo") {
             const JsonValue *app = rec.find("app");
             const JsonValue *insts = rec.find("insts");
@@ -925,18 +1106,16 @@ TEST(ResultStoreTest, MutatedStoreFilesLoadLikeAFullParse)
 
         for (const ExperimentConfig &cfg : grid) {
             const ExperimentConfig resolved = store.resolve(cfg);
-            auto it = ref.payloads.find(experimentKey(resolved));
-            ExperimentResult expected;
-            const bool readable = it != ref.payloads.end() &&
-                                  experimentResultFromJson(it->second,
-                                                           &expected);
-            if (it != ref.payloads.end() && !readable)
+            auto it = ref.results.find(experimentKey(resolved));
+            const bool readable =
+                it != ref.results.end() && it->second.has_value();
+            if (it != ref.results.end() && !readable)
                 ++misses;
             const ExperimentResult *result = store.lookup(cfg);
             ASSERT_EQ(result != nullptr, readable) << text;
             if (readable) {
                 ASSERT_EQ(experimentResultToJson(resolved, *result).dump(),
-                          experimentResultToJson(resolved, expected).dump());
+                          experimentResultToJson(resolved, *it->second).dump());
             }
         }
     }
@@ -944,6 +1123,274 @@ TEST(ResultStoreTest, MutatedStoreFilesLoadLikeAFullParse)
     // much: torn lines recovered whole, and loaded-but-unreadable records.
     EXPECT_GT(recovered, 10u);
     EXPECT_GT(misses, 10u);
+}
+
+/** One object member of a record's text: where its key begins, where
+ *  its value begins and where the value ends. */
+struct TextMember
+{
+    std::size_t begin;
+    std::size_t value;
+    std::size_t end;
+};
+
+/** Offset one past the JSON value at @p i (or of the text's end). */
+std::size_t
+valueEnd(const std::string &text, std::size_t i)
+{
+    int depth = 0;
+    for (; i < text.size(); ++i) {
+        const char ch = text[i];
+        if (ch == '"') {
+            for (++i; i < text.size() && text[i] != '"'; ++i)
+                if (text[i] == '\\')
+                    ++i;
+        } else if (ch == '{' || ch == '[') {
+            ++depth;
+        } else if (ch == '}' || ch == ']' || ch == ',') {
+            if (depth == 0)
+                return i;
+            if (ch != ',' && --depth == 0)
+                return i + 1;
+        }
+    }
+    return i;
+}
+
+/** Every object member of @p text, at any depth, in text order. */
+std::vector<TextMember>
+textMembers(const std::string &text)
+{
+    std::vector<TextMember> members;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] != '"')
+            continue;
+        const std::size_t begin = i;
+        for (++i; i < text.size() && text[i] != '"'; ++i)
+            if (text[i] == '\\')
+                ++i;
+        if (i + 1 < text.size() && text[i + 1] == ':')
+            members.push_back({begin, i + 2, valueEnd(text, i + 2)});
+    }
+    return members;
+}
+
+/** [begin, end) of every number token of @p text. */
+std::vector<std::pair<std::size_t, std::size_t>>
+textNumbers(const std::string &text)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> numbers;
+    bool in_string = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char ch = text[i];
+        if (in_string) {
+            if (ch == '\\')
+                ++i;
+            else if (ch == '"')
+                in_string = false;
+        } else if (ch == '"') {
+            in_string = true;
+        } else if ((ch == '-' || (ch >= '0' && ch <= '9')) && i > 0 &&
+                   std::strchr(":[,", text[i - 1]) != nullptr) {
+            std::size_t end = i + 1;
+            while (end < text.size() &&
+                   std::strchr("0123456789+-.eE", text[end]) != nullptr)
+                ++end;
+            numbers.emplace_back(i, end);
+        }
+    }
+    return numbers;
+}
+
+/** @p text without member @p m (and one comma beside it). */
+std::string
+withoutMember(std::string text, const TextMember &m)
+{
+    std::size_t begin = m.begin, end = m.end;
+    if (end < text.size() && text[end] == ',')
+        ++end;
+    else if (begin > 0 && text[begin - 1] == ',')
+        --begin;
+    return text.erase(begin, end - begin);
+}
+
+/** @p text with a copy of member @p m whose value has another kind,
+ *  before it (@p first: the original decides) or after it. */
+std::string
+withWrongTypedCopy(std::string text, const TextMember &m, bool first)
+{
+    const std::string key = text.substr(m.begin, m.value - m.begin);
+    const char kind = text[m.value];
+    const std::string wrong = kind == '"'   ? "7"
+                              : kind == 't' ? "0"
+                              : kind == 'f' ? "null"
+                                            : "\"x\"";
+    if (first)
+        return text.insert(m.begin, key + wrong + ",");
+    return text.insert(m.end, "," + key + wrong);
+}
+
+/**
+ * Seeded payload-level damage to real records of every mechanism, with
+ * and without BreakHammer, and of a red-team probe: dropped members,
+ * duplicates with a wrong-typed first or last copy, counts no u64 holds,
+ * malformed bin pairs, out-of-range histogram geometry, trailing bytes
+ * and nesting past the parser's cap. The byte decoder must give the tree
+ * decoder's verdict on every case and, when both accept, the same
+ * result; a refusal leaves the output untouched. The probe record also
+ * has every member dropped and copied wrong-typed in turn, so that the
+ * optional redteam block's members are damaged too.
+ */
+TEST(ResultStoreTest, MutatedPayloadsDecodeLikeTheTreeDecoder)
+{
+    const char *kPatterns[] = {"HHMA", "LLLA", "MMLL", "HHMM"};
+    std::vector<ExperimentConfig> configs;
+    for (int m = 0; m <= static_cast<int>(MitigationType::kBlockHammer); ++m)
+        for (bool bh_on : {false, true})
+            configs.push_back(smallConfig(kPatterns[configs.size() % 4],
+                                          static_cast<MitigationType>(m),
+                                          1024, bh_on));
+    ExperimentConfig probe =
+        smallConfig("MMAA", MitigationType::kPara, 1024, true);
+    probe.redteam = "pat=many,obs=64,bub=64,grp=1,ho=0";
+    configs.push_back(probe);
+    std::vector<std::string> records;
+    for (ExperimentConfig &cfg : configs) {
+        cfg.instructions = 3000;
+        cfg = resolveExperimentConfig(cfg);
+        records.push_back(
+            experimentResultToJson(cfg, runExperiment(cfg)).dump());
+    }
+    ASSERT_NE(records.back().find("\"demand_acts_per_thread\""),
+              std::string::npos);
+
+    std::mt19937_64 rng(0xb17e5);
+    auto below = [&rng](std::size_t n) {
+        return n ? static_cast<std::size_t>(rng() % n) : 0;
+    };
+    /** The value of the last "num_bins" member, or 4096. */
+    auto numBins = [](const std::string &text) {
+        std::uint64_t bins = 4096;
+        for (const TextMember &m : textMembers(text))
+            if (text.compare(m.begin, 11, "\"num_bins\":") == 0)
+                bins = std::strtoull(text.c_str() + m.value, nullptr, 10);
+        return bins;
+    };
+    /** Start offsets of the pairs inside the first "bins" array. */
+    auto binPairs = [](const std::string &text) {
+        std::vector<std::size_t> pairs;
+        const std::size_t at = text.find("\"bins\":[");
+        if (at == std::string::npos)
+            return pairs;
+        const std::size_t begin = at + 7;
+        const std::size_t end = valueEnd(text, begin);
+        for (std::size_t i = begin + 1; i < end; ++i)
+            if (text[i] == '[')
+                pairs.push_back(i);
+        return pairs;
+    };
+    const char *kCounts[] = {"-1", "1.5", "1e300", "18446744073709551616"};
+    const char *kTrailing[] = {" ", "\n", "x", "}", "{}", ",0"};
+
+    std::size_t accepted = 0;
+    std::size_t refused = 0;
+    /** Both decoders' verdicts and results on @p text, a damaged copy of
+     *  record @p which. */
+    auto expectSameDecode = [&](const std::string &text, std::size_t which) {
+        ExperimentResult expected;
+        const bool reference = referenceFromText(text, &expected);
+        const ExperimentConfig &cfg = configs[which];
+        ExperimentResult sentinel;
+        sentinel.weightedSpeedup = -42.0;
+        sentinel.raw.cores.resize(1);
+        ExperimentResult got = sentinel;
+        ASSERT_EQ(experimentResultFromJson(text, &got), reference) << text;
+        ++(reference ? accepted : refused);
+        ASSERT_EQ(experimentResultToJson(cfg, got).dump(),
+                  experimentResultToJson(cfg, reference ? expected : sentinel)
+                      .dump())
+            << text;
+    };
+
+    constexpr int kCases = 1000;
+    for (int c = 0; c < kCases; ++c) {
+        const std::size_t which = below(records.size());
+        std::string text = records[which];
+        for (std::size_t e = below(3) ? 1 : 2; e > 0; --e) {
+            const std::vector<TextMember> members = textMembers(text);
+            const std::vector<std::size_t> pairs = binPairs(text);
+            switch (below(9)) {
+              case 0: // drop a member
+                if (!members.empty())
+                    text = withoutMember(text, members[below(members.size())]);
+                break;
+              case 1: // a duplicate with a wrong-typed first or last copy
+                if (!members.empty())
+                    text = withWrongTypedCopy(
+                        text, members[below(members.size())], below(2));
+                break;
+              case 2: { // a count no u64 holds (or a fraction)
+                // Half of the time a member's number, else any number
+                // (most are bin indices and counts).
+                std::vector<std::pair<std::size_t, std::size_t>> numbers;
+                if (below(2)) {
+                    for (const TextMember &m : members)
+                        if (text[m.value] == '-' ||
+                            (text[m.value] >= '0' && text[m.value] <= '9'))
+                            numbers.emplace_back(m.value, m.end);
+                } else {
+                    numbers = textNumbers(text);
+                }
+                if (numbers.empty())
+                    break;
+                const auto [begin, end] = numbers[below(numbers.size())];
+                text.replace(begin, end - begin, kCounts[below(4)]);
+                break;
+              }
+              case 3: // a bin pair of three elements
+                if (!pairs.empty())
+                    text.insert(text.find(']', pairs[below(pairs.size())]),
+                                ",0");
+                break;
+              case 4: { // a bin index past num_bins
+                if (pairs.empty())
+                    break;
+                const std::size_t at = pairs[below(pairs.size())] + 1;
+                text.replace(at, text.find_first_of(",]", at) - at,
+                             std::to_string(numBins(text) + 1));
+                break;
+              }
+              case 5:
+                if (text.find("\"num_bins\":") != std::string::npos)
+                    text = withValue(text, "\"num_bins\":", "1048577");
+                break;
+              case 6:
+                if (text.find("\"bin_width\":") != std::string::npos)
+                    text = withValue(text, "\"bin_width\":", "0");
+                break;
+              case 7: // trailing bytes
+                text += kTrailing[below(6)];
+                break;
+              default: // nesting past the parser's cap
+                text = std::string(300, '[') + text + std::string(300, ']');
+                break;
+            }
+        }
+
+        expectSameDecode(text, which);
+        if (HasFatalFailure())
+            return;
+    }
+    const std::size_t probe_at = records.size() - 1;
+    for (const TextMember &m : textMembers(records[probe_at])) {
+        for (int kind = 0; kind < 3 && !HasFatalFailure(); ++kind)
+            expectSameDecode(
+                kind == 0 ? withoutMember(records[probe_at], m)
+                          : withWrongTypedCopy(records[probe_at], m, kind == 1),
+                probe_at);
+    }
+    EXPECT_GT(accepted, 50u);
+    EXPECT_GT(refused, 50u);
 }
 
 } // namespace

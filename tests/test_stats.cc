@@ -380,7 +380,8 @@ TEST_P(HistogramEquivalenceTest, StoredPrefixAnswersLikeDenseBins)
     // Same JSON bytes, and the parsed copy stores the same prefix.
     const std::string dump = histogramToJson(h).dump();
     EXPECT_EQ(dump, ref.toJson().dump());
-    Histogram back = histogramFromJson(JsonValue::parseOrDie(dump));
+    Histogram back;
+    ASSERT_TRUE(histogramFromJson(dump, &back));
     EXPECT_TRUE(back == kept);
     EXPECT_EQ(back == h, ref.dropped == 0);
     EXPECT_EQ(back.rawBins().size(), stored.size());
@@ -420,8 +421,8 @@ TEST(HistogramTest, EmptyHistogramStoresNoBins)
     EXPECT_EQ(h.rawBins().size(), 2u);
     h.reset();
     EXPECT_TRUE(h.rawBins().empty());
-    Histogram back =
-        histogramFromJson(JsonValue::parseOrDie(histogramToJson(h).dump()));
+    Histogram back;
+    ASSERT_TRUE(histogramFromJson(histogramToJson(h).dump(), &back));
     EXPECT_TRUE(back.rawBins().empty());
     EXPECT_EQ(back.numBins(), 4096u);
 }
